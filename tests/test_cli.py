@@ -3,10 +3,11 @@ import pathlib
 
 import pytest
 
-from gradman.cli import main, parse_document, pretty_print, run as run_command
+from gradman.cli import COMMANDS, main, parse_document, pretty_print, run as run_command
 from gradman.errors import ParseError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+REPORTS = GOLDEN / "reports.json"
 
 
 def run(capsys, *argv):
@@ -191,3 +192,72 @@ class TestExitCodes:
         rep = run_command("involutive", doc, name="DD")
         assert rep.exit_code == 0 and rep.verdict
         json.loads(rep.to_json())  # serializable
+
+
+# --- report snapshot ------------------------------------------------------------
+
+# argv lists beyond the declared names, for options the enumeration never sets
+EXTRA_ARGVS = [
+    ["admissible", "xdep.gm", "--sample-points", "(0);(-1)"],
+    ["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(0);(3)"],
+    ["reduce", "wedge22.gm", "--expr", "E_2_1"],
+    ["reduce", "wedge22.gm", "--expr", "1/2 * E_1_2 * E_1_1"],
+]
+
+
+def snapshot_argvs():
+    """Every subcommand on every golden file: bare, and with each declared
+    --name, --field and --fields value."""
+    for path in sorted(GOLDEN.glob("*.gm")):
+        doc = parse_document(path.read_text())
+        vfs = sorted(doc.vfs)
+        options = [[]]
+        options += [["--name", n] for n in sorted({*doc.coalgebras, *doc.dists})]
+        options += [["--field", f] for f in vfs]
+        options += [["--fields", f"{a},{b}"] for a in vfs for b in vfs]
+        for cmd in COMMANDS:
+            for opt in options:
+                yield [cmd, path.name, *opt]
+    yield from EXTRA_ARGVS
+
+
+def snapshot_report(argv):
+    """(exit code, JSON report without timing_ms) of one golden argv."""
+    import contextlib
+    import io
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([argv[0], str(GOLDEN / argv[1]), *argv[2:], "--format=json"])
+    rep = json.loads(out.getvalue())
+    rep.pop("timing_ms")
+    return code, rep
+
+
+def snapshot():
+    """Reports of every snapshot argv that ends in a verdict or a refusal."""
+    entries = {}
+    for argv in snapshot_argvs():
+        code, rep = snapshot_report(argv)
+        if code in (0, 1, 3):
+            entries[" ".join(argv)] = rep
+    return entries
+
+
+def test_reports_match_snapshot():
+    """Every recorded report is reproduced exactly, except timing_ms.
+
+    The snapshot pins library results seen through the CLI, including the
+    split-iso matrices, which depend on the pivot order of the eliminations.
+    """
+    want = json.loads(REPORTS.read_text())
+    got = snapshot()
+    assert sorted(got) == sorted(want)
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, changed
+
+
+if __name__ == "__main__":
+    # Rewrites the snapshot; run it only when a change of report is intended:
+    #   PYTHONPATH=src python tests/test_cli.py
+    REPORTS.write_text(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
