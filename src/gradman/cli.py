@@ -750,7 +750,13 @@ def _sample_points(doc: Document, flag: Optional[str]) -> list:
     points = []
     for part in flag.split(";"):
         part = part.strip().strip("()")
-        vals = [Fraction(v.strip()) for v in part.split(",") if v.strip()] if part else []
+        try:
+            vals = [Fraction(v.strip()) for v in part.split(",") if v.strip()] if part else []
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"sample point ({part}) has an entry that is not a rational") from None
+        if len(vals) != doc.sig.m0:
+            raise ParseError(f"sample point ({part}) has {len(vals)} coordinates, "
+                             f"the chart has {doc.sig.m0} base coordinates")
         points.append(tuple(vals))
     return points
 

@@ -20,6 +20,8 @@ from .exactnum import (
     Poly,
     PolyMatrix,
     kernel_basis,
+    poly_inverse,
+    primitive_vector,
     rank_at,
     rank_generic,
     rat_inverse,
@@ -417,29 +419,12 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                     for s in range(len(pairs)):
                         if not basis[t][s].is_zero():
                             vec[s] = vec[s].add(coeff.mul(basis[t][s]))
-                content = None
-                for p in vec:
-                    c = p.content()
-                    if c != 0:
-                        content = c if content is None else Fraction(
-                            _gcd_frac(content, c)
-                        )
-                if content not in (None, 0, 1):
-                    vec = [p.scale(1 / content) for p in vec]
-                new_basis.append(vec)
+                new_basis.append(primitive_vector(vec))
                 new_flags.append(ok)
             basis, flags = new_basis, new_flags
         if not basis:
             break
     return KSpace(degree, pairs, basis, flags)
-
-
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd
-
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    den = a.denominator * b.denominator
-    return Fraction(num, den)
 
 
 @dataclass
@@ -747,16 +732,10 @@ class CoalgebraMorphism:
             if m.rows == 0:
                 mats[i] = m
                 continue
-            if m.is_constant():
-                inv = rat_inverse(m.to_rat())
-                mats[i] = PolyMatrix.from_rat(m.rows, m.cols, inv, m.nvars)
-            else:
-                from .exactnum import poly_inverse
-
-                inv = poly_inverse(m)
-                if inv is None:
-                    raise ValueError("morphism has no polynomial inverse")
-                mats[i] = inv
+            inv = poly_inverse(m)
+            if inv is None:
+                raise ValueError("morphism has no polynomial inverse")
+            mats[i] = inv
         return CoalgebraMorphism(self.target, self.source, mats)
 
     def is_identity_shaped(self) -> bool:
@@ -907,7 +886,7 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         # decomposable block of the split comultiplication
         smu = S.full_mu(i).to_rat()
         decomp_cols = [[smu[row][c] for c in decomp_pos] for row in range(len(smu))]
-        tsq = _tensor_square_rat(E, S, matrices, i)
+        tsq = CoalgebraMorphism(E, S, matrices).tensor_square(i).to_rat()
         cols_out = []
         for c in range(r):
             w = [Fraction(x) for x in _rat_col(E.full_mu(i).to_rat(), c)]
@@ -938,27 +917,3 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
 
 def _rat_col(m: list, c: int) -> list:
     return [m[r][c] for r in range(len(m))]
-
-
-def _tensor_square_rat(E: CoalgebraBundle, S: CoalgebraBundle,
-                       matrices: Dict[int, PolyMatrix], i: int) -> list:
-    """Rational pair-basis matrix of the partial morphism in total degree -i."""
-    sp = E.tensor_basis(2, i)
-    tp = S.tensor_basis(2, i)
-    t_index = {p: r for r, p in enumerate(tp)}
-    out = [[Fraction(0)] * len(sp) for _ in range(len(tp))]
-    for cidx, ((j, a), (k, b)) in enumerate(sp):
-        mj = matrices[j]
-        mk = matrices[k]
-        for ap in range(S.rank(j)):
-            e1 = mj.entries[ap][a]
-            if e1.is_zero():
-                continue
-            for bp in range(S.rank(k)):
-                e2 = mk.entries[bp][b]
-                if e2.is_zero():
-                    continue
-                out[t_index[((j, ap), (k, bp))]][cidx] += (
-                    e1.constant_value() * e2.constant_value()
-                )
-    return out

@@ -1,8 +1,9 @@
 """Distributions, the membership decision procedure, and Frobenius normal forms.
 
 Membership expands the query and the generators over the free coordinate-field
-basis and solves degree by degree over the fraction field; a surviving
-denominator is reported instead of approximated.  The normal-form pipeline
+basis and solves degree by degree over the fraction field; a coefficient
+whose exact division by the pivot determinant fails is reported as
+"nonpolynomial" instead of approximated.  The normal-form pipeline
 flattens positive-degree generators by exact antiderivative substitutions,
 reduces degree-0 generators modulo the flat ones, straightens constant
 symbols by a linear base change, and integrates the remaining connection
@@ -175,8 +176,7 @@ def membership(x: VectorField, dist: Distribution) -> MembershipCertificate:
             False, witness=("inconsistent", (coord_name(sig, c), w))
         )
     coeff_fns = [GradedFunction.zero(sig) for _ in dist.generators]
-    for (gi, w), val in zip(unknowns, sol):
-        p = val.as_poly()
+    for (gi, w), p in zip(unknowns, sol):
         if p is None:
             return MembershipCertificate(False, witness=("nonpolynomial", (gi, w)))
         if not p.is_zero():
@@ -598,11 +598,15 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                     )
                 row.append(p.constant_value())
             sym.append(row)
-        rref, pivots = rat_rref(sym)
-        if len(pivots) < d0:
+        # reducing [sym | I] gives rref = coeffs * sym in its two blocks; the
+        # rows of sym are independent, so these constant combinations of the
+        # generators are the unique ones that realize the reduction
+        red, pivots = rat_rref([row + [Fraction(int(r == s)) for s in range(d0)]
+                                for r, row in enumerate(sym)])
+        if pivots[-1] >= nv:
             raise HypothesisFailed("degree-0 symbols are dependent over the base")
-        # constant linear combinations of the generators realize the reduction
-        coeffs = _row_reduction_coefficients(sym, rref)
+        rref = [row[:nv] for row in red]
+        coeffs = [row[nv:] for row in red]
         new_zero = []
         for r in range(d0):
             f = VectorField.zero(sig, 0)
@@ -709,28 +713,6 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
     )
     return FrobeniusChart(sig, total_nio, total_oin, flattened, moved,
                           new_points, span_ok, inverse_ok)
-
-
-def _row_reduction_coefficients(original: list, target: list) -> list:
-    """Constant coefficients expressing target rows over the original rows."""
-    d = len(original)
-    if d == 0:
-        return []
-    cols = len(original[0])
-    out = []
-    for r in range(d):
-        sol, bad = _rat_solve_t(original, target[r], cols)
-        if sol is None:
-            raise HypothesisFailed("symbol reduction is not a constant combination")
-        out.append(sol)
-    return out
-
-
-def _rat_solve_t(rows: list, target: list, cols: int):
-    from .exactnum import rat_solve
-
-    mat = [[rows[s][c] for s in range(len(rows))] for c in range(cols)]
-    return rat_solve(mat, list(target))
 
 
 def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:

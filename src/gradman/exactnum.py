@@ -6,12 +6,18 @@ positive denominator), aliased as `Rat`.  Polynomials are sparse maps from
 exponent vectors to nonzero scalars; the monomial order used for pivoting is
 graded lexicographic.  Everything here is immutable in spirit: operations
 return fresh values and never mutate their inputs.
+
+All linear algebra (rank, echelon form, kernel, solve, inverse, over the
+rationals and over Q[x]) is one fraction-free Gauss-Jordan routine,
+`_eliminate`, run on integer rows when every entry is constant and on Poly
+rows otherwise.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -201,6 +207,8 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return Poly.zero(self.nvars)
+        if other.is_constant():
+            return self.scale(1 / other.constant_value())
         lo, lc = other.leading()
         rem = self
         qterms: dict = {}
@@ -213,23 +221,6 @@ class Poly:
             qterms[qe] = qterms.get(qe, RAT_ZERO) + qc
             rem = rem.sub(Poly(self.nvars, {qe: qc}).mul(other))
         return Poly(self.nvars, {e: c for e, c in qterms.items() if c != 0})
-
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of numerators over lcm of denominators)."""
-        if not self.terms:
-            return RAT_ZERO
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self) -> "Poly":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return self.scale(1 / c)
 
     # --- dunder -------------------------------------------------------
 
@@ -271,94 +262,6 @@ class Poly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
-
-
-def poly_arith(a: Poly, b: Poly, op: str) -> Poly:
-    """Dispatch form of the exact polynomial ring operations."""
-    if op == "add":
-        return a.add(b)
-    if op == "sub":
-        return a.sub(b)
-    if op == "mul":
-        return a.mul(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-# --- rational functions -------------------------------------------------
-
-
-class RatFunc:
-    """Quotient of two polynomials, normalized with monic denominator.
-
-    Simplification only attempts exact division; no polynomial gcd is used.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Optional[Poly] = None):
-        if den is None:
-            den = Poly.one(num.nvars)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(num.nvars)
-        else:
-            _, lc = den.leading()
-            if lc != 1:
-                den = den.scale(1 / lc)
-                num = num.scale(1 / lc)
-            q = num.div_exact(den)
-            if q is not None:
-                num, den = q, Poly.one(num.nvars)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
-    def zero(cls, nvars: int) -> "RatFunc":
-        return cls(Poly.zero(nvars))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def add(self, other: "RatFunc") -> "RatFunc":
-        if self.den == other.den:
-            return RatFunc(self.num.add(other.num), self.den)
-        return RatFunc(
-            self.num.mul(other.den).add(other.num.mul(self.den)),
-            self.den.mul(other.den),
-        )
-
-    def sub(self, other: "RatFunc") -> "RatFunc":
-        return self.add(other.neg())
-
-    def neg(self) -> "RatFunc":
-        return RatFunc(self.num.neg(), self.den)
-
-    def mul(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num.mul(other.num), self.den.mul(other.den))
-
-    def div(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num.mul(other.den), self.den.mul(other.num))
-
-    def as_poly(self) -> Optional[Poly]:
-        """Polynomial representative, or None when a denominator survives."""
-        if self.den == Poly.one(self.num.nvars):
-            return self.num
-        return self.num.div_exact(self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num.mul(other.den) == other.num.mul(self.den)
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r} / {self.den!r})"
 
 
 # --- matrices ------------------------------------------------------------
@@ -476,57 +379,128 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
+# --- fraction-free elimination ---------------------------------------------
+
+
+def _exact_div(a: Poly, b: Poly) -> Poly:
+    q = a.div_exact(b)
+    if q is None:
+        # Bareiss guarantees exactness; guard for safety
+        raise ArithmeticError("fraction-free elimination lost exactness")
+    return q
+
+
+# (mul, sub, exact div, is_zero, one) over the integers; `_prepare` builds
+# the Q[x] tuple, whose one depends on the variable count
+_INT_OPS = (operator.mul, operator.sub, operator.floordiv, operator.not_, 1)
+
+
+def _eliminate(a: list, ops, ncols: Optional[int] = None, reduce: bool = True):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows of `a`, in place.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current rank; only the first `ncols` columns (default all) take pivots.
+    Every other row r becomes (pivot * row_r - row_r[c] * pivot_row) divided
+    by the previous pivot.  By Sylvester's identity every entry is then a
+    minor of the input, so each division is exact and entry degrees stay
+    within the Cramer bound.  With `reduce` the rows above the pivot are
+    cleared too and `a` ends as det * RREF, det being the last pivot;
+    without it only the rows below are, which is enough for the rank.
+
+    Returns (pivot columns, perm, det), where row r of `a` came from input
+    row perm[r].
+    """
+    mul, sub, div, is_zero, one = ops
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if ncols is not None:
+        cols = min(cols, ncols)
+    perm = list(range(rows))
+    pivots = []
+    det = one
+    for c in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
+        piv = next((r for r in range(rank, rows) if not is_zero(a[r][c])), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        perm[rank], perm[piv] = perm[piv], perm[rank]
+        prow = a[rank]
+        p = prow[c]
+        for r in range(0 if reduce else rank + 1, rows):
+            if r == rank:
+                continue
+            f = a[r][c]
+            row = [sub(mul(v, p), mul(f, w)) for v, w in zip(a[r], prow)]
+            a[r] = [div(v, det) for v in row] if rank else row
+        pivots.append(c)
+        det = p
+    return pivots, perm, det
+
+
+def _int_rows(m: list) -> list:
+    """Rational rows as integer rows, each scaled by its common denominator.
+
+    Row scaling changes no rank, echelon form, kernel or solution.
+    """
+    out = []
+    for row in m:
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
+
+
+def _prepare(rows: list, nvars: int):
+    """Elimination input for rows of Poly entries, with its ops.
+
+    Integer rows when every entry is constant, else copies of the Poly rows.
+    """
+    if all(p.is_constant() for row in rows for p in row):
+        return _int_rows([[p.constant_value() for p in row] for row in rows]), _INT_OPS
+    ops = (Poly.mul, Poly.sub, _exact_div, Poly.is_zero, Poly.one(nvars))
+    return [list(row) for row in rows], ops
+
+
+def _to_poly(v, nvars: int) -> Poly:
+    return Poly.const(nvars, v) if isinstance(v, int) else v
+
+
+def _quotient(v, det, nvars: int) -> Optional[Poly]:
+    """v / det as a Poly, or None when the quotient is not a polynomial."""
+    if isinstance(v, int):
+        return Poly.const(nvars, Fraction(v, det))
+    return v.div_exact(det)
+
+
+def primitive_vector(vec: list) -> list:
+    """Poly vector divided by the positive rational gcd of all its coefficients."""
+    num, den = 0, 1
+    for p in vec:
+        for c in p.terms.values():
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
+    content = Fraction(num, den)
+    if content in (0, 1):
+        return vec
+    return [p.scale(1 / content) for p in vec]
+
+
 # --- rational (Fraction) linear algebra ----------------------------------
 
 
 def rat_rank(m: list) -> int:
-    """Rank of a matrix given as list of Fraction rows (destructive on a copy)."""
-    a = [list(map(Fraction, row)) for row in m]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of a matrix given as list of Fraction rows."""
+    return len(_eliminate(_int_rows(m), _INT_OPS, reduce=False)[0])
 
 
 def rat_rref(m: list):
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    a = [list(map(Fraction, row)) for row in m]
-    if not a:
-        return a, []
-    rows, cols = len(a), len(a[0])
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    return a, pivots
+    a = _int_rows(m)
+    pivots, _, det = _eliminate(a, _INT_OPS)
+    return [[Fraction(v, det) for v in row] for row in a], pivots
 
 
 def rat_kernel(m: list, cols: Optional[int] = None) -> list:
@@ -534,14 +508,16 @@ def rat_kernel(m: list, cols: Optional[int] = None) -> list:
     if not m:
         return [[RAT_ONE if i == j else RAT_ZERO for i in range(cols or 0)] for j in range(cols or 0)]
     ncols = len(m[0])
-    rref, pivots = rat_rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    a = _int_rows(m)
+    pivots, _, det = _eliminate(a, _INT_OPS)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [RAT_ZERO] * ncols
         v[f] = RAT_ONE
         for r, p in enumerate(pivots):
-            v[p] = -rref[r][f]
+            v[p] = Fraction(-a[r][f], det)
         basis.append(v)
     return basis
 
@@ -554,218 +530,86 @@ def rat_solve(m: list, b: list):
     """
     if not m:
         return ([], None) if all(v == 0 for v in b) else (None, 0)
-    rows, cols = len(m), len(m[0])
-    a = [list(map(Fraction, m[r])) + [Fraction(b[r])] for r in range(rows)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [v * inv for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [v - f * w for v, w in zip(a[r], a[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    for r in range(rank, rows):
-        if a[r][cols] != 0:
+    cols = len(m[0])
+    a = _int_rows([list(row) + [b[r]] for r, row in enumerate(m)])
+    pivots, _, det = _eliminate(a, _INT_OPS, ncols=cols)
+    for r in range(len(pivots), len(a)):
+        if a[r][cols]:
             return None, r
     x = [RAT_ZERO] * cols
     for r, p in enumerate(pivots):
-        x[p] = a[r][cols]
+        x[p] = Fraction(a[r][cols], det)
     return x, None
 
 
 def rat_inverse(m: list) -> list:
     n = len(m)
-    if n == 0:
-        return []
-    aug = [list(map(Fraction, m[r])) + [RAT_ONE if c == r else RAT_ZERO for c in range(n)] for r in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def rat_mat_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), RAT_ZERO)
-             for j in range(len(b[0]))] for i in range(len(a))]
+    a = _int_rows([list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(m)])
+    pivots, _, det = _eliminate(a, _INT_OPS, ncols=n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [[Fraction(v, det) for v in row[n:]] for row in a]
 
 
 # --- polynomial-matrix operations ----------------------------------------
 
 
 def rank_generic(m: PolyMatrix) -> int:
-    """Rank over the rational function field, by fraction-free elimination."""
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    nv = m.nvars
-    if rows == 0 or cols == 0:
-        return 0
-    prev = Poly.one(nv)
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if not a[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pivot = a[rank][c]
-        for r in range(rank + 1, rows):
-            if all(a[r][j].is_zero() for j in range(c, cols)):
-                continue
-            for j in range(cols):
-                if j == c:
-                    continue
-                num = a[r][j].mul(pivot).sub(a[r][c].mul(a[rank][j]))
-                q = num.div_exact(prev)
-                if q is None:
-                    # Bareiss guarantees exactness; guard for safety
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                a[r][j] = q
-            a[r][c] = Poly.zero(nv)
-        prev = pivot
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank over the rational function field."""
+    a, ops = _prepare(m.entries, m.nvars)
+    return len(_eliminate(a, ops, reduce=False)[0])
 
 
 def rank_at(m: PolyMatrix, point: Sequence) -> int:
     """Rank of the numeric specialization at a rational point."""
-    return rat_rank(m.eval_at(point))
-
-
-def _ratfunc_rref(rows: list, ncols: int):
-    """RREF over the fraction field; rows are lists of RatFunc. Returns (rows, pivots)."""
-    pivots = []
-    rank = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = next((r for r in range(rank, nrows) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c]
-        rows[rank] = [v.div(inv) for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and not rows[r][c].is_zero():
-                f = rows[r][c]
-                rows[r] = [v.sub(f.mul(w)) for v, w in zip(rows[r], rows[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == nrows:
-            break
-    return rows, pivots
+    return len(_eliminate(_int_rows(m.eval_at(point)), _INT_OPS, reduce=False)[0])
 
 
 def kernel_basis(m: PolyMatrix):
     """Kernel of m over the fraction field.
 
-    Returns a list of (vector, polynomial_flag) pairs.  Vectors are scaled by
-    the product of surviving denominators, so the flag records whether that
-    clearing produced a genuine polynomial representative (it always does for
-    kernel vectors; the flag is part of the reporting contract).
+    Returns a list of (vector, polynomial_flag) pairs, one per non-pivot
+    column f.  Each vector is the fraction-free one (the pivot determinant at
+    f, minors of m elsewhere), signed so that its entry at f has a positive
+    leading coefficient and divided by its rational content.  The flag is
+    always True; it is part of the reporting contract.
     """
     nv = m.nvars
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for j in range(m.cols):
-            v = [Poly.one(nv) if i == j else Poly.zero(nv) for i in range(m.cols)]
-            basis.append((v, True))
-        return basis
-    rows = [[RatFunc(e) for e in row] for row in m.entries]
-    rref, pivots = _ratfunc_rref(rows, m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
-    one = RatFunc(Poly.one(nv))
+    a, ops = _prepare(m.entries, nv)
+    pivots, _, det = _eliminate(a, ops)
+    det = _to_poly(det, nv)
+    sign = 1 if det.leading()[1] > 0 else -1
+    det = det.scale(sign)
     basis = []
-    for f in free:
-        v = [RatFunc.zero(nv) for _ in range(m.cols)]
-        v[f] = one
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [Poly.zero(nv) for _ in range(m.cols)]
+        v[f] = det
         for r, p in enumerate(pivots):
-            v[p] = rref[r][f].neg()
-        # clear denominators by the product of distinct denominators
-        denom = Poly.one(nv)
-        seen = set()
-        for entry in v:
-            dk = frozenset(entry.den.terms.items())
-            if dk not in seen and entry.den != Poly.one(nv):
-                seen.add(dk)
-                denom = denom.mul(entry.den)
-        cleared = []
-        ok = True
-        for entry in v:
-            p = entry.mul(RatFunc(denom)).as_poly()
-            if p is None:
-                ok = False
-                cleared.append(entry.num)
-            else:
-                cleared.append(p)
-        # normalize rational content for determinism
-        content = RAT_ZERO
-        for p in cleared:
-            c = p.content()
-            content = c if content == 0 else Fraction(
-                gcd(content.numerator * c.denominator, c.numerator * content.denominator),
-                content.denominator * c.denominator,
-            )
-        if content not in (0, 1):
-            cleared = [p.scale(1 / content) for p in cleared]
-        basis.append((cleared, ok))
+            v[p] = _to_poly(a[r][f], nv).scale(-sign)
+        basis.append((primitive_vector(v), True))
     return basis
 
 
 def poly_solve(m: PolyMatrix, b: list):
     """Solve m x = b over the fraction field.
 
-    Returns (list of RatFunc, None) on success, with free variables set to
-    zero, or (None, row_index) naming an inconsistent row of the original
-    system.
+    Returns (x, None) on success, with free variables set to zero and x[j]
+    the value of unknown j as a Poly, or None where exact division by the
+    pivot determinant fails (the value is not a polynomial); or (None,
+    row_index) naming an inconsistent row of the original system.
     """
     nv = m.nvars
-    rows = [[RatFunc(e) for e in row] + [RatFunc(b[r])] for r, row in enumerate(m.entries)]
-    tags = list(range(m.rows))
-    pivots = []
-    rank = 0
-    for c in range(m.cols):
-        piv = next((r for r in range(rank, m.rows) if not rows[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        tags[rank], tags[piv] = tags[piv], tags[rank]
-        inv = rows[rank][c]
-        rows[rank] = [v.div(inv) for v in rows[rank]]
-        for r in range(m.rows):
-            if r != rank and not rows[r][c].is_zero():
-                f = rows[r][c]
-                rows[r] = [v.sub(f.mul(w)) for v, w in zip(rows[r], rows[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == m.rows:
-            break
-    for r in range(rank, m.rows):
-        if not rows[r][m.cols].is_zero():
-            return None, tags[r]
-    x = [RatFunc.zero(nv) for _ in range(m.cols)]
+    a, ops = _prepare([row + [b[r]] for r, row in enumerate(m.entries)], nv)
+    pivots, perm, det = _eliminate(a, ops, ncols=m.cols)
+    is_zero = ops[3]
+    for r in range(len(pivots), m.rows):
+        if not is_zero(a[r][m.cols]):
+            return None, perm[r]
+    x = [Poly.zero(nv) for _ in range(m.cols)]
     for r, p in enumerate(pivots):
-        x[p] = rows[r][m.cols]
+        x[p] = _quotient(a[r][m.cols], det, nv)
     return x, None
 
 
@@ -775,27 +619,19 @@ def poly_inverse(m: PolyMatrix) -> Optional[PolyMatrix]:
     if n != m.cols:
         raise ValueError("inverse of a non-square matrix")
     nv = m.nvars
-    cols = []
-    for j in range(n):
-        e = [Poly.one(nv) if i == j else Poly.zero(nv) for i in range(n)]
-        x, bad = poly_solve(m, e)
-        if x is None:
-            return None
-        col = []
-        for entry in x:
-            p = entry.as_poly()
-            if p is None:
-                return None
-            col.append(p)
-        cols.append(col)
-    return PolyMatrix(n, n, [[cols[j][i] for j in range(n)] for i in range(n)], nv)
+    one, zero = Poly.one(nv), Poly.zero(nv)
+    a, ops = _prepare([row + [one if c == r else zero for c in range(n)]
+                       for r, row in enumerate(m.entries)], nv)
+    pivots, _, det = _eliminate(a, ops, ncols=n)
+    if len(pivots) < n:
+        return None
+    inv = [[_quotient(v, det, nv) for v in row[n:]] for row in a]
+    if any(v is None for row in inv for v in row):
+        return None
+    return PolyMatrix(n, n, inv, nv)
 
 
 def span_rank(columns: Iterable[list], nvars: int) -> int:
     """Generic rank of the span of polynomial column vectors."""
-    cols = list(columns)
-    if not cols:
-        return 0
-    rows = len(cols[0])
-    m = PolyMatrix(rows, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(rows)], nvars)
-    return rank_generic(m)
+    a, ops = _prepare(list(columns), nvars)
+    return len(_eliminate(a, ops, reduce=False)[0])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from gradman.coalgebra import CoalgebraBundle
-from gradman.exactnum import Poly, PolyMatrix, rat_inverse, rat_mat_mul, rat_rank
+from gradman.exactnum import Poly, PolyMatrix, rat_inverse, rat_rank
 from gradman.fields import ChartMap, VectorField, base_coord, gen_coord
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
 
@@ -13,6 +13,13 @@ CHART_PROFILES = [
     [("e1", 1), ("p", 2)],
     [("e1", 1), ("e2", 1), ("p", 2), ("q", 3)],
 ]
+
+
+def rat_mat_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def random_signature(rng):

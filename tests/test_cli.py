@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import pathlib
 
@@ -165,6 +167,18 @@ class TestExitCodes:
         assert code == 2
         assert main(["not-a-command", "x"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["tangent", "vftang.gm", "--field", "Y"],
+        ["admissible", "xdep.gm"],
+        ["involutive", "nonconst.gm"],
+    ])
+    @pytest.mark.parametrize("points", ["(1,2,3)", "(0);(1,2)", "()", "(a)", "(1/0)"])
+    def test_malformed_sample_points(self, capsys, argv, points):
+        # each chart has one base coordinate
+        code, rep = run_json(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:],
+                             "--sample-points", points)
+        assert code == 2 and "sample point" in rep["witnesses"]["error"]
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.gm"
         bad.write_text("coord e 1\n")
@@ -223,9 +237,6 @@ def snapshot_argvs():
 
 def snapshot_report(argv):
     """(exit code, JSON report without timing_ms) of one golden argv."""
-    import contextlib
-    import io
-
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([argv[0], str(GOLDEN / argv[1]), *argv[2:], "--format=json"])

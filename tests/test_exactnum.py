@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
-    RatFunc,
     kernel_basis,
     poly_inverse,
     poly_solve,
@@ -180,19 +181,14 @@ class TestRank:
 
 
 class TestFractionField:
-    def test_ratfunc_simplifies_exact_quotients(self):
-        x = Poly.var(1, 0)
-        r = RatFunc(x.mul(x), x)
-        assert r.as_poly() == x
-
     def test_poly_solve_consistency(self):
         x = Poly.var(1, 0)
         m = PolyMatrix(2, 2, [[x, Poly.one(1)], [Poly.zero(1), x]], 1)
         sol, bad = poly_solve(m, [x.mul(x), x])
         assert bad is None
         # second coordinate solves x * c = x, so c = 1; first: x*a + 1 = x^2
-        assert sol[1].as_poly() == Poly.one(1)
-        assert sol[0].as_poly() is None  # a = (x^2 - 1)/x is not polynomial
+        assert sol[1] == Poly.one(1)
+        assert sol[0] is None  # a = (x^2 - 1)/x is not polynomial
 
     def test_poly_solve_inconsistent(self):
         m = PolyMatrix.zero(1, 1, 1)
@@ -224,3 +220,149 @@ class TestRatHelpers:
         assert bad is None and x == [Fraction(1), Fraction(1)]
         inv = rat_inverse(m)
         assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+def linear_matrix(rng, rows, cols, nvars):
+    """Entries a0 + a1*x1 (+ a2*x2) with integer coefficients in [-3, 3]."""
+    def entry():
+        p = Poly.const(nvars, rng.randint(-3, 3))
+        for i in range(nvars):
+            p = p.add(Poly.var(nvars, i).scale(rng.randint(-3, 3)))
+        return p
+    return PolyMatrix(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)], nvars)
+
+
+def mat_vec(m, v):
+    out = []
+    for row in m.entries:
+        s = Poly.zero(m.nvars)
+        for a, b in zip(row, v):
+            s = s.add(a.mul(b))
+        out.append(s)
+    return out
+
+
+class TestCramerBound:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("rows,cols,nvars", [(4, 6, 1), (3, 5, 2)])
+    def test_kernel_entries_within_cramer_bound(self, seed, rows, cols, nvars):
+        # fraction-free kernel entries are minors of size rank, so their degree
+        # is at most rank times the largest entry degree
+        m = linear_matrix(random.Random(seed), rows, cols, nvars)
+        rank = rank_generic(m)
+        bound = rank * max(e.total_degree() for row in m.entries for e in row)
+        basis = kernel_basis(m)
+        assert len(basis) == cols - rank
+        for v, flag in basis:
+            assert flag
+            assert all(s.is_zero() for s in mat_vec(m, v))
+            assert max(p.total_degree() for p in v) <= bound
+
+
+class TestSympyOracle:
+    """Differential checks against sympy's matrices over Q and Q(x)."""
+
+    @staticmethod
+    def to_sympy(rows, xs):
+        """sympy DomainMatrix over the fraction field, from rows of Polys."""
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        def conv(p):
+            return sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
+                        for exps, c in p.terms.items()), sympy.Integer(0))
+        sm = sympy.Matrix([[conv(p) for p in row] for row in rows])
+        return DomainMatrix.from_Matrix(sm).to_field(), conv
+
+    @staticmethod
+    def sample(rng, nvars, constant):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        if constant:
+            return PolyMatrix(rows, cols, [
+                [Poly.const(nvars, Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+                 if rng.random() < 0.8 else Poly.zero(nvars) for _ in range(cols)]
+                for _ in range(rows)], nvars)
+        m = linear_matrix(rng, rows, cols, nvars)
+        if rows > 1 and rng.random() < 0.6:  # a rank drop over Q(x)
+            f = linear_matrix(rng, 1, 1, nvars).entries[0][0]
+            m.entries[-1] = [p.mul(f) for p in m.entries[0]]
+        return m
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_rank_and_kernel_dimension(self, constant):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(21 + constant)
+        for _ in range(40):
+            nvars = rng.randint(1, 2)
+            m = self.sample(rng, nvars, constant)
+            dm, _ = self.to_sympy(m.entries, sympy.symbols(f"x0:{nvars}"))
+            rank = rank_generic(m)
+            assert rank == dm.rank()
+            basis = kernel_basis(m)
+            assert len(basis) == dm.nullspace().shape[0]
+            for v, _ in basis:
+                assert all(s.is_zero() for s in mat_vec(m, v))
+            for _ in range(3):
+                pt = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
+                assert rank >= rank_at(m, pt)
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_poly_solve_against_sympy(self, constant):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(31 + constant)
+        for _ in range(40):
+            nvars = rng.randint(1, 2)
+            m = self.sample(rng, nvars, constant)
+            xs = sympy.symbols(f"x0:{nvars}")
+            if rng.random() < 0.7:  # consistent right-hand side m * x0
+                x0 = [Poly.const(nvars, rng.randint(-2, 2)).add(
+                    Poly.var(nvars, 0).scale(rng.randint(-1, 1))) for _ in range(m.cols)]
+                b = mat_vec(m, x0)
+            else:
+                b = [Poly.const(nvars, rng.randint(-2, 2)) for _ in range(m.rows)]
+            sol, bad = poly_solve(m, b)
+            aug, conv = self.to_sympy([row + [b[r]] for r, row in enumerate(m.entries)], xs)
+            rref, pivots = aug.rref()
+            if m.cols in pivots:
+                assert sol is None and 0 <= bad < m.rows
+                continue
+            assert bad is None
+            # the particular solution with every free variable zero
+            want = [sympy.Integer(0)] * m.cols
+            rref = rref.to_Matrix()
+            for r, p in enumerate(pivots):
+                want[p] = rref[r, m.cols]
+            for p, w in zip(sol, want):
+                num, den = sympy.fraction(sympy.cancel(w))
+                if p is None:
+                    assert sympy.Poly(den, *xs).total_degree() > 0
+                else:
+                    assert sympy.expand(conv(p) - w) == 0
+            if all(p is not None for p in sol):
+                assert mat_vec(m, sol) == b
+
+    def test_poly_inverse(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41)
+        for _ in range(15):
+            n, nvars = rng.randint(1, 3), rng.randint(1, 2)
+            xs = sympy.symbols(f"x0:{nvars}")
+            # unit lower times unit upper triangular, then scaled: a constant
+            # nonzero determinant, so a polynomial inverse exists
+            lo = PolyMatrix.identity(n, nvars)
+            up = PolyMatrix.identity(n, nvars)
+            for i in range(n):
+                for j in range(i):
+                    lo.entries[i][j] = linear_matrix(rng, 1, 1, nvars).entries[0][0]
+                    up.entries[j][i] = linear_matrix(rng, 1, 1, nvars).entries[0][0]
+            m = lo.mul(up).scale(Fraction(rng.choice([-2, 1, 3]), 2))
+            inv = poly_inverse(m)
+            assert inv is not None
+            assert inv.mul(m) == PolyMatrix.identity(n, nvars)
+            # adding x0 to a corner can make the determinant non-constant
+            bad = PolyMatrix(n, n, [row[:] for row in m.entries], nvars)
+            bad.entries[0][0] = bad.entries[0][0].add(Poly.var(nvars, 0))
+            dm, _ = self.to_sympy(bad.entries, xs)
+            det = sympy.Poly(dm.domain.to_sympy(dm.det()), *xs)
+            assert (poly_inverse(bad) is None) == (det.total_degree() != 0)
