@@ -167,16 +167,15 @@ class Document:
         nv = len(self.base_names)
         mu: Dict[int, dict] = {}
         for i in range(2, n + 1):
-            rows_expected = _stored_rows(ranks, i)
             mat = decl.mu.get(i)
             blocks = {}
             if mat is not None:
-                if len(mat) != len(rows_expected) or (mat and len(mat[0]) != ranks[i]):
-                    raise ParseError(
-                        f"mu {-i} of {name!r} must be {len(rows_expected)}x{ranks[i]}"
-                    )
+                expected = rows_expected_blocks(ranks, i)
+                rows = sum(count for _, count in expected)
+                if len(mat) != rows or any(len(row) != ranks[i] for row in mat):
+                    raise ParseError(f"mu {-i} of {name!r} must be {rows}x{ranks[i]}")
                 offset = 0
-                for (j, k), count in rows_expected_blocks(ranks, i):
+                for (j, k), count in expected:
                     m = PolyMatrix(count, ranks[i],
                                    [mat[offset + r] for r in range(count)], nv)
                     if not m.is_zero():
@@ -193,11 +192,18 @@ class Document:
                 raise ParseError(f"unknown vector field {g!r} in dist {name!r}")
             gens.append(self._field(g))
         points = [tuple(map(Fraction, p)) for p in decl.points]
+        for p in points:
+            if len(p) != self.sig.m0:
+                raise ParseError(f"a point of dist {name!r} has {len(p)} coordinates, "
+                                 f"the chart has {self.sig.m0} base coordinates")
         if extra_points:
             points += [tuple(map(Fraction, p)) for p in extra_points]
         if not points:
             points = [tuple(Fraction(0) for _ in range(self.sig.m0))]
-        return make_distribution(gens, points, sig=self.sig)
+        try:
+            return make_distribution(gens, points, sig=self.sig)
+        except ValueError as exc:
+            raise ParseError(f"dist {name!r}: {exc}") from None
 
     def _field(self, name: str) -> VectorField:
         decl = self.vfs[name]
@@ -223,14 +229,6 @@ class Document:
             else:
                 mats[i] = PolyMatrix(len(m), len(m[0]) if m else 0, m, nv)
         return CoalgebraMorphism(src, tgt, mats)
-
-
-def _stored_rows(ranks: dict, i: int) -> list:
-    rows = []
-    for j in range(1, i // 2 + 1):
-        k = i - j
-        rows.extend([(j, k)] * (ranks.get(j, 0) * ranks.get(k, 0)))
-    return rows
 
 
 def rows_expected_blocks(ranks: dict, i: int) -> list:
@@ -461,7 +459,10 @@ class Parser:
         den = 1
         if self.peek().kind == "sym" and self.peek().text == "/":
             self.advance()
-            den = int(self.expect("int").text)
+            den_tok = self.expect("int")
+            den = int(den_tok.text)
+            if den == 0:
+                raise ParseError("division by zero", den_tok.line, den_tok.col)
         v = Fraction(num, den)
         return -v if neg else v
 
@@ -614,7 +615,10 @@ class ExprEval:
                 den_tok = self.advance()
                 if den_tok.kind != "int":
                     raise ParseError("expected denominator", den_tok.line, den_tok.col)
-                return GradedFunction.constant(self.sig, Fraction(num, int(den_tok.text)))
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ParseError("division by zero", den_tok.line, den_tok.col)
+                return GradedFunction.constant(self.sig, Fraction(num, den))
             return GradedFunction.constant(self.sig, num)
         if t.kind == "id":
             self.advance()

@@ -3,9 +3,10 @@
 A bundle stores one trivialized fiber space per negative degree plus the
 comultiplication components in block form: for each total degree only the
 blocks (j, k) with j <= k are kept, the others being forced by
-cocommutativity.  All verification (cocommutativity, coassociativity, the
-coherence constraint space, admissibility) expands to full tensor bases and
-works with exact polynomial matrices.
+cocommutativity.  `CoalgebraBundle.mu_columns` expands the blocks once per
+degree into sparse columns over the full ordered pair basis; every check
+(cocommutativity, coassociativity, the coherence constraint space,
+admissibility) reads that one expanded form.
 """
 
 from __future__ import annotations
@@ -30,30 +31,25 @@ from .exactnum import (
     rat_solve,
     span_rank,
 )
-from .gradedring import GradedFunction, GradedSignature, braiding_sign
+from .gradedring import (
+    GradedFunction,
+    GradedSignature,
+    braiding_sign,
+    koszul_sort,
+    monomials_of_degree,
+)
 
 Elem = Tuple[int, int]  # (positive degree, fiber index)
 
 
-def word_normalize(word: Sequence[Elem]):
-    """Koszul-canonical form of a word of graded elements.
-
-    Same convention as the chart algebra: one sign per inversion of two odd
-    factors, zero when an odd factor repeats.
-    """
-    word = tuple(word)
-    odd_seen = set()
-    for g in word:
-        if g[0] & 1:
-            if g in odd_seen:
-                return 0, ()
-            odd_seen.add(g)
-    order = sorted(range(len(word)), key=lambda s: (word[s], s))
-    perm = [0] * len(word)
-    for pos, s in enumerate(order):
-        perm[s] = pos
-    sign = braiding_sign(perm, [g[0] & 1 for g in word])
-    return sign, tuple(sorted(word))
+def _accumulate(col: dict, key, val: Poly):
+    """Add `val` at `key` of a sparse column, dropping the key when the sum is zero."""
+    acc = col.get(key)
+    acc = val if acc is None else acc.add(val)
+    if acc.is_zero():
+        col.pop(key, None)
+    else:
+        col[key] = acc
 
 
 @dataclass
@@ -86,7 +82,7 @@ class CoalgebraBundle:
         self.frame_prefix = frame_prefix
         self._tensor_cache: dict = {}
         self._power_cache: dict = {}
-        self._fullmu_cache: dict = {}
+        self._columns_cache: dict = {}
 
     # --- basic structure -------------------------------------------------
 
@@ -139,69 +135,46 @@ class CoalgebraBundle:
         self._tensor_cache[key] = out
         return out
 
-    def mu_block(self, j: int, k: int) -> PolyMatrix:
-        i = j + k
-        lo, hi = min(j, k), max(j, k)
+    def mu_columns(self, i: int) -> list:
+        """The comultiplication at degree -i as sparse columns, one per frame index.
+
+        Each column maps ordered pairs, in tensor-basis order, to their nonzero
+        Poly coefficients.  A pair (u, v) with deg u > deg v reads the stored
+        block at (v, u) with the Koszul sign (-1)^(deg u * deg v).  Built once
+        per degree and shared between callers, which must not mutate it.
+        """
+        cols = self._columns_cache.get(i)
+        if cols is not None:
+            return cols
         blocks = self.mu.get(i, {})
-        m = blocks.get((lo, hi))
-        if m is None:
-            return PolyMatrix.zero(self.rank(j) * self.rank(k), self.rank(i), self.nvars)
-        if j <= k:
-            return m
-        # derive the (k > j) block from cocommutativity
-        sign = -1 if (j & 1) and (k & 1) else 1
-        out = PolyMatrix.zero(self.rank(j) * self.rank(k), self.rank(i), self.nvars)
-        for a in range(self.rank(lo)):
-            for b in range(self.rank(hi)):
-                src = a * self.rank(hi) + b
-                dst = b * self.rank(lo) + a
-                for c in range(self.rank(i)):
-                    out.entries[dst][c] = m.entries[src][c].scale(sign)
-        return out
+        cols = [{} for _ in range(self.rank(i))]
+        for u, v in self.tensor_basis(2, i):
+            (j, a), (k, b) = (u, v) if u[0] <= v[0] else (v, u)
+            m = blocks.get((j, k))
+            if m is None:
+                continue
+            row = m.entries[a * self.rank(k) + b]
+            odd_swap = u[0] > v[0] and j & k & 1
+            for c, col in enumerate(cols):
+                e = row[c]
+                if not e.is_zero():
+                    col[(u, v)] = e.neg() if odd_swap else e
+        self._columns_cache[i] = cols
+        return cols
 
     def full_mu(self, i: int) -> PolyMatrix:
         """Comultiplication at degree -i as a matrix over the full ordered pair basis."""
-        cached = self._fullmu_cache.get(i)
-        if cached is not None:
-            return cached
-        pairs = self.tensor_basis(2, i)
-        index = {p: r for r, p in enumerate(pairs)}
-        out = PolyMatrix.zero(len(pairs), self.rank(i), self.nvars)
-        for j in range(1, i):
-            k = i - j
-            if self.rank(j) == 0 or self.rank(k) == 0:
-                continue
-            block = self.mu_block(j, k)
-            for a in range(self.rank(j)):
-                for b in range(self.rank(k)):
-                    r = index[((j, a), (k, b))]
-                    src = a * self.rank(k) + b
-                    for c in range(self.rank(i)):
-                        e = block.entries[src][c]
-                        if not e.is_zero():
-                            out.entries[r][c] = out.entries[r][c].add(e)
-        self._fullmu_cache[i] = out
+        index = {p: r for r, p in enumerate(self.tensor_basis(2, i))}
+        out = PolyMatrix.zero(len(index), self.rank(i), self.nvars)
+        for c, col in enumerate(self.mu_columns(i)):
+            for p, e in col.items():
+                out.entries[index[p]][c] = e
         return out
-
-    def mu_columns(self, i: int) -> list:
-        """Sparse comultiplication columns: per frame index, {pair tuple: Poly}."""
-        pairs = self.tensor_basis(2, i)
-        m = self.full_mu(i)
-        cols = []
-        for c in range(self.rank(i)):
-            col = {}
-            for r, p in enumerate(pairs):
-                e = m.entries[r][c]
-                if not e.is_zero():
-                    col[p] = e
-            cols.append(col)
-        return cols
 
     def power_columns(self, e: Elem, k: int) -> dict:
         """Sparse column of the k-fold comultiplication iterate on one frame element.
 
-        Iterates apply the comultiplication to the last tensor factor; factors
-        of degree -1 terminate (their component vanishes).
+        Iterates apply the comultiplication to the last tensor factor.
         """
         key = (e, k)
         cached = self._power_cache.get(key)
@@ -210,20 +183,7 @@ class CoalgebraBundle:
         if k == 0:
             out = {(e,): Poly.one(self.nvars)}
         else:
-            prev = self.power_columns(e, k - 1)
-            out = {}
-            for T, c in prev.items():
-                last = T[-1]
-                if last[0] == 1:
-                    continue
-                for pair, q in self.mu_columns(last[0])[last[1]].items():
-                    nt = T[:-1] + pair
-                    v = out.get(nt)
-                    v = c.mul(q) if v is None else v.add(c.mul(q))
-                    if v.is_zero():
-                        out.pop(nt, None)
-                    else:
-                        out[nt] = v
+            out = apply_mu(self, self.power_columns(e, k - 1), k - 1)
         self._power_cache[key] = out
         return out
 
@@ -232,35 +192,45 @@ class CoalgebraBundle:
             return NotImplemented
         if (self.n, self.base_names, self.ranks) != (other.n, other.base_names, other.ranks):
             return False
-        for i in range(2, self.n + 1):
-            if self.full_mu(i) != other.full_mu(i):
-                return False
-        return True
+        return all(self.mu_columns(i) == other.mu_columns(i) for i in range(2, self.n + 1))
 
     def __repr__(self):
         dims = "|".join(str(self.rank(i)) for i in range(1, self.n + 1))
         return f"CoalgebraBundle(n={self.n}, ranks={dims})"
 
 
-# --- braiding on sparse tuple columns -------------------------------------
+# --- sparse tuple columns ---------------------------------------------------
+
+
+def apply_mu(E: CoalgebraBundle, col: dict, pos: int) -> dict:
+    """Apply the comultiplication to tensor factor `pos` of a sparse tuple column.
+
+    Terms whose factor sits in degree -1 drop: that component vanishes.
+    """
+    out: dict = {}
+    for T, c in col.items():
+        u = T[pos]
+        if u[0] == 1:
+            continue
+        for pair, q in E.mu_columns(u[0])[u[1]].items():
+            _accumulate(out, T[:pos] + pair + T[pos + 1:], c.mul(q))
+    return out
 
 
 def permute_column(col: dict, perm: Sequence[int]) -> dict:
-    """Apply a braiding permutation (with Koszul sign) to a sparse tuple column."""
+    """Apply a braiding permutation (with Koszul sign) to a sparse tuple column.
+
+    Factor `perm[p]` of each tuple moves to position p.
+    """
+    if not col:
+        return {}
+    move = [0] * len(perm)
+    for p, q in enumerate(perm):
+        move[q] = p
     out: dict = {}
     for T, c in col.items():
-        new_t = tuple(T[perm[p]] for p in range(len(perm)))
-        move = [0] * len(perm)
-        for p in range(len(perm)):
-            move[perm[p]] = p
         sign = braiding_sign(move, [g[0] & 1 for g in T])
-        v = c.scale(sign)
-        acc = out.get(new_t)
-        acc = v if acc is None else acc.add(v)
-        if acc.is_zero():
-            out.pop(new_t, None)
-        else:
-            out[new_t] = acc
+        _accumulate(out, tuple(T[q] for q in perm), c.scale(sign))
     return out
 
 
@@ -275,14 +245,7 @@ def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int,
         col: dict = {}
         for t1, c1 in cu.items():
             for t2, c2 in cv.items():
-                nt = t1 + t2
-                val = c1.mul(c2)
-                acc = col.get(nt)
-                acc = val if acc is None else acc.add(val)
-                if acc.is_zero():
-                    col.pop(nt, None)
-                else:
-                    col[nt] = acc
+                _accumulate(col, t1 + t2, c1.mul(c2))
         if perm is not None:
             col = permute_column(col, perm)
         cols.append(col)
@@ -317,20 +280,8 @@ def check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
                 witnesses.append(("cocommutativity", -i, c))
                 break
     for i in range(3, E.n + 1):
-        for c in range(E.rank(i)):
-            left = {}
-            right = {}
-            base = E.mu_columns(i)[c]
-            for (u, v), cv in base.items():
-                for pair, q in E.mu_columns(v[0])[v[1]].items() if v[0] >= 2 else ():
-                    nt = (u,) + pair
-                    left[nt] = left.get(nt, Poly.zero(E.nvars)).add(cv.mul(q))
-                for pair, q in E.mu_columns(u[0])[u[1]].items() if u[0] >= 2 else ():
-                    nt = pair + (v,)
-                    right[nt] = right.get(nt, Poly.zero(E.nvars)).add(cv.mul(q))
-            left = {t: p for t, p in left.items() if not p.is_zero()}
-            right = {t: p for t, p in right.items() if not p.is_zero()}
-            if left != right:
+        for c, col in enumerate(E.mu_columns(i)):
+            if apply_mu(E, col, 1) != apply_mu(E, col, 0):
                 coass = False
                 witnesses.append(("coassociativity", -i, c))
     return CoalgebraReport(cocom, coass, witnesses)
@@ -487,8 +438,6 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
         idx = len(by_degree.setdefault(deg, []))
         by_degree[deg].append(name)
         gen_ids.append((deg, idx))
-    from .gradedring import monomials_of_degree
-
     monomials = {i: monomials_of_degree(gen_ids, i) for i in range(1, n + 1)}
     ranks = {i: len(monomials[i]) for i in range(1, n + 1)}
     nv = len(base_names)
@@ -504,7 +453,7 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
             m = PolyMatrix.zero(rows, ranks[i], nv)
             for a, wa in enumerate(monomials[j]):
                 for b, wb in enumerate(monomials[k]):
-                    sign, canon = word_normalize(wa + wb)
+                    sign, canon = koszul_sort(wa + wb)
                     if sign == 0:
                         continue
                     c = mon_index[i].get(canon)
@@ -604,7 +553,7 @@ def dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
             wa = letter_word(item)
             if wa is None:
                 continue
-            for j in range(1, i):
+            for j in range(1, i // 2 + 1):
                 k = i - j
                 for a, ia in enumerate(bases[j]):
                     u = letter_word(ia)
@@ -614,12 +563,10 @@ def dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
                         v = letter_word(ib)
                         if v is None or len(v) != k:
                             continue
-                        sign, canon = word_normalize(u + v)
+                        sign, canon = koszul_sort(u + v)
                         if sign == 0 or canon != wa:
                             continue
-                        lo, hi = min(j, k), max(j, k)
-                        if j <= k:
-                            blocks[(lo, hi)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
+                        blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
         # phi part on the Omega columns of degree -n
         if i == n:
             for c, item in enumerate(bases[n]):
@@ -830,17 +777,8 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         }
         E = CoalgebraBundle(E.n, (), E.ranks, const_mu, frame_prefix=E.frame_prefix)
 
-    kernels = {}
-    for i in range(1, E.n + 1):
-        if i == 1:
-            kernels[1] = [[Fraction(1) if s == t else Fraction(0) for s in range(E.rank(1))]
-                          for t in range(E.rank(1))]
-        else:
-            m = E.full_mu(i).to_rat()
-            kernels[i] = rat_kernel(m, cols=E.rank(i)) if m else [
-                [Fraction(1) if s == t else Fraction(0) for s in range(E.rank(i))]
-                for t in range(E.rank(i))
-            ]
+    mu_rat = {i: E.full_mu(i).to_rat() for i in range(1, E.n + 1)}
+    kernels = {i: rat_kernel(m, cols=E.rank(i)) for i, m in mu_rat.items()}
     S = split_coalgebra([len(kernels[i]) for i in range(1, E.n + 1)], E.base_names)
 
     matrices: Dict[int, PolyMatrix] = {}
@@ -866,9 +804,8 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
                 f"rank mismatch at degree {-i}: bundle rank {r}, split model rank {rs}"
             )
         # coordinates along the kernel inside ker (+) complement
-        mu_rat = E.full_mu(i).to_rat()
-        _, pivots = rat_rref(mu_rat) if mu_rat else ([], [])
-        complement = pivots
+        m = mu_rat[i]
+        _, complement = rat_rref(m) if m else ([], [])
         if len(complement) + d_i != r:
             raise NotAdmissible(f"kernel/image ranks do not fill degree {-i}")
         basis_change = [[Fraction(0)] * r for _ in range(r)]
@@ -889,7 +826,7 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         tsq = CoalgebraMorphism(E, S, matrices).tensor_square(i).to_rat()
         cols_out = []
         for c in range(r):
-            w = [Fraction(x) for x in _rat_col(E.full_mu(i).to_rat(), c)]
+            w = [row[c] for row in m]
             tw = [sum((tsq[row][s] * w[s] for s in range(len(w))), Fraction(0))
                   for row in range(len(tsq))] if tsq else []
             if decomp_cols and decomp_cols[0]:
@@ -913,7 +850,3 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
             raise NotAdmissible(f"splitting map is singular at degree {-i}")
         matrices[i] = PolyMatrix.from_rat(rs, r, mat, nv)
     return CoalgebraMorphism(E, S, matrices)
-
-
-def _rat_col(m: list, c: int) -> list:
-    return [m[r][c] for r in range(len(m))]

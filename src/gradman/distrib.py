@@ -666,14 +666,14 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                                 witness=gens[i], pair=(i, i),
                             )
                         mat[row][bcol] = coeff
-                a_mats.append(mat)
+                a_mats.append(PolyMatrix(n_w, n_w, mat, nv))
             f_total = _flat_frame(a_mats, n_w, d0, nv)
             gmap = {}
             for g in ids:
                 s_pos = windex[(g,)]
                 f = GradedFunction.zero(sig)
                 for row, w in enumerate(words):
-                    p = f_total[row][s_pos]
+                    p = f_total.entries[row][s_pos]
                     if not p.is_zero():
                         f = f.add(GradedFunction.monomial(sig, w, p))
                 gmap[g] = f
@@ -725,42 +725,19 @@ def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:
     return [[cols[j][i] for j in range(nv)] for i in range(nv)]
 
 
-def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> list:
+def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
     """Polynomial solution frame of the commuting connection system.
 
     Solves one direction at a time by Picard iteration; termination within the
     iteration cap certifies a polynomial path-ordered exponential, otherwise
     the frame is not polynomial in the supported sense."""
-    ident = [[Poly.const(nv, 1 if i == j else 0) for j in range(n_w)] for i in range(n_w)]
-    f_total = [row[:] for row in ident]
-    current = [
-        [[p for p in row] for row in mats] for mats in a_mats
-    ]
-
-    def mat_mul(a, b):
-        return [
-            [
-                _psum(a[i][k].mul(b[k][j]) for k in range(n_w))
-                for j in range(n_w)
-            ]
-            for i in range(n_w)
-        ]
-
-    def mat_sub(a, b):
-        return [[a[i][j].sub(b[i][j]) for j in range(n_w)] for i in range(n_w)]
-
-    def integrate(mat, var):
-        return [[p.antiderivative(var) for p in row] for row in mat]
-
-    def d_var(mat, var):
-        return [[p.derivative(var) for p in row] for row in mat]
-
+    ident = PolyMatrix.identity(n_w, nv)
+    f_total = ident
+    current = list(a_mats)
     for a in range(d0):
-        b_mat = current[a]
-        f_a = [row[:] for row in ident]
-        cap = 4 * n_w + 8
-        for _ in range(cap):
-            nxt = mat_sub(ident, integrate(mat_mul(b_mat, f_a), a))
+        f_a = ident
+        for _ in range(4 * n_w + 8):
+            nxt = ident.sub(current[a].mul(f_a).map_entries(lambda p: p.antiderivative(a)))
             if nxt == f_a:
                 break
             f_a = nxt
@@ -768,36 +745,19 @@ def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> list:
             raise NonPolynomialFlatFrame(
                 "connection integration did not terminate: flat frame is not polynomial"
             )
-        f_a_inv = _poly_mat_inverse(f_a, n_w, nv)
+        f_a_inv = poly_inverse(f_a)
+        if f_a_inv is None:
+            raise NonPolynomialFlatFrame("gauge frame has no polynomial inverse")
         for b in range(a + 1, d0):
-            gauged = mat_mul(f_a_inv, _mat_add(d_var(f_a, b), mat_mul(current[b], f_a)))
-            current[b] = gauged
-        f_total = mat_mul(f_total, f_a)
+            d_b = f_a.map_entries(lambda p: p.derivative(b))
+            current[b] = f_a_inv.mul(d_b.add(current[b].mul(f_a)))
+        f_total = f_total.mul(f_a)
     # final verification against the original connection matrices
     for a in range(d0):
-        residual = _mat_add(d_var(f_total, a), mat_mul(a_mats[a], f_total))
-        if any(not p.is_zero() for row in residual for p in row):
+        residual = f_total.map_entries(lambda p: p.derivative(a)).add(a_mats[a].mul(f_total))
+        if not residual.is_zero():
             raise NonPolynomialFlatFrame("flat frame verification failed")
     return f_total
-
-
-def _psum(items):
-    total = None
-    for p in items:
-        total = p if total is None else total.add(p)
-    return total
-
-
-def _mat_add(a, b):
-    return [[x.add(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _poly_mat_inverse(mat: list, n: int, nv: int) -> list:
-    pm = PolyMatrix(n, n, [[mat[i][j] for j in range(n)] for i in range(n)], nv)
-    inv = poly_inverse(pm)
-    if inv is None:
-        raise NonPolynomialFlatFrame("gauge frame has no polynomial inverse")
-    return inv.entries
 
 
 def single_field_normal_form(x: VectorField, lam: GradedFunction,

@@ -367,12 +367,16 @@ def to_compat_derivation(x: VectorField, E, chart) -> CompatDerivation:
 
 def _mu_entry(E, i: int, j: int, a: int, b: int, c: int) -> Poly:
     """Structure constant of the dual multiplication on frame elements."""
-    key = ("pair_index", i + j)
-    index = E._tensor_cache.get(key)
-    if index is None:
-        index = {p: r for r, p in enumerate(E.tensor_basis(2, i + j))}
-        E._tensor_cache[key] = index
-    return E.full_mu(i + j).entries[index[((i, a), (j, b))]][c]
+    return E.mu_columns(i + j)[c].get(((i, a), (j, b)), Poly.zero(E.nvars))
+
+
+def _apply_symbol(sym: list, p: Poly) -> Poly:
+    """The degree-0 symbol sum_alpha sym[alpha] * d/dx_alpha applied to p."""
+    out = Poly.zero(p.nvars)
+    for alpha, coeff in enumerate(sym):
+        if not coeff.is_zero():
+            out = out.add(coeff.mul(p.derivative(alpha)))
+    return out
 
 
 def compat_check(d: CompatDerivation, E) -> bool:
@@ -381,14 +385,6 @@ def compat_check(d: CompatDerivation, E) -> bool:
     n = E.n
     nv = E.nvars
     sym = d.symbol or []
-
-    def apply_symbol(p: Poly) -> Poly:
-        out = Poly.zero(nv)
-        for alpha, coeff in enumerate(sym):
-            if not coeff.is_zero():
-                out = out.add(coeff.mul(p.derivative(alpha)))
-        return out
-
     for i in range(1, n + 1):
         for j in range(1, n + 1 - i):
             t = i + j + k
@@ -410,7 +406,7 @@ def compat_check(d: CompatDerivation, E) -> bool:
                                 lhs[r] = lhs[r].add(coeff.mul(dij[r][c]))
                     if k == 0:
                         for c, coeff in enumerate(mm):
-                            s = apply_symbol(coeff)
+                            s = _apply_symbol(sym, coeff)
                             if not s.is_zero():
                                 lhs[c] = lhs[c].add(s)
                     # right side: Leibniz over the two factors; components in
@@ -491,14 +487,6 @@ def compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> CompatDeriv
     k1, k2 = d1.degree, d2.degree
     nv = E.nvars
     sym1 = d1.symbol or []
-
-    def apply_sym1(p: Poly) -> Poly:
-        out = Poly.zero(nv)
-        for alpha, coeff in enumerate(sym1):
-            if not coeff.is_zero():
-                out = out.add(coeff.mul(p.derivative(alpha)))
-        return out
-
     mats: Dict[int, list] = {}
     for j in range(1, E.n + 1):
         mid = j + k2
@@ -514,7 +502,7 @@ def compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> CompatDeriv
             if mid == 0:
                 u = dj2[0][b]
                 if k1 == 0 and not u.is_zero():
-                    out[0][b] = out[0][b].add(apply_sym1(u))
+                    out[0][b] = out[0][b].add(_apply_symbol(sym1, u))
                 continue
             d1mid = d1.matrix(mid)
             for c in range(E.rank(mid)):
@@ -522,7 +510,7 @@ def compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> CompatDeriv
                 if coeff.is_zero():
                     continue
                 if k1 == 0:
-                    s = apply_sym1(coeff)
+                    s = _apply_symbol(sym1, coeff)
                     if not s.is_zero():
                         out[c][b] = out[c][b].add(s)
                 if d1mid is not None:
@@ -532,7 +520,7 @@ def compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> CompatDeriv
     symbol = None
     if k1 == 0 and k2 == 0:
         sym2 = d2.symbol or []
-        symbol = [apply_sym1(p) for p in sym2]
+        symbol = [_apply_symbol(sym1, p) for p in sym2]
     return CompatDerivation(k1 + k2, E, mats, symbol)
 
 

@@ -108,19 +108,16 @@ def braiding_sign(perm: Sequence[int], parities: Sequence[int]) -> int:
     return sign
 
 
-def normalize(sig: GradedSignature, gens: Iterable[GenId]):
-    """Canonical reordering of a generator word.
+def koszul_sort(word: Iterable[GenId]):
+    """Koszul-canonical form of a word of graded elements (degree, index).
 
     Returns (sign, sorted tuple).  The sign is -1 to the number of inversions
-    between odd factors; it is 0 when an odd generator repeats.
+    between odd factors; it is 0 when an odd factor repeats.
     """
-    word = tuple(gens)
-    for g in word:
-        if not sig.has_gen(g):
-            raise UnknownGenerator(f"generator {g!r} not in signature")
+    word = tuple(word)
     odd_seen = set()
     for g in word:
-        if sig.parity(g):
+        if g[0] & 1:
             if g in odd_seen:
                 return 0, ()
             odd_seen.add(g)
@@ -128,8 +125,17 @@ def normalize(sig: GradedSignature, gens: Iterable[GenId]):
     perm = [0] * len(word)
     for pos, s in enumerate(order):
         perm[s] = pos
-    sign = braiding_sign(perm, [sig.parity(g) for g in word])
+    sign = braiding_sign(perm, [g[0] & 1 for g in word])
     return sign, tuple(sorted(word))
+
+
+def normalize(sig: GradedSignature, gens: Iterable[GenId]):
+    """`koszul_sort` of a generator word, after checking it lies in the signature."""
+    word = tuple(gens)
+    for g in word:
+        if not sig.has_gen(g):
+            raise UnknownGenerator(f"generator {g!r} not in signature")
+    return koszul_sort(word)
 
 
 def monomials_of_degree(gens: Sequence[GenId], degree: int,

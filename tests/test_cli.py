@@ -179,6 +179,52 @@ class TestExitCodes:
                              "--sample-points", points)
         assert code == 2 and "sample point" in rep["witnesses"]["error"]
 
+    MALFORMED = {
+        "zero denominator in mu": (
+            "check-coalgebra",
+            "coalgebra C {\n rank -1 = 2\n rank -2 = 1\n mu -2 = [[1/0], [0], [0], [0]]\n}\n",
+            "division by zero"),
+        "zero denominator in a field": (
+            "involutive",
+            "base x\ncoord e : 1\nvf A : -1 { d/de = x + 1/0 }\ndist D = A\n",
+            "division by zero"),
+        "zero denominator in a point": (
+            "involutive",
+            "base x\ncoord e : 1\nvf A : -1 { d/de = 1 }\ndist D = A @ points (1/0)\n",
+            "division by zero"),
+        "ragged mu row": (
+            "check-coalgebra",
+            "coalgebra C {\n rank -1 = 2\n rank -2 = 1\n mu -2 = [[0], [1, 2], [-1], [0]]\n}\n",
+            "must be 4x1"),
+        "dist point of wrong arity": (
+            "involutive",
+            "base x\ncoord e : 1\nvf A : -1 { d/de = 1 }\ndist D = A @ points (1, 2)\n",
+            "has 2 coordinates"),
+        "dependent generators": (
+            "frobenius",
+            "base x\ncoord e : 1\ncoord f : 1\nvf A : -1 { d/de = 1 }\n"
+            "vf B : -1 { d/de = 2 }\ndist D = A, B\n",
+            "dependent"),
+        "repeated generator": (
+            "involutive",
+            "base x\ncoord e : 1\nvf A : -1 { d/de = 1 }\ndist D = A, A\n",
+            "dependent"),
+        "vanishing tangent": (
+            "involutive",
+            "base x\ncoord e : 1\nvf A : 0 { d/dx = x }\ndist D = A @ points (0)\n",
+            "dependent"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_document(self, tmp_path, capsys, case):
+        cmd, source, message = self.MALFORMED[case]
+        bad = tmp_path / "bad.gm"
+        bad.write_text(source)
+        code, rep = run_json(capsys, cmd, str(bad))
+        assert code == 2 and message in rep["witnesses"]["error"]
+        with pytest.raises(ParseError):
+            run_command(cmd, parse_document(source))
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.gm"
         bad.write_text("coord e 1\n")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from gradman.coalgebra import (
     compute_K,
     dvb_coalgebra,
     morphism_check,
+    permute_column,
     split_coalgebra,
     split_morphism_from_linear,
     splitting_iso,
@@ -161,6 +163,56 @@ def perm_sign(perm, base):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
+
+
+class TestExpandedForm:
+    def test_mirrored_pairs_carry_koszul_sign(self):
+        one = lambda v: PolyMatrix.from_rat(1, 1, [[Fraction(v)]], 0)
+        e = CoalgebraBundle(4, (), {1: 1, 2: 1, 3: 1, 4: 1}, {
+            3: {(1, 2): one(5)},
+            4: {(1, 3): one(7), (2, 2): one(2)},
+        })
+        u, v, w = (1, 0), (2, 0), (3, 0)
+        const = lambda c: Poly.const(0, c)
+        assert e.mu_columns(3) == [{(u, v): const(5), (v, u): const(5)}]
+        assert e.mu_columns(4) == [{(u, w): const(7), (v, v): const(2), (w, u): const(-7)}]
+        pairs = e.tensor_basis(2, 4)
+        assert e.full_mu(4).col(0) == [e.mu_columns(4)[0].get(p, Poly.zero(0)) for p in pairs]
+
+
+class TestPermuteColumn:
+    FACTORS = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+
+    def columns(self, rng, length):
+        """Seeded columns mixing odd and even factors, with repeated ones."""
+        cols = []
+        for _ in range(4):
+            col = {}
+            for _ in range(3):
+                T = tuple(rng.choice(self.FACTORS) for _ in range(length))
+                col[T] = Poly.const(0, rng.choice([-3, -1, 1, 2, 5]))
+            cols.append(col)
+        cols.append({((2, 0),) * length: Poly.const(0, 1)})
+        cols.append({((2, 0), (1, 0), (2, 0), (1, 1))[:length]: Poly.const(0, 4)})
+        return cols
+
+    def test_group_action(self):
+        rng = random.Random(41)
+        for length in range(1, 5):
+            perms = list(itertools.permutations(range(length)))
+            for col in self.columns(rng, length):
+                assert permute_column(col, tuple(range(length))) == col
+                for p in perms:
+                    once = permute_column(col, p)
+                    for q in perms:
+                        composed = [p[q[j]] for j in range(length)]
+                        assert permute_column(once, q) == permute_column(col, composed), (
+                            col, p, q)
+
+    def test_sign_counts_only_odd_pairs(self):
+        col = {((1, 0), (2, 0), (1, 1)): Poly.const(0, 3)}
+        assert permute_column(col, (2, 1, 0)) == {((1, 1), (2, 0), (1, 0)): Poly.const(0, -3)}
+        assert permute_column(col, (1, 0, 2)) == {((2, 0), (1, 0), (1, 1)): Poly.const(0, 3)}
 
 
 class TestAdmissibility:

@@ -11,6 +11,7 @@ from gradman.gradedring import (
     GradedSignature,
     braiding_sign,
     dim_symmetric_component,
+    koszul_sort,
     monomials_of_degree,
     normalize,
 )
@@ -121,6 +122,30 @@ class TestNormalize:
             perm[s] = pos
         sign = braiding_sign(perm, [sig.parity(g) for g in word])
         assert (sign,) + (tuple(sorted(word)),) == normalize(sig, word)
+
+
+class TestKoszulSort:
+    def test_matches_odd_inversion_count_on_seeded_words(self):
+        rng = random.Random(17)
+        factors = [(d, i) for d in range(1, 5) for i in range(3)]
+        repeats = 0
+        for _ in range(2000):
+            word = [rng.choice(factors) for _ in range(rng.randint(0, 7))]
+            odd = [g for g in word if g[0] & 1]
+            if len(set(odd)) < len(odd):
+                repeats += 1
+                assert koszul_sort(word) == (0, ())
+                continue
+            inversions = sum(
+                1 for s in range(len(word)) for t in range(s + 1, len(word))
+                if word[s][0] & 1 and word[t][0] & 1 and word[s] > word[t]
+            )
+            assert koszul_sort(word) == ((-1) ** inversions, tuple(sorted(word)))
+        assert 0 < repeats < 2000
+
+    def test_normalize_is_checked_koszul_sort(self):
+        word = [SIG.gen_by_name(n) for n in ("p1", "f1", "e1")]
+        assert normalize(SIG, word) == koszul_sort(word) == (-1, tuple(sorted(word)))
 
 
 class TestRingLaws:
