@@ -19,7 +19,6 @@ from typing import Dict, Optional, Sequence
 
 from .coalgebra import (
     CoalgebraBundle,
-    CoalgebraMorphism,
     check_admissible,
     check_coalgebra,
     morphism_check,
@@ -216,20 +215,6 @@ class Document:
             actions[c] = f
         return VectorField(self.sig, decl.degree, actions)
 
-    def morphism(self, name: str) -> CoalgebraMorphism:
-        decl = self.morphisms[name]
-        src = self.bundle(decl.source)
-        tgt = self.bundle(decl.target)
-        nv = len(self.base_names)
-        mats = {}
-        for i in range(1, max(src.n, 1) + 1):
-            m = decl.matrices.get(i)
-            if m is None:
-                mats[i] = PolyMatrix.zero(tgt.rank(i), src.rank(i), nv)
-            else:
-                mats[i] = PolyMatrix(len(m), len(m[0]) if m else 0, m, nv)
-        return CoalgebraMorphism(src, tgt, mats)
-
 
 def rows_expected_blocks(ranks: dict, i: int) -> list:
     out = []
@@ -273,10 +258,7 @@ class Parser:
     def parse(self) -> Document:
         base: list = []
         coords: list = []
-        raw_coalgebras: list = []
-        raw_vfs: list = []
-        raw_dists: list = []
-        raw_morphisms: list = []
+        raw: Dict[str, list] = {"coalgebra": [], "vf": [], "dist": [], "morphism": []}
         while True:
             self.skip_seps()
             t = self.peek()
@@ -299,14 +281,11 @@ class Parser:
                 if deg < 1:
                     raise ParseError("coordinate degree must be >= 1", t.line, t.col)
                 coords.append((name, deg))
-            elif t.text == "coalgebra":
-                raw_coalgebras.append(self.parse_coalgebra())
-            elif t.text == "vf":
-                raw_vfs.append(self.parse_vf())
-            elif t.text == "dist":
-                raw_dists.append(self.parse_dist())
-            elif t.text == "morphism":
-                raw_morphisms.append(self.parse_morphism())
+            elif t.text in raw:
+                decl = getattr(self, "parse_" + t.text)()
+                if any(d[0] == decl[0] for d in raw[t.text]):
+                    raise ParseError(f"{t.text} {decl[0]!r} is declared twice", t.line, t.col)
+                raw[t.text].append(decl)
             else:
                 raise ParseError(f"unknown declaration {t.text!r}", t.line, t.col)
         n = max((d for _, d in coords), default=0)
@@ -317,11 +296,11 @@ class Parser:
             raise ParseError(str(exc)) from None
         nv = len(base)
         doc = Document(tuple(base), tuple(coords), sig, {}, {}, {}, {})
-        for name, ranks, mu_raw, tok in raw_coalgebras:
+        for name, ranks, mu_raw, tok in raw["coalgebra"]:
             mu = {i: [[self._expr_to_poly(e, sig, tok) for e in row] for row in m]
                   for i, m in mu_raw.items()}
             doc.coalgebras[name] = CoalgebraDecl(name, ranks, mu)
-        for name, degree, entries, tok in raw_vfs:
+        for name, degree, entries, tok in raw["vf"]:
             actions = []
             for cname, expr_tokens, etok in entries:
                 f = self._expr_to_function(expr_tokens, sig, etok)
@@ -341,9 +320,23 @@ class Parser:
                     )
                 actions.append((cname, f))
             doc.vfs[name] = VfDecl(name, degree, actions)
-        for name, gens, points in raw_dists:
+        for name, gens, points in raw["dist"]:
             doc.dists[name] = DistDecl(name, gens, points)
-        for name, src, tgt, mats_raw, tok in raw_morphisms:
+        for name, src, tgt, mats_raw, tok in raw["morphism"]:
+            for end in (src, tgt):
+                if end not in doc.coalgebras:
+                    raise ParseError(f"unknown coalgebra {end!r} in morphism {name!r}",
+                                     tok.line, tok.col)
+            src_ranks, tgt_ranks = doc.coalgebras[src].ranks, doc.coalgebras[tgt].ranks
+            n = max(list(src_ranks) + list(tgt_ranks), default=0)
+            for i, m in mats_raw.items():
+                if i > n:
+                    raise ParseError(f"morphism {name!r} has degree {-i}, outside -1..{-n}",
+                                     tok.line, tok.col)
+                rows, cols = tgt_ranks.get(i, 0), src_ranks.get(i, 0)
+                if len(m) != rows or any(len(row) != cols for row in m):
+                    raise ParseError(f"deg {-i} of morphism {name!r} must be {rows}x{cols}",
+                                     tok.line, tok.col)
             mats = {i: [[self._expr_to_poly(e, sig, tok) for e in row] for row in m]
                     for i, m in mats_raw.items()}
             doc.morphisms[name] = MorphismDecl(name, src, tgt, mats)
@@ -357,6 +350,7 @@ class Parser:
         self.expect("sym", "{")
         ranks = {}
         mu = {}
+        mu_keys = {}
         while True:
             self.skip_seps()
             t = self.peek()
@@ -376,8 +370,14 @@ class Parser:
                     raise ParseError("mu degree must be <= -2", key.line, key.col)
                 self.expect("sym", "=")
                 mu[-deg] = self.parse_matrix()
+                mu_keys[-deg] = key
             else:
                 raise ParseError(f"unknown coalgebra entry {key.text!r}",
+                                 key.line, key.col)
+        n = max(ranks, default=0)
+        for i, key in mu_keys.items():
+            if i > n:
+                raise ParseError(f"mu {-i} of {name!r} lies below its lowest rank degree {-n}",
                                  key.line, key.col)
         return name, ranks, mu, tok
 

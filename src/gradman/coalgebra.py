@@ -234,9 +234,8 @@ def permute_column(col: dict, perm: Sequence[int]) -> dict:
     return out
 
 
-def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int,
-                          perm: Optional[Sequence[int]]) -> list:
-    """Columns of tau . (mu^k (x) mu^l) over the ordered pair basis at -degree."""
+def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int) -> list:
+    """Columns of mu^k (x) mu^l over the ordered pair basis at -degree."""
     pairs = E.tensor_basis(2, degree)
     cols = []
     for (u, v) in pairs:
@@ -246,8 +245,6 @@ def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int,
         for t1, c1 in cu.items():
             for t2, c2 in cv.items():
                 _accumulate(col, t1 + t2, c1.mul(c2))
-        if perm is not None:
-            col = permute_column(col, perm)
         cols.append(col)
     return cols
 
@@ -304,9 +301,14 @@ class KSpace:
 def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     """Constraint space at the given negative degree.
 
-    Intersects the kernels of all pairwise differences between iterate
-    variants tau.(mu^k (x) mu^l) of equal total tensor length; lengths above
-    |degree| vanish because every factor sits in degree <= -1.
+    K is where every iterate variant tau.(mu^k (x) mu^l) of one tensor length
+    L agrees; lengths above |degree| vanish because every factor sits in
+    degree <= -1.  With the reference R = mu^0 (x) mu^(L-2), each length
+    intersects the kernels of 2L - 3 differences: the L - 2 splits
+    mu^k (x) mu^(L-2-k) - R (k >= 1) and the L - 1 adjacent transpositions
+    s_a.R - R.  That is exact: `permute_column` is a group action and the s_a
+    generate S_L, so s_a-invariance of R(x) for all a gives
+    tau.V_{k,l}(x) = tau.R(x) = R(x) for every variant.
     """
     if not (-(E.n + 1) <= degree <= -2):
         raise ValueError("degree out of range for constraint space")
@@ -321,22 +323,18 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     flags = [True] * len(basis)
 
     for length in range(2, d + 1):
-        splits = [(k, length - 2 - k) for k in range(length - 1)]
-        perms = list(itertools.permutations(range(length)))
-        ref_cols = _variant_pair_columns(E, d, splits[0][0], splits[0][1], None)
-        variants = []
-        first = True
-        for (k, l) in splits:
-            for perm in perms:
-                if first:
-                    # reference variant: identity permutation of the first split
-                    first = False
-                    continue
-                variants.append((k, l, perm))
-        for (k, l, perm) in variants:
+        ref_cols = _variant_pair_columns(E, d, 0, length - 2)
+        splits = (_variant_pair_columns(E, d, k, length - 2 - k)
+                  for k in range(1, length - 1))
+        swaps = ([permute_column(c, (*range(a), a + 1, a, *range(a + 2, length)))
+                  for c in ref_cols] for a in range(length - 1))
+        for var_cols in itertools.chain(splits, swaps):
             if not basis:
                 break
-            var_cols = _variant_pair_columns(E, d, k, l, perm)
+            diffs = [dict(col) for col in var_cols]
+            for diff, ref in zip(diffs, ref_cols):
+                for T, c in ref.items():
+                    _accumulate(diff, T, c.neg())
             images = []
             tuples_seen = {}
             for vec in basis:
@@ -344,11 +342,8 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                 for p, coeff in enumerate(vec):
                     if coeff.is_zero():
                         continue
-                    for T, c in var_cols[p].items():
-                        img[T] = img.get(T, Poly.zero(nv)).add(coeff.mul(c))
-                    for T, c in ref_cols[p].items():
-                        img[T] = img.get(T, Poly.zero(nv)).sub(coeff.mul(c))
-                img = {t: c for t, c in img.items() if not c.is_zero()}
+                    for T, c in diffs[p].items():
+                        _accumulate(img, T, coeff.mul(c))
                 images.append(img)
                 for t in img:
                     tuples_seen.setdefault(t, len(tuples_seen))

@@ -15,6 +15,41 @@ CHART_PROFILES = [
 ]
 
 
+# split rank profiles: rank r at position d means r generators of degree d + 1
+SPLIT_CORPUS = [
+    (1,),
+    (3,),
+    (2, 1),
+    (3, 3),
+    (1, 2),
+    (2, 2, 1),
+    (1, 1, 1),
+    (3, 1, 2),
+    (3, 3, 3),
+    (1, 1, 1, 1),
+    (2, 1, 0, 1),
+    (2, 2, 2, 2),
+    (3, 3, 3, 3),
+]
+
+
+def partition_count(degrees, level):
+    """Independent dimension oracle: coefficient of t^level in
+    prod over odd gens (1 + t^d) * prod over even gens 1/(1 - t^d)."""
+    coeffs = [0] * (level + 1)
+    coeffs[0] = 1
+    for d in degrees:
+        if d % 2 == 1:
+            nxt = coeffs[:]
+            for k in range(level + 1 - d):
+                nxt[k + d] += coeffs[k]
+            coeffs = nxt
+        else:
+            for k in range(d, level + 1):
+                coeffs[k] += coeffs[k - d]
+    return coeffs[level]
+
+
 def rat_mat_mul(a: list, b: list) -> list:
     if not a or not b:
         return []

@@ -51,7 +51,9 @@ from gradman.gradedring import (
     normalize,
 )
 from randchart import (
+    SPLIT_CORPUS,
     flat_fields,
+    partition_count,
     random_flat_coords,
     random_signature,
     random_triangular_substitution,
@@ -65,38 +67,6 @@ def report(num, name, ok):
     tag = f"{num:02d}" if isinstance(num, int) else num
     print(f"ACCEPTANCE {tag} {'PASS' if ok else 'FAIL'}: {name}")
     assert ok, f"criterion {tag}: {name}"
-
-
-def partition_count(degrees, level):
-    coeffs = [0] * (level + 1)
-    coeffs[0] = 1
-    for d in degrees:
-        if d % 2 == 1:
-            nxt = coeffs[:]
-            for k in range(level + 1 - d):
-                nxt[k + d] += coeffs[k]
-            coeffs = nxt
-        else:
-            for k in range(d, level + 1):
-                coeffs[k] += coeffs[k - d]
-    return coeffs[level]
-
-
-SPLIT_CORPUS = [
-    (1,),
-    (3,),
-    (2, 1),
-    (3, 3),
-    (1, 2),
-    (2, 2, 1),
-    (1, 1, 1),
-    (3, 1, 2),
-    (3, 3, 3),
-    (1, 1, 1, 1),
-    (2, 1, 0, 1),
-    (2, 2, 2, 2),
-    (3, 3, 3, 3),
-]
 
 
 def bundle_corpus():

@@ -225,6 +225,50 @@ class TestExitCodes:
         with pytest.raises(ParseError):
             run_command(cmd, parse_document(source))
 
+    C21 = "coalgebra C {\n rank -1 = 2\n rank -2 = 1\n mu -2 = [[0], [1], [-1], [0]]\n}\n"
+    DECLARATIONS = {
+        "morphism to an unknown coalgebra": (
+            C21 + "morphism F : C -> D { deg -1 = [[1, 0], [0, 1]] }\n",
+            "unknown coalgebra 'D'"),
+        "morphism from an unknown coalgebra": (
+            C21 + "morphism F : D -> C { deg -1 = [[1, 0], [0, 1]] }\n",
+            "unknown coalgebra 'D'"),
+        "ragged morphism matrix": (
+            C21 + "morphism F : C -> C { deg -1 = [[1, 0], [0]] }\n",
+            "must be 2x2"),
+        "morphism matrix of the wrong shape": (
+            C21 + "morphism F : C -> C { deg -1 = [[1, 0, 0], [0, 1, 0]] }\n",
+            "must be 2x2"),
+        "morphism degree below the bundles": (
+            C21 + "morphism F : C -> C { deg -3 = [[1]] }\n",
+            "outside -1..-2"),
+        "mu below the lowest rank degree": (
+            "coalgebra C {\n rank -1 = 2\n rank -2 = 1\n mu -5 = [[7]]\n}\n",
+            "mu -5"),
+        "repeated coalgebra": (C21 + C21, "coalgebra 'C' is declared twice"),
+        "repeated morphism": (
+            C21 + "morphism F : C -> C { }\nmorphism F : C -> C { }\n",
+            "morphism 'F' is declared twice"),
+        "repeated vf": (
+            "coord e : 1\ncoord p : 2\nvf A : -1 { d/de = 1  d/dp = e }\n"
+            "vf A : -2 { d/dp = 1 }\ndist D = A\n",
+            "vf 'A' is declared twice"),
+        "repeated dist": (
+            "coord e : 1\nvf A : -1 { d/de = 1 }\ndist D = A\ndist D = A\n",
+            "dist 'D' is declared twice"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DECLARATIONS))
+    @pytest.mark.parametrize("cmd", ["roundtrip", "check-coalgebra", "involutive"])
+    def test_malformed_declaration(self, tmp_path, capsys, case, cmd):
+        source, message = self.DECLARATIONS[case]
+        bad = tmp_path / "bad.gm"
+        bad.write_text(source)
+        code, rep = run_json(capsys, cmd, str(bad))
+        assert code == 2 and message in rep["witnesses"]["error"]
+        with pytest.raises(ParseError):
+            parse_document(source)
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.gm"
         bad.write_text("coord e 1\n")

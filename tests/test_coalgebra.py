@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gradman import coalgebra
 from gradman.coalgebra import (
     CoalgebraBundle,
     CoalgebraMorphism,
+    _variant_pair_columns,
     check_admissible,
     check_coalgebra,
     compute_K,
@@ -20,24 +23,18 @@ from gradman.coalgebra import (
     wedge_coalgebra,
 )
 from gradman.errors import DvbNotExact, NotAdmissible, UnsupportedXDependence
-from gradman.exactnum import Poly, PolyMatrix, rat_rank, span_rank
+from gradman.exactnum import (
+    Poly,
+    PolyMatrix,
+    kernel_basis,
+    poly_inverse,
+    primitive_vector,
+    rat_rank,
+    span_rank,
+)
+from randchart import SPLIT_CORPUS, conjugate_frames, partition_count
 
 ORIGIN = [()]
-
-
-def partition_count(degrees, level):
-    coeffs = [0] * (level + 1)
-    coeffs[0] = 1
-    for d in degrees:
-        if d % 2 == 1:
-            nxt = coeffs[:]
-            for k in range(level + 1 - d):
-                nxt[k + d] += coeffs[k]
-            coeffs = nxt
-        else:
-            for k in range(d, level + 1):
-                coeffs[k] += coeffs[k - d]
-    return coeffs[level]
 
 
 # a corpus of split rank profiles within ranks <= 3, n <= 4
@@ -453,3 +450,164 @@ class TestMorphisms:
                 m = e.full_mu(i)
                 cols = [m.col(c) for c in range(m.cols)]
                 assert span_rank(cols + list(ks.vectors), 0) == ks.dim
+
+
+# --- the constraint space against its definition ---------------------------
+
+
+def all_permutations_K(e, degree):
+    """K by its definition: for every tensor length L, the kernel of
+    tau.(mu^k (x) mu^l) - (mu^0 (x) mu^(L-2)) for every split (k, l) and every
+    signed permutation tau in S_L, intersected one variant at a time.
+    (L - 1) * L! - 1 variants per length; a slow oracle for compute_K."""
+    d = -degree
+    pairs = e.tensor_basis(2, d)
+    nv = e.nvars
+    vecs = [[Poly.one(nv) if s == t else Poly.zero(nv) for s in range(len(pairs))]
+            for t in range(len(pairs))]
+    for length in range(2, d + 1):
+        ref = _variant_pair_columns(e, d, 0, length - 2)
+        identity = tuple(range(length))
+        for k in range(length - 1):
+            for perm in itertools.permutations(range(length)):
+                if not vecs:
+                    return []
+                if k == 0 and perm == identity:
+                    continue
+                var = [permute_column(col, perm)
+                       for col in _variant_pair_columns(e, d, k, length - 2 - k)]
+                diff: dict = {}
+                for p in range(len(pairs)):
+                    for T, c in var[p].items():
+                        row = diff.setdefault(T, [Poly.zero(nv)] * len(pairs))
+                        row[p] = row[p].add(c)
+                    for T, c in ref[p].items():
+                        row = diff.setdefault(T, [Poly.zero(nv)] * len(pairs))
+                        row[p] = row[p].sub(c)
+                if not diff:
+                    continue
+                b = PolyMatrix(len(pairs), len(vecs), [list(r) for r in zip(*vecs)], nv)
+                m = PolyMatrix(len(diff), len(pairs), list(diff.values()), nv).mul(b)
+                vecs = [primitive_vector(b.mul(PolyMatrix(len(kv), 1, [[c] for c in kv], nv)).col(0))
+                        for kv, _ in kernel_basis(m)]
+    return vecs
+
+
+def transport_frames(e, frames):
+    """e carried through fiberwise frame changes P_i with polynomial inverses:
+    mu_i becomes (P (x) P)_i mu_i P_i^-1, an isomorphic bundle."""
+    phi = CoalgebraMorphism(e, e, frames)
+    mu = {}
+    for i in range(2, e.n + 1):
+        mu[i] = {}
+        if not e.rank(i):
+            continue
+        full = phi.tensor_square(i).mul(e.full_mu(i)).mul(poly_inverse(frames[i]))
+        index = {p: r for r, p in enumerate(e.tensor_basis(2, i))}
+        for j in range(1, i // 2 + 1):
+            k = i - j
+            rows = [full.entries[index[((j, a), (k, b))]]
+                    for a in range(e.rank(j)) for b in range(e.rank(k))]
+            m = PolyMatrix(len(rows), e.rank(i), rows, e.nvars)
+            if rows and not m.is_zero():
+                mu[i][(j, k)] = m
+    return CoalgebraBundle(e.n, e.base_names, dict(e.ranks), mu)
+
+
+def unit_triangular_frame(rng, rank, nv):
+    """Unit lower-triangular frame whose entries below the diagonal are
+    small integer combinations of 1 and the base variables."""
+    rows = [[Poly.one(nv) if r == c else Poly.zero(nv) for c in range(rank)]
+            for r in range(rank)]
+    for r in range(rank):
+        for c in range(r):
+            terms = {}
+            for a in range(-1, nv):
+                coeff = rng.randint(-2, 2)
+                if coeff:
+                    terms[tuple(int(v == a) for v in range(nv))] = Fraction(coeff)
+            rows[r][c] = Poly(nv, terms)
+    return PolyMatrix(rank, rank, rows, nv)
+
+
+def random_constant_bundle(rng, profile):
+    """Ranks from `profile`, every block entry a random integer: in general
+    not a coalgebra, so K is cut down by splits and transpositions alike."""
+    ranks = {i + 1: r for i, r in enumerate(profile)}
+    n = len(profile)
+    mu = {}
+    for i in range(2, n + 1):
+        mu[i] = {}
+        for j in range(1, i // 2 + 1):
+            rows = ranks[j] * ranks[i - j]
+            if rows and ranks[i]:
+                mu[i][(j, i - j)] = PolyMatrix.from_rat(
+                    rows, ranks[i],
+                    [[Fraction(rng.randint(-2, 2)) for _ in range(ranks[i])]
+                     for _ in range(rows)], 0)
+    return CoalgebraBundle(n, (), ranks, mu)
+
+
+def oracle_corpus():
+    rng = random.Random(5)
+    yield from (split_coalgebra(list(p)) for p in SPLIT_CORPUS)
+    for profile in [(2, 1), (1, 1, 1), (2, 2, 1), (1, 1, 1, 1), (2, 1, 0, 1), (3, 3, 3)]:
+        yield conjugate_frames(rng, split_coalgebra(list(profile)))
+    yield dvb_coalgebra(2, 2, 0, 4, PolyMatrix.identity(4, 0), 2)
+    yield dvb_coalgebra(3, 2, 0, 6, PolyMatrix.identity(6, 0), 3)
+    yield dvb_coalgebra(2, 2, 1, 5, PolyMatrix(4, 5, [
+        [Poly.const(0, 1 if c == r + 1 else 0) for c in range(5)] for r in range(4)], 0), 2)
+    for profile, base in [((2, 1), ("x",)), ((1, 1, 1), ("x",)), ((2, 1, 1), ("x", "y")),
+                          ((1, 1, 1, 1), ("x",)), ((1, 1, 1, 1, 1), ("x",)),
+                          ((2, 2), ("x", "y")), ((1, 0, 1, 0, 1), ("x", "y"))]:
+        s = split_coalgebra(list(profile), base_names=base)
+        frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                  for i in range(1, s.n + 1)}
+        yield transport_frames(s, frames)
+    for profile in [(2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 1, 1)]:
+        yield random_constant_bundle(rng, profile)
+
+
+class TestConstraintGenerators:
+    def test_matches_all_permutations(self):
+        for e in oracle_corpus():
+            for i in range(2, e.n + 1):
+                fast = compute_K(e, -i).vectors
+                slow = all_permutations_K(e, -i)
+                assert len(fast) == len(slow) == span_rank(fast + slow, e.nvars), (e, i)
+
+    def test_builds_two_l_minus_three_variants_per_length(self, monkeypatch):
+        calls = []
+        pair_columns = coalgebra._variant_pair_columns
+        permute = coalgebra.permute_column
+
+        def spy_pairs(E, degree, k, l):
+            calls.append(("split", k + l + 2, k))
+            return pair_columns(E, degree, k, l)
+
+        def spy_permute(col, perm):
+            calls.append(("swap", len(perm), tuple(perm)))
+            return permute(col, perm)
+
+        monkeypatch.setattr(coalgebra, "_variant_pair_columns", spy_pairs)
+        monkeypatch.setattr(coalgebra, "permute_column", spy_permute)
+        e = split_coalgebra([1] * 6)
+        assert compute_K(e, -6).dim == partition_count([1, 2, 3, 4, 5], 6)
+        columns = len(e.tensor_basis(2, 6))
+        for length in range(2, 7):
+            splits = sorted(k for kind, L, k in calls if kind == "split" and L == length)
+            swaps = Counter(p for kind, L, p in calls if kind == "swap" and L == length)
+            assert splits == list(range(length - 1))  # the reference, then L - 2 splits
+            assert swaps == {tuple(range(a)) + (a + 1, a) + tuple(range(a + 2, length)): columns
+                             for a in range(length - 1)}
+            assert len(splits) - 1 + len(swaps) == 2 * length - 3
+
+    def test_degree_eight_dims_match_enumeration(self):
+        one8 = split_coalgebra([1] * 8)
+        cases = [((1,) * 8, one8),
+                 ((0, 1, 1, 0, 0, 0, 0, 1), split_coalgebra([0, 1, 1, 0, 0, 0, 0, 1])),
+                 ((1,) * 8, conjugate_frames(random.Random(8), one8))]
+        for profile, e in cases:
+            for i in range(2, 9):
+                degrees = [d + 1 for d, r in enumerate(profile) for _ in range(r) if d + 1 <= i - 1]
+                assert compute_K(e, -i).dim == partition_count(degrees, i), (profile, i)

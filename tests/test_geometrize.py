@@ -22,21 +22,7 @@ from gradman.geometrize import (
     roundtrip,
 )
 from gradman.gradedring import GradedFunction
-
-
-def partition_count(degrees, level):
-    coeffs = [0] * (level + 1)
-    coeffs[0] = 1
-    for d in degrees:
-        if d % 2 == 1:
-            nxt = coeffs[:]
-            for k in range(level + 1 - d):
-                nxt[k + d] += coeffs[k]
-            coeffs = nxt
-        else:
-            for k in range(d, level + 1):
-                coeffs[k] += coeffs[k - d]
-    return coeffs[level]
+from randchart import partition_count
 
 
 CORPUS = [

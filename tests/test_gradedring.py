@@ -15,6 +15,7 @@ from gradman.gradedring import (
     monomials_of_degree,
     normalize,
 )
+from randchart import partition_count
 
 
 def bubble_normalize(sig, word):
@@ -35,23 +36,6 @@ def bubble_normalize(sig, word):
                 word[t], word[t + 1] = word[t + 1], word[t]
                 changed = True
     return sign, tuple(word)
-
-
-def partition_count(degrees, level):
-    """Independent dimension oracle: coefficient of t^level in
-    prod over odd gens (1 + t^d) * prod over even gens 1/(1 - t^d)."""
-    coeffs = [0] * (level + 1)
-    coeffs[0] = 1
-    for d in degrees:
-        if d % 2 == 1:
-            nxt = coeffs[:]
-            for k in range(level + 1 - d):
-                nxt[k + d] += coeffs[k]
-            coeffs = nxt
-        else:
-            for k in range(d, level + 1):
-                coeffs[k] += coeffs[k - d]
-    return coeffs[level]
 
 
 SIG = GradedSignature(3, ("x", "y"), [("e1", "f1"), ("p1", "p2"), ("q",)])
