@@ -181,7 +181,7 @@ class Document:
                         blocks[(j, k)] = m
                     offset += count
             mu[i] = blocks
-        return CoalgebraBundle(n, self.base_names, ranks, mu, frame_prefix=name)
+        return CoalgebraBundle(n, self.base_names, ranks, mu)
 
     def distribution(self, name: str, extra_points: Optional[list] = None):
         decl = self.dists[name]
@@ -1039,7 +1039,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NotAdmissible, DegreeMismatch) as exc:
         report = Report(args.subcommand, False, 1,
                         {"error": str(exc), "kind": type(exc).__name__}, {})
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         report = Report(args.subcommand, False, 2, {"error": str(exc)}, {})
     except GradmanError as exc:
         report = Report(args.subcommand, False, 2, {"error": str(exc)}, {})

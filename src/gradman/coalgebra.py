@@ -29,7 +29,6 @@ from .exactnum import (
     rat_kernel,
     rat_rref,
     rat_solve,
-    span_rank,
 )
 from .gradedring import (
     GradedFunction,
@@ -71,15 +70,13 @@ class CoalgebraBundle:
 
     def __init__(self, n: int, base_names: Sequence[str], ranks: Dict[int, int],
                  mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]],
-                 split: Optional[SplitData] = None,
-                 frame_prefix: str = "E"):
+                 split: Optional[SplitData] = None):
         self.n = n
         self.base_names = tuple(base_names)
         self.nvars = len(self.base_names)
         self.ranks = {i: int(ranks.get(i, 0)) for i in range(1, n + 1)}
         self.mu = mu
         self.split = split
-        self.frame_prefix = frame_prefix
         self._tensor_cache: dict = {}
         self._power_cache: dict = {}
         self._columns_cache: dict = {}
@@ -91,21 +88,6 @@ class CoalgebraBundle:
 
     def elements(self, i: int) -> list:
         return [(i, a) for a in range(self.rank(i))]
-
-    def frame_name(self, e: Elem) -> str:
-        if self.split is not None:
-            word = self.split.monomials[e[0]][e[1]]
-            return "*".join(self.split.gens[self._gen_pos(g)][1] for g in word) or "1"
-        return f"{self.frame_prefix}{e[0]}_{e[1] + 1}"
-
-    def _gen_pos(self, gid: Elem) -> int:
-        count = -1
-        for pos, (d, _) in enumerate(self.split.gens):
-            if d == gid[0]:
-                count += 1
-                if count == gid[1]:
-                    return pos
-        raise KeyError(gid)
 
     def is_constant(self) -> bool:
         return all(
@@ -291,11 +273,22 @@ class KSpace:
     degree: int  # negative
     pair_basis: list
     vectors: list  # list of Poly coordinate vectors over pair_basis
-    flags: list  # polynomiality flags, one per vector
+    contains_image: bool  # every comultiplication column at this degree lies in K
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
+
+
+def _image(diffs: list, vec) -> dict:
+    """Sparse image of a vector, given as (pair position, coefficient) items."""
+    img: dict = {}
+    for p, coeff in vec:
+        if coeff.is_zero():
+            continue
+        for T, c in diffs[p].items():
+            _accumulate(img, T, coeff.mul(c))
+    return img
 
 
 def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
@@ -308,7 +301,15 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     mu^k (x) mu^(L-2-k) - R (k >= 1) and the L - 1 adjacent transpositions
     s_a.R - R.  That is exact: `permute_column` is a group action and the s_a
     generate S_L, so s_a-invariance of R(x) for all a gives
-    tau.V_{k,l}(x) = tau.R(x) = R(x) for every variant.
+    tau.V_{k,l}(x) = tau.R(x) = R(x) for every variant.  The vectors are
+    independent: each kernel vector has the pivot determinant at its own free
+    coordinate and zero at the others.
+
+    `contains_image` records whether every difference sends every column of
+    the comultiplication at this degree to zero, i.e. whether im mu lies in
+    K.  While all differences so far do, the columns lie in the span of the
+    current basis; so a difference that kills the basis kills them too, and
+    an empty basis (the early exit) leaves them zero, as K = 0 requires.
     """
     if not (-(E.n + 1) <= degree <= -2):
         raise ValueError("degree out of range for constraint space")
@@ -316,11 +317,13 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     pairs = E.tensor_basis(2, d)
     nv = E.nvars
     if not pairs:
-        return KSpace(degree, pairs, [], [])
+        return KSpace(degree, pairs, [], True)
+    index = {p: t for t, p in enumerate(pairs)}
+    mu_vecs = [[(index[p], c) for p, c in col.items()] for col in E.mu_columns(d)]
+    contains = True
     basis = []
     for t in range(len(pairs)):
         basis.append([Poly.one(nv) if s == t else Poly.zero(nv) for s in range(len(pairs))])
-    flags = [True] * len(basis)
 
     for length in range(2, d + 1):
         ref_cols = _variant_pair_columns(E, d, 0, length - 2)
@@ -335,29 +338,22 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
             for diff, ref in zip(diffs, ref_cols):
                 for T, c in ref.items():
                     _accumulate(diff, T, c.neg())
-            images = []
+            images = [_image(diffs, enumerate(vec)) for vec in basis]
             tuples_seen = {}
-            for vec in basis:
-                img: dict = {}
-                for p, coeff in enumerate(vec):
-                    if coeff.is_zero():
-                        continue
-                    for T, c in diffs[p].items():
-                        _accumulate(img, T, coeff.mul(c))
-                images.append(img)
+            for img in images:
                 for t in img:
                     tuples_seen.setdefault(t, len(tuples_seen))
             if not tuples_seen:
                 continue
+            if contains:
+                contains = not any(_image(diffs, vec) for vec in mu_vecs)
             rows = len(tuples_seen)
             m = PolyMatrix.zero(rows, len(basis), nv)
             for col, img in enumerate(images):
                 for t, c in img.items():
                     m.entries[tuples_seen[t]][col] = c
-            kern = kernel_basis(m)
             new_basis = []
-            new_flags = []
-            for kv, ok in kern:
+            for kv, _ in kernel_basis(m):
                 vec = [Poly.zero(nv) for _ in range(len(pairs))]
                 for t, coeff in enumerate(kv):
                     if coeff.is_zero():
@@ -366,11 +362,10 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                         if not basis[t][s].is_zero():
                             vec[s] = vec[s].add(coeff.mul(basis[t][s]))
                 new_basis.append(primitive_vector(vec))
-                new_flags.append(ok)
-            basis, flags = new_basis, new_flags
+            basis = new_basis
         if not basis:
             break
-    return KSpace(degree, pairs, basis, flags)
+    return KSpace(degree, pairs, basis, contains)
 
 
 @dataclass
@@ -391,9 +386,20 @@ class AdmissibilityReport:
 def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> AdmissibilityReport:
     """Compare the comultiplication image with the constraint space per degree.
 
-    Equality of spans is decided generically over the fraction field; the
-    constant-rank flag compares the generic image rank with the rank at every
-    supplied sample point.
+    The spans are equal over the fraction field exactly when im M lies in K
+    and rank M = dim K, M being the comultiplication at that degree.  Each
+    step is exact:
+
+    - containment is `KSpace.contains_image`: K is the common kernel of the
+      constraint differences, so im M lies in K exactly when every difference
+      sends every column of M to zero, a sparse product with no elimination;
+    - dim K is the number of K vectors, which are independent;
+    - when im M lies in K, rank_at(M, p) <= rank M <= dim K at every point p,
+      so a sample point of rank dim K certifies rank M = dim K;
+    - otherwise rank M is the generic rank over the fraction field.
+
+    The constant-rank flag compares rank M with the rank at every supplied
+    sample point.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -401,15 +407,16 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     per = {}
     ok = True
     for i in range(2, E.n + 1):
-        m = E.full_mu(i)
-        im_rank = rank_generic(m)
         ks = compute_K(E, -i)
-        k_rank = span_rank(ks.vectors, E.nvars)
-        union = [m.col(c) for c in range(m.cols)] + list(ks.vectors)
-        u_rank = span_rank(union, E.nvars)
-        equal = im_rank == k_rank == u_rank
-        const = all(rank_at(m, p) == im_rank for p in points)
-        per[-i] = AdmissibilityDegree(im_rank, k_rank, equal, const)
+        m = E.full_mu(i)
+        point_ranks = [rank_at(m, p) for p in points]
+        if ks.contains_image and max(point_ranks) == ks.dim:
+            im_rank = ks.dim
+        else:
+            im_rank = rank_generic(m)
+        equal = ks.contains_image and im_rank == ks.dim
+        const = all(r == im_rank for r in point_ranks)
+        per[-i] = AdmissibilityDegree(im_rank, ks.dim, equal, const)
         ok = ok and equal and const
     return AdmissibilityReport(per, ok, points)
 
@@ -596,7 +603,7 @@ def dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
                                 block.entries[a_idx * ranks[jb] + b_idx][c].add(entry)
                             )
         mu[i] = {bk: bm for bk, bm in blocks.items() if not bm.is_zero()}
-    return CoalgebraBundle(n, base_names, ranks, mu, frame_prefix="D")
+    return CoalgebraBundle(n, base_names, ranks, mu)
 
 
 def truncate(E: CoalgebraBundle, k: int) -> CoalgebraBundle:
@@ -611,8 +618,7 @@ def truncate(E: CoalgebraBundle, k: int) -> CoalgebraBundle:
             [(d, nm) for d, nm in E.split.gens if d <= k],
             {i: E.split.monomials[i] for i in range(1, k + 1)},
         )
-    return CoalgebraBundle(k, E.base_names, ranks, mu, split=split,
-                           frame_prefix=E.frame_prefix)
+    return CoalgebraBundle(k, E.base_names, ranks, mu, split=split)
 
 
 # --- morphisms ---------------------------------------------------------------
@@ -770,7 +776,7 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
                 for bk, m in blocks.items()}
             for i, blocks in E.mu.items()
         }
-        E = CoalgebraBundle(E.n, (), E.ranks, const_mu, frame_prefix=E.frame_prefix)
+        E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
 
     mu_rat = {i: E.full_mu(i).to_rat() for i in range(1, E.n + 1)}
     kernels = {i: rat_kernel(m, cols=E.rank(i)) for i, m in mu_rat.items()}

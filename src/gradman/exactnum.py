@@ -572,7 +572,7 @@ def kernel_basis(m: PolyMatrix):
     column f.  Each vector is the fraction-free one (the pivot determinant at
     f, minors of m elsewhere), signed so that its entry at f has a positive
     leading coefficient and divided by its rational content.  The flag is
-    always True; it is part of the reporting contract.
+    always True; the benchmark tracer (`bench/tracer.py`) unpacks the pairs.
     """
     nv = m.nvars
     a, ops = _prepare(m.entries, nv)

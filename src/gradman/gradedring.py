@@ -248,12 +248,6 @@ class GradedFunction:
             {w: c for w, c in self.terms.items() if self.monomial_degree(w) == degree},
         )
 
-    def degree_components(self) -> dict:
-        out: dict = {}
-        for w, c in self.terms.items():
-            out.setdefault(self.monomial_degree(w), {})[w] = c
-        return {d: GradedFunction(self.sig, t) for d, t in sorted(out.items())}
-
     # --- arithmetic ---------------------------------------------------
 
     def _check(self, other: "GradedFunction"):

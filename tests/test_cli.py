@@ -167,6 +167,17 @@ class TestExitCodes:
         assert code == 2
         assert main(["not-a-command", "x"]) == 2
 
+    def test_directory_input(self, tmp_path, capsys):
+        code, rep = run_json(capsys, "roundtrip", str(tmp_path))
+        assert code == 2 and rep["verdict"] is False
+        assert "directory" in rep["witnesses"]["error"]
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.gm"
+        bad.write_bytes((GOLDEN / "wedge22.gm").read_bytes() + b"# caf\xe9\n")
+        code, rep = run_json(capsys, "roundtrip", str(bad))
+        assert code == 2 and "utf-8" in rep["witnesses"]["error"]
+
     @pytest.mark.parametrize("argv", [
         ["tangent", "vftang.gm", "--field", "Y"],
         ["admissible", "xdep.gm"],

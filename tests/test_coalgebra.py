@@ -7,6 +7,8 @@ import pytest
 
 from gradman import coalgebra
 from gradman.coalgebra import (
+    AdmissibilityDegree,
+    AdmissibilityReport,
     CoalgebraBundle,
     CoalgebraMorphism,
     _variant_pair_columns,
@@ -29,6 +31,8 @@ from gradman.exactnum import (
     kernel_basis,
     poly_inverse,
     primitive_vector,
+    rank_at,
+    rank_generic,
     rat_rank,
     span_rank,
 )
@@ -611,3 +615,158 @@ class TestConstraintGenerators:
             for i in range(2, 9):
                 degrees = [d + 1 for d, r in enumerate(profile) for _ in range(r) if d + 1 <= i - 1]
                 assert compute_K(e, -i).dim == partition_count(degrees, i), (profile, i)
+
+
+# --- the admissibility decision against the union rank ----------------------
+
+
+def union_rank_admissible(e, sample_points):
+    """Admissibility by three eliminations over Q[x] per degree: the generic
+    ranks of the image, of K and of their union, which agree exactly when
+    the spans are equal; a slow oracle for check_admissible."""
+    points = [tuple(Fraction(x) for x in p) for p in sample_points]
+    per = {}
+    ok = True
+    for i in range(2, e.n + 1):
+        m = e.full_mu(i)
+        im_rank = rank_generic(m)
+        ks = compute_K(e, -i)
+        k_rank = span_rank(ks.vectors, e.nvars)
+        u_rank = span_rank([m.col(c) for c in range(m.cols)] + list(ks.vectors), e.nvars)
+        equal = im_rank == k_rank == u_rank
+        const = all(rank_at(m, p) == im_rank for p in points)
+        per[-i] = AdmissibilityDegree(im_rank, k_rank, equal, const)
+        ok = ok and equal and const
+    return AdmissibilityReport(per, ok, points)
+
+
+def scaled_bundle(e, factor):
+    """Every comultiplication block of e multiplied by one polynomial: the
+    generic spans keep their dimensions, the rank drops where it vanishes."""
+    mu = {i: {bk: m.map_entries(lambda p: p.mul(factor)) for bk, m in blocks.items()}
+          for i, blocks in e.mu.items()}
+    return CoalgebraBundle(e.n, e.base_names, dict(e.ranks), mu)
+
+
+def random_poly_bundle(rng, profile):
+    """Ranks from `profile` over one base variable, every block entry a random
+    affine polynomial: in general not a coalgebra, and im mu leaves K."""
+    x = Poly.var(1, 0)
+    ranks = {i + 1: r for i, r in enumerate(profile)}
+    mu = {}
+    for i in range(2, len(profile) + 1):
+        mu[i] = {}
+        for j in range(1, i // 2 + 1):
+            rows = ranks[j] * ranks[i - j]
+            if rows and ranks[i]:
+                mu[i][(j, i - j)] = PolyMatrix(rows, ranks[i], [
+                    [x.scale(rng.randint(-2, 2)).add(Poly.const(1, rng.randint(-2, 2)))
+                     for _ in range(ranks[i])] for _ in range(rows)], 1)
+    return CoalgebraBundle(len(profile), ("x",), ranks, mu)
+
+
+NO_PAIR_PROFILES = [(0, 1, 1), (0, 1, 1, 0, 0, 0, 1), (0, 2, 1)]
+X_POINTS = {1: [[Fraction(0)], [Fraction(3)]],
+            2: [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(-1)]]}
+
+
+def admissibility_corpus():
+    """(bundle, sample points) pairs covering every path of check_admissible."""
+    rng = random.Random(13)
+    for e in oracle_corpus():
+        yield e, X_POINTS[e.nvars] if e.nvars else ORIGIN
+    for profile in NO_PAIR_PROFILES:
+        s = split_coalgebra(list(profile))
+        yield s, ORIGIN
+        yield conjugate_frames(rng, s), ORIGIN
+        sx = split_coalgebra(list(profile), base_names=("x",))
+        frames = {i: unit_triangular_frame(rng, sx.rank(i), 1) for i in range(1, sx.n + 1)}
+        yield transport_frames(sx, frames), X_POINTS[1]
+    for profile in [(2, 1), (1, 1, 1), (2, 1, 1), (0, 1, 1)]:
+        yield random_constant_bundle(rng, profile), ORIGIN
+        yield random_poly_bundle(rng, profile), X_POINTS[1]
+    # every point degenerate: the image rank falls short of dim K at each one
+    x = Poly.var(1, 0)
+    for profile in [(2, 1), (1, 1, 1), (2, 2, 1), (0, 1, 1)]:
+        s = split_coalgebra(list(profile), base_names=("x",))
+        root = scaled_bundle(s, x.sub(Poly.one(1)))
+        yield root, [[Fraction(1)]]
+        yield root, [[Fraction(1)], [Fraction(2)]]
+        square = scaled_bundle(s, x.mul(x).sub(Poly.const(1, 4)))
+        yield square, [[Fraction(2)], [Fraction(-2)]]
+
+
+class TestAdmissibilityDecision:
+    def test_matches_union_rank(self):
+        for e, points in admissibility_corpus():
+            fast = check_admissible(e, points)
+            slow = union_rank_admissible(e, points)
+            assert fast == slow, (e, points)
+
+    def test_contains_image_is_span_containment(self):
+        for e, _ in admissibility_corpus():
+            for i in range(2, e.n + 1):
+                ks = compute_K(e, -i)
+                m = e.full_mu(i)
+                cols = [m.col(c) for c in range(m.cols)]
+                inside = span_rank(cols + list(ks.vectors), e.nvars) == ks.dim
+                assert ks.contains_image == inside, (e, i)
+
+    def test_degrees_without_pairs_contain_the_zero_image(self):
+        e = split_coalgebra([0, 1, 1, 0, 0, 0, 1])
+        for i in (2, 3):
+            ks = compute_K(e, -i)
+            assert ks.pair_basis == [] and ks.contains_image and ks.dim == 0
+        rep = check_admissible(e, ORIGIN)
+        assert rep.admissible and rep.per_degree[-3] == AdmissibilityDegree(0, 0, True, True)
+
+    def test_empty_basis_contains_only_a_zero_image(self):
+        # ranks 1|1: the square of the odd frame is pinned to zero, so K = 0
+        # after the first difference; a nonzero block leaves it
+        block = PolyMatrix.from_rat(1, 1, [[Fraction(1)]], 0)
+        e = CoalgebraBundle(2, (), {1: 1, 2: 1}, {2: {(1, 1): block}})
+        ks = compute_K(e, -2)
+        assert ks.dim == 0 and not ks.contains_image
+        zero = CoalgebraBundle(2, (), {1: 1, 2: 1}, {2: {}})
+        assert compute_K(zero, -2).contains_image
+
+    def spy(self, monkeypatch):
+        calls = []
+        original = coalgebra.rank_generic
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(coalgebra, "rank_generic", counting)
+        return calls
+
+    def test_point_certificate_skips_generic_rank(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rng = random.Random(3)
+        for profile, base in [((2, 1), ("x",)), ((1, 1, 1), ("x", "y")), ((2, 1, 1), ("x",))]:
+            s = split_coalgebra(list(profile), base_names=base)
+            frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                      for i in range(1, s.n + 1)}
+            assert check_admissible(transport_frames(s, frames), X_POINTS[len(base)]).admissible
+        # one degenerate point is enough to fall short there; the other certifies
+        e = scaled_bundle(split_coalgebra([2, 1], base_names=("x",)), Poly.var(1, 0))
+        rep = check_admissible(e, [[Fraction(0)], [Fraction(5)]])
+        assert rep.per_degree[-2].equal and not rep.admissible
+        assert calls == []
+
+    def test_degenerate_points_fall_back_to_generic_rank(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        e = scaled_bundle(split_coalgebra([2, 2, 1], base_names=("x",)),
+                          Poly.var(1, 0).sub(Poly.one(1)))
+        rep = check_admissible(e, [[Fraction(1)]])
+        assert not rep.admissible
+        assert all(d.equal and not d.constant_rank for d in rep.per_degree.values())
+        assert len(calls) == sum(compute_K(e, -i).dim > 0 for i in range(2, e.n + 1)) == 2
+
+    def test_image_outside_K_falls_back_to_generic_rank(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        e = random_constant_bundle(random.Random(2), (2, 1))
+        rep = check_admissible(e, ORIGIN)
+        assert not compute_K(e, -2).contains_image and not rep.per_degree[-2].equal
+        assert len(calls) == 1
