@@ -552,7 +552,11 @@ class ExprEval:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def advance(self) -> Token:
-        t = self.tokens[self.pos]
+        t = self.peek()
+        if t is None:
+            last = self.tokens[-1]
+            raise ParseError(f"unexpected end of expression after {last.text!r}",
+                             last.line, last.col)
         self.pos += 1
         return t
 
@@ -603,11 +607,8 @@ class ExprEval:
         return f
 
     def parse_atom(self) -> GradedFunction:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of expression")
+        t = self.advance()
         if t.kind == "int":
-            self.advance()
             num = int(t.text)
             nxt = self.peek()
             if nxt is not None and nxt.kind == "sym" and nxt.text == "/":
@@ -621,7 +622,6 @@ class ExprEval:
                 return GradedFunction.constant(self.sig, Fraction(num, den))
             return GradedFunction.constant(self.sig, num)
         if t.kind == "id":
-            self.advance()
             if t.text in self.sig.base_names:
                 return GradedFunction.base_var(self.sig, self.sig.base_names.index(t.text))
             try:
@@ -630,7 +630,6 @@ class ExprEval:
                 raise ParseError(f"unknown name {t.text!r}", t.line, t.col) from None
             return GradedFunction.from_gen(self.sig, g)
         if t.kind == "sym" and t.text == "(":
-            self.advance()
             f = self.parse_expr()
             close = self.peek()
             if close is None or close.kind != "sym" or close.text != ")":
@@ -638,7 +637,6 @@ class ExprEval:
             self.advance()
             return f
         if t.kind == "sym" and t.text == "-":
-            self.advance()
             return self.parse_atom().neg()
         raise ParseError(f"unexpected token {t.text!r} in expression", t.line, t.col)
 
@@ -992,30 +990,27 @@ def run(subcommand: str, doc: Document, **flags) -> Report:
     return COMMANDS[subcommand](doc, ns)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="gradman",
-        description="exact computer algebra for graded charts, bundles and distributions",
-    )
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("file", help="input .gm document")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--sample-points", default=None,
-                       help="semicolon-separated points, e.g. '(0,0);(1,2)'")
-        p.add_argument("--name", default=None)
-        p.add_argument("--fields", default=None)
-        p.add_argument("--field", default=None)
-        p.add_argument("--expr", default=None)
-    return ap
+# One flat parser, built at import: options may come before or after the
+# subcommand and the file.
+ARG_PARSER = argparse.ArgumentParser(
+    prog="gradman",
+    description="exact computer algebra for graded charts, bundles and distributions",
+)
+ARG_PARSER.add_argument("subcommand", choices=tuple(COMMANDS))
+ARG_PARSER.add_argument("file", help="input .gm document")
+ARG_PARSER.add_argument("--format", choices=("text", "json"), default="text")
+ARG_PARSER.add_argument("--max-degree", type=int, default=None)
+ARG_PARSER.add_argument("--sample-points", default=None,
+                        help="semicolon-separated points, e.g. '(0,0);(1,2)'")
+ARG_PARSER.add_argument("--name", default=None)
+ARG_PARSER.add_argument("--fields", default=None)
+ARG_PARSER.add_argument("--field", default=None)
+ARG_PARSER.add_argument("--expr", default=None)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ARG_PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     start = time.perf_counter()

@@ -166,6 +166,23 @@ class TestExitCodes:
         code, _ = run(capsys, "involutive", "/nonexistent/file.gm")
         assert code == 2
         assert main(["not-a-command", "x"]) == 2
+        assert main([]) == 2
+        assert main(["roundtrip"]) == 2  # no file
+        wedge = str(GOLDEN / "wedge22.gm")
+        assert main(["roundtrip", wedge, "--format", "xml"]) == 2
+        assert main(["roundtrip", wedge, "--max-degree", "two"]) == 2
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert all(cmd in usage for cmd in COMMANDS)
+        # options may come before the subcommand and give the same report
+        code, after = run_json(capsys, "reduce", wedge, "--name", "E", "--expr", "E_2_1")
+        assert code == 0
+        assert main(["--format=json", "--name", "E", "--expr", "E_2_1", "reduce", wedge]) == 0
+        before = json.loads(capsys.readouterr().out)
+        after.pop("timing_ms")
+        before.pop("timing_ms")
+        assert before == after
 
     def test_directory_input(self, tmp_path, capsys):
         code, rep = run_json(capsys, "roundtrip", str(tmp_path))
@@ -224,6 +241,23 @@ class TestExitCodes:
             "involutive",
             "base x\ncoord e : 1\nvf A : 0 { d/dx = x }\ndist D = A @ points (0)\n",
             "dependent"),
+        "dangling caret in a field": (
+            "roundtrip",
+            "base x\ncoord e : 1\nvf X : 0 { d/dx = x^ }\n",
+            "end of expression after '^' (line 3, col 20)"),
+        "dangling slash in a field": (
+            "involutive",
+            "base x\ncoord e : 1\nvf A : -1 { d/de = 1/ }\ndist D = A\n",
+            "end of expression after '/' (line 3, col 21)"),
+        "dangling caret in mu": (
+            "check-coalgebra",
+            "base x\ncoalgebra C {\n rank -1 = 2\n rank -2 = 1\n"
+            " mu -2 = [[0], [x^], [0], [0]]\n}\n",
+            "end of expression after '^' (line 5, col 18)"),
+        "dangling slash in a morphism": (
+            "roundtrip",
+            "coalgebra C {\n rank -1 = 1\n}\nmorphism F : C -> C { deg -1 = [[1/]] }\n",
+            "end of expression after '/' (line 4, col 35)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
