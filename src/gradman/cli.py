@@ -296,14 +296,14 @@ class Parser:
             raise ParseError(str(exc)) from None
         nv = len(base)
         doc = Document(tuple(base), tuple(coords), sig, {}, {}, {}, {})
-        for name, ranks, mu_raw, tok in raw["coalgebra"]:
-            mu = {i: [[self._expr_to_poly(e, sig, tok) for e in row] for row in m]
+        for name, ranks, mu_raw in raw["coalgebra"]:
+            mu = {i: [[self._expr_to_poly(e, sig) for e in row] for row in m]
                   for i, m in mu_raw.items()}
             doc.coalgebras[name] = CoalgebraDecl(name, ranks, mu)
-        for name, degree, entries, tok in raw["vf"]:
+        for name, degree, entries in raw["vf"]:
             actions = []
             for cname, expr_tokens, etok in entries:
-                f = self._expr_to_function(expr_tokens, sig, etok)
+                f = self._expr_to_function(expr_tokens, sig)
                 cd = 0 if cname in sig.base_names else (
                     sig.gen_by_name(cname)[0] if cname in [nm for nm, _ in coords] else None
                 )
@@ -337,7 +337,7 @@ class Parser:
                 if len(m) != rows or any(len(row) != cols for row in m):
                     raise ParseError(f"deg {-i} of morphism {name!r} must be {rows}x{cols}",
                                      tok.line, tok.col)
-            mats = {i: [[self._expr_to_poly(e, sig, tok) for e in row] for row in m]
+            mats = {i: [[self._expr_to_poly(e, sig) for e in row] for row in m]
                     for i, m in mats_raw.items()}
             doc.morphisms[name] = MorphismDecl(name, src, tgt, mats)
         return doc
@@ -345,7 +345,7 @@ class Parser:
     # --- declaration parsers ------------------------------------------------
 
     def parse_coalgebra(self):
-        tok = self.expect("id", "coalgebra")
+        self.expect("id", "coalgebra")
         name = self.expect("id").text
         self.expect("sym", "{")
         ranks = {}
@@ -379,10 +379,10 @@ class Parser:
             if i > n:
                 raise ParseError(f"mu {-i} of {name!r} lies below its lowest rank degree {-n}",
                                  key.line, key.col)
-        return name, ranks, mu, tok
+        return name, ranks, mu
 
     def parse_vf(self):
-        tok = self.expect("id", "vf")
+        self.expect("id", "vf")
         name = self.expect("id").text
         self.expect("sym", ":")
         degree = self.parse_signed_int()
@@ -399,7 +399,7 @@ class Parser:
             self.expect("sym", "=")
             expr_tokens = self.collect_expr_tokens()
             entries.append((cname, expr_tokens, dd))
-        return name, degree, entries, tok
+        return name, degree, entries
 
     def parse_dist(self):
         self.expect("id", "dist")
@@ -526,14 +526,14 @@ class Parser:
 
     # --- expression evaluation ------------------------------------------------
 
-    def _expr_to_function(self, tokens: list, sig: GradedSignature, tok) -> GradedFunction:
+    def _expr_to_function(self, tokens: list, sig: GradedSignature) -> GradedFunction:
         ev = ExprEval(tokens, sig)
         f = ev.parse_expr()
         ev.expect_end()
         return f
 
-    def _expr_to_poly(self, tokens: list, sig: GradedSignature, tok) -> Poly:
-        f = self._expr_to_function(tokens, sig, tok)
+    def _expr_to_poly(self, tokens: list, sig: GradedSignature) -> Poly:
+        f = self._expr_to_function(tokens, sig)
         if f.terms and set(f.terms) != {()}:
             t0 = tokens[0]
             raise ParseError("matrix entries must have degree 0", t0.line, t0.col)

@@ -65,10 +65,6 @@ class Distribution:
             out[-g.degree] += 1
         return out
 
-    def by_degree(self, k: int) -> list:
-        """Generators of degree -k."""
-        return [g for g in self.generators if g.degree == -k]
-
     def __repr__(self):
         return f"Distribution(rank {'|'.join(map(str, self.ranks()))})"
 
@@ -271,41 +267,33 @@ class FrobeniusChart:
 
     def substitution_table(self) -> dict:
         """New coordinate functions written in the old coordinates."""
-        out = {}
-        for c in all_coords(self.sig):
-            img = self.new_in_old.image(c)
-            name = coord_name(self.sig, c)
-            if img != _coordinate_function(self.sig, c):
-                out[name] = img.to_string()
-        return out
+        return self._table(self.new_in_old)
 
     def inverse_table(self) -> dict:
         """Old coordinate functions written in the new coordinates."""
-        out = {}
-        for c in all_coords(self.sig):
-            img = self.old_in_new.image(c)
-            name = coord_name(self.sig, c)
-            if img != _coordinate_function(self.sig, c):
-                out[name] = img.to_string()
-        return out
+        return self._table(self.old_in_new)
+
+    def _table(self, cmap: ChartMap) -> dict:
+        ident = ChartMap.identity(self.sig)
+        return {coord_name(self.sig, c): cmap.image(c).to_string()
+                for c in all_coords(self.sig) if cmap.image(c) != ident.image(c)}
 
 
-def _coordinate_function(sig: GradedSignature, c: Coord) -> GradedFunction:
-    if c[0] == "x":
-        return GradedFunction.base_var(sig, c[1])
-    return GradedFunction.from_gen(sig, c[1])
+def _apply_step(state, sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
+                base: Optional[list] = None):
+    """Push one substitution through the cumulative maps and all generators.
 
-
-def _identity_maps(sig: GradedSignature):
-    return ChartMap.identity(sig), ChartMap.identity(sig)
-
-
-def _apply_step(state, step_new_in_old: ChartMap, step_old_in_new: ChartMap):
-    """Push one substitution through the cumulative maps and all generators."""
+    The step sends the generators in `gmap` to their images, every other
+    generator to itself, and the base coordinates to `base` (default: to
+    themselves); its inverse comes from `_invert_chart_map`."""
+    if base is None:
+        base = [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
+    step_nio = ChartMap(sig, sig, base, _gen_map_with(sig, gmap))
+    step_oin = _invert_chart_map(step_nio)
     total_nio, total_oin, gens = state
-    total_nio = step_new_in_old.after(total_nio)
-    total_oin = total_oin.after(step_old_in_new)
-    gens = [transform_field(g, step_new_in_old, step_old_in_new) for g in gens]
+    total_nio = step_nio.after(total_nio)
+    total_oin = total_oin.after(step_oin)
+    gens = [transform_field(g, step_nio, step_oin) for g in gens]
     return total_nio, total_oin, gens
 
 
@@ -315,79 +303,31 @@ def _gen_map_with(sig: GradedSignature, overrides: Dict[GenId, GradedFunction]):
     return out
 
 
-def _base_identity(sig: GradedSignature):
-    return [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
-
-
 def _unimodular_alignment(a_rows: list, m: int, nv: int):
     """Unimodular T with T . transpose(A) = [I; 0] for a full-row-rank A.
 
-    Pivots must be manufacturable as nonzero constants by polynomial row
-    operations; otherwise the alignment leaves the polynomial scope."""
+    One Gauss-Jordan pass over the rows of [transpose(A) | I].  The pivot of
+    column c is the first row at or below c whose entry in that column is a
+    nonzero constant.  A column with no such entry is refused: no other row
+    operation is tried, so the pass needs no iteration cap."""
     d = len(a_rows)
-    mat = [[a_rows[r][c] for r in range(d)] for c in range(m)]  # m x d, transpose
-    t = [[Poly.const(nv, 1 if i == j else 0) for j in range(m)] for i in range(m)]
-
-    def row_op(dst, src, coeff: Poly):
-        for j in range(d):
-            mat[dst][j] = mat[dst][j].sub(coeff.mul(mat[src][j]))
-        for j in range(m):
-            t[dst][j] = t[dst][j].sub(coeff.mul(t[src][j]))
-
-    def row_scale(r, c: Fraction):
-        for j in range(d):
-            mat[r][j] = mat[r][j].scale(c)
-        for j in range(m):
-            t[r][j] = t[r][j].scale(c)
-
-    def row_swap(r1, r2):
-        mat[r1], mat[r2] = mat[r2], mat[r1]
-        t[r1], t[r2] = t[r2], t[r1]
-
+    rows = [[a_rows[r][c] for r in range(d)]
+            + [Poly.const(nv, 1 if i == c else 0) for i in range(m)] for c in range(m)]
     for col in range(d):
-        piv = None
-        for r in range(col, m):
-            if mat[r][col].is_constant() and not mat[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            # try to manufacture a constant pivot by polynomial reductions
-            for _ in range(40):
-                nz = [r for r in range(col, m) if not mat[r][col].is_zero()]
-                if not nz:
-                    break
-                nz.sort(key=lambda r: mat[r][col].total_degree())
-                done = False
-                for r in nz:
-                    if mat[r][col].is_constant():
-                        piv = r
-                        done = True
-                        break
-                if done:
-                    break
-                if len(nz) < 2:
-                    break
-                r_small = nz[0]
-                reduced = False
-                for r in nz[1:]:
-                    quot = mat[r][col].div_exact(mat[r_small][col])
-                    if quot is not None:
-                        row_op(r, r_small, quot)
-                        reduced = True
-                        break
-                if not reduced:
-                    break
+        piv = next((r for r in range(col, m)
+                    if rows[r][col].is_constant() and not rows[r][col].is_zero()), None)
         if piv is None:
             raise NonPolynomialFlatFrame(
                 "no unimodular polynomial alignment: a constant pivot is unavailable"
             )
-        if piv != col:
-            row_swap(piv, col)
-        row_scale(col, 1 / mat[col][col].constant_value())
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col].constant_value()
+        rows[col] = [p.scale(inv) for p in rows[col]]
         for r in range(m):
-            if r != col and not mat[r][col].is_zero():
-                row_op(r, col, mat[r][col])
-    return PolyMatrix(m, m, t, nv)
+            coeff = rows[r][col]
+            if r != col and not coeff.is_zero():
+                rows[r] = [p.sub(coeff.mul(q)) for p, q in zip(rows[r], rows[col])]
+    return PolyMatrix(m, m, [row[d:] for row in rows], nv)
 
 
 def _invert_chart_map(m: ChartMap) -> ChartMap:
@@ -426,6 +366,7 @@ def _invert_chart_map(m: ChartMap) -> ChartMap:
         total_shift = sum((s_inv[a][b] * shift[b] for b in range(nv)), Fraction(0))
         f = f.sub(GradedFunction.constant(sig, total_shift))
         inv_base.append(f)
+    base_subs = [f.body() for f in inv_base]
 
     inv_gens: Dict[GenId, GradedFunction] = {}
     for degree in range(1, sig.n + 1):
@@ -446,7 +387,7 @@ def _invert_chart_map(m: ChartMap) -> ChartMap:
             corr.append(c_fun)
         lmat = PolyMatrix(len(gens), len(gens), lin, nv)
         # rewrite the linear block over the new base coordinates
-        lmat_new = lmat.map_entries(lambda p: _compose_base(p, inv_base, sig))
+        lmat_new = lmat.map_entries(lambda p: p.compose(base_subs))
         linv = poly_inverse(lmat_new)
         if linv is None:
             raise NonPolynomialFlatFrame(
@@ -473,11 +414,6 @@ def _invert_chart_map(m: ChartMap) -> ChartMap:
     return out
 
 
-def _compose_base(p: Poly, base_images: list, sig: GradedSignature) -> Poly:
-    subs = [f.body() for f in base_images]
-    return p.compose(subs) if sig.m0 else p
-
-
 def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
     """Coordinates in which the generators become leading coordinate fields.
 
@@ -492,7 +428,7 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                             witness=inv.witness, pair=inv.failing_pair)
     sig = dist.sig
     nv = sig.m0
-    total_nio, total_oin = _identity_maps(sig)
+    total_nio, total_oin = ChartMap.identity(sig), ChartMap.identity(sig)
     gens = list(dist.generators)
     flat_of: Dict[int, Coord] = {}
     flat_sets: Dict[int, list] = {}
@@ -519,10 +455,8 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                     if not p.is_zero():
                         f = f.add(GradedFunction.from_gen(sig, (r, gold)).scale(p))
                 gmap[(r, gnew)] = f
-            step_nio = ChartMap(sig, sig, _base_identity(sig), _gen_map_with(sig, gmap))
-            step_oin = _invert_chart_map(step_nio)
             total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                     step_nio, step_oin)
+                                                     sig, gmap)
             for pos, i in enumerate(z_idx):
                 flat_of[i] = gen_coord((r, pos))
             flat_sets[r] = [gen_coord((r, pos)) for pos in range(d_r)]
@@ -553,11 +487,8 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                         )
                     big_g = graded_antiderivative(g_val, e_s)
                     gmap = {c[1]: GradedFunction.from_gen(sig, c[1]).sub(big_g)}
-                    step_nio = ChartMap(sig, sig, _base_identity(sig),
-                                        _gen_map_with(sig, gmap))
-                    step_oin = _invert_chart_map(step_nio)
                     total_nio, total_oin, gens = _apply_step(
-                        (total_nio, total_oin, gens), step_nio, step_oin)
+                        (total_nio, total_oin, gens), sig, gmap)
     for i in range(len(gens)):
         if gens[i].degree < 0:
             expected = VectorField.coordinate_field(sig, flat_of[i])
@@ -626,10 +557,8 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                 if s_inv[b][g] != 0:
                     f = f.add(GradedFunction.base_var(sig, g).scale(s_inv[b][g]))
             base_new.append(f)
-        step_nio = ChartMap(sig, sig, base_new, _gen_map_with(sig, {}))
-        step_oin = _invert_chart_map(step_nio)
         total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                 step_nio, step_oin)
+                                                 sig, {}, base_new)
         for pos, i in enumerate(zero_idx):
             flat_of[i] = base_coord(pos)
         for i in zero_idx:
@@ -677,10 +606,8 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                     if not p.is_zero():
                         f = f.add(GradedFunction.monomial(sig, w, p))
                 gmap[g] = f
-            step_nio = ChartMap(sig, sig, _base_identity(sig), _gen_map_with(sig, gmap))
-            step_oin = _invert_chart_map(step_nio)
             total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                     step_nio, step_oin)
+                                                     sig, gmap)
         for i in zero_idx:
             expected = VectorField.coordinate_field(sig, flat_of[i])
             if gens[i] != expected:

@@ -299,9 +299,6 @@ class PolyMatrix:
             nvars,
         )
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
-
     def is_constant(self) -> bool:
         return all(e.is_constant() for row in self.entries for e in row)
 
@@ -344,13 +341,6 @@ class PolyMatrix:
         return PolyMatrix(
             self.rows, self.cols,
             [[e.scale(c) for e in row] for row in self.entries],
-            self.nvars,
-        )
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
             self.nvars,
         )
 

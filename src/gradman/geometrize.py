@@ -35,13 +35,11 @@ class ChartAlgebra:
 
     def __init__(self, bundle: CoalgebraBundle, iso: CoalgebraMorphism,
                  sig: GradedSignature, embeddings: Dict[int, list],
-                 embed_mats: Dict[int, list], decomp_mats: Dict[int, list],
-                 rewrite_rules: Dict[int, list]):
+                 decomp_mats: Dict[int, list], rewrite_rules: Dict[int, list]):
         self.bundle = bundle
         self.iso = iso
         self.sig = sig
         self.embeddings = embeddings
-        self.embed_mats = embed_mats
         self.decomp_mats = decomp_mats
         self.rewrite_rules = rewrite_rules
 
@@ -106,7 +104,6 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
     sig = GradedSignature(n, E.base_names, gen_names, max_degree=max_degree)
 
     embeddings: Dict[int, list] = {}
-    embed_mats: Dict[int, list] = {}
     decomp_mats: Dict[int, list] = {}
     rewrite_rules: Dict[int, list] = {}
     for i in range(1, n + 1):
@@ -116,8 +113,6 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
             raise NotAdmissible("geometrization needs a constant splitting")
         phi_rat = phi.to_rat()
         inv = rat_inverse(phi_rat) if r else []
-        # embedding matrix: monomial coordinates of each embedded frame element
-        m_embed = [[inv[a][mon] for a in range(r)] for mon in range(r)] if r else []
         # decomposition matrix: frame coordinates of each chart monomial
         m_decomp = [[phi_rat[mon][a] for mon in range(r)] for a in range(r)] if r else []
         words = S.split.monomials[i]
@@ -130,7 +125,6 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
                     f = f.add(GradedFunction.monomial(sig, w, Poly.const(sig.m0, c)))
             funcs.append(f)
         embeddings[i] = funcs
-        embed_mats[i] = m_embed
         decomp_mats[i] = m_decomp
         rules = []
         for mon, w in enumerate(words):
@@ -140,7 +134,7 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
             nf = GradedFunction.monomial(sig, w, Poly.one(sig.m0))
             rules.append(RewriteRule(i, covector, w, nf))
         rewrite_rules[i] = rules
-    return ChartAlgebra(E, iso, sig, embeddings, embed_mats, decomp_mats, rewrite_rules)
+    return ChartAlgebra(E, iso, sig, embeddings, decomp_mats, rewrite_rules)
 
 
 def reduce_product(chart: ChartAlgebra, factors: Sequence[Tuple[int, int]],

@@ -242,12 +242,6 @@ class GradedFunction:
             return len(ds) == 1
         return ds == {degree}
 
-    def component(self, degree: int) -> "GradedFunction":
-        return GradedFunction(
-            self.sig,
-            {w: c for w, c in self.terms.items() if self.monomial_degree(w) == degree},
-        )
-
     # --- arithmetic ---------------------------------------------------
 
     def _check(self, other: "GradedFunction"):

@@ -5,6 +5,7 @@ import pytest
 
 from gradman.distrib import (
     Distribution,
+    _unimodular_alignment,
     frobenius_normal_form,
     graded_antiderivative,
     is_involutive,
@@ -16,9 +17,10 @@ from gradman.distrib import (
 from gradman.errors import (
     HypothesisFailed,
     NonConstantSymbols,
+    NonPolynomialFlatFrame,
     NotInvolutive,
 )
-from gradman.exactnum import Poly
+from gradman.exactnum import Poly, PolyMatrix, poly_inverse
 from gradman.fields import (
     ChartMap,
     VectorField,
@@ -463,3 +465,62 @@ class TestSingleField:
         x = dd(sig, "e").scale(gen(sig, "e"))
         with pytest.raises(HypothesisFailed):
             single_field_normal_form(x, GradedFunction.zero(sig), [0])
+
+
+class TestUnimodularAlignment:
+    X = Poly.var(1, 0)
+    ONE = Poly.one(1)
+    REFUSAL = "no unimodular polynomial alignment: a constant pivot is unavailable"
+
+    def check_aligned(self, a_rows, m, nv):
+        """T . transpose(A) = [I; 0] exactly, with T invertible over Q[x]."""
+        d = len(a_rows)
+        t = _unimodular_alignment(a_rows, m, nv)
+        a_t = PolyMatrix(m, d, [[a_rows[r][c] for r in range(d)] for c in range(m)], nv)
+        want = PolyMatrix.zero(m, d, nv)
+        for i in range(d):
+            want.entries[i][i] = Poly.one(nv)
+        assert t.mul(a_t) == want
+        assert poly_inverse(t) is not None
+        return t
+
+    def test_row_swap(self):
+        t = self.check_aligned([[self.X, self.ONE]], 2, 1)
+        assert t.entries[0] == [Poly.zero(1), self.ONE]
+
+    def test_pivot_constant_after_clearing(self):
+        # the det-1 frame [[1, x], [x, 1 + x^2]]: the second pivot is 1 + x^2
+        # until the first column is cleared, then it is 1
+        x = self.X
+        self.check_aligned([[self.ONE, x], [x, self.ONE.add(x.mul(x))]], 2, 1)
+
+    def test_seeded_permuted_unit_trapezoids(self):
+        # transpose(A) is a row permutation of a unit lower-trapezoidal matrix
+        # whose entries below the diagonal have no constant term, so each
+        # column has exactly one constant pivot once the earlier ones are cleared
+        rng = random.Random(8088)
+        for case in range(60):
+            nv = case % 3
+            m = rng.randint(1, 4)
+            d = rng.randint(1, m)
+            lower = [[Poly.zero(nv) for _ in range(d)] for _ in range(m)]
+            for i in range(m):
+                for j in range(min(i + 1, d)):
+                    if i == j:
+                        lower[i][j] = Poly.one(nv)
+                    elif nv:
+                        exps = tuple(rng.randint(0, 2) for _ in range(nv))
+                        if any(exps):
+                            lower[i][j] = Poly(nv, {exps: Fraction(rng.randint(-3, 3))
+                                                    or Fraction(1)})
+            perm = list(range(m))
+            rng.shuffle(perm)
+            a_t = [lower[p] for p in perm]
+            self.check_aligned([[a_t[c][r] for c in range(m)] for r in range(d)], m, nv)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_column_in_the_ideal_of_x_is_refused(self, power):
+        # (x, x) and (x, x^2) vanish at x = 0, so no polynomial T aligns them
+        x = self.X
+        with pytest.raises(NonPolynomialFlatFrame, match=f"^{self.REFUSAL}$"):
+            _unimodular_alignment([[x, x.pow(power)]], 2, 1)
