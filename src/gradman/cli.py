@@ -595,6 +595,14 @@ class ExprEval:
         return f
 
     def parse_factor(self) -> GradedFunction:
+        """An atom with an optional power.
+
+        The exponent is capped by the chart's degree cap, because expanding a
+        power costs time that grows with it, except on a bare base variable:
+        that power is one monomial, and the pretty printer writes any base
+        degree that way.
+        """
+        a = self.peek()
         f = self.parse_atom()
         t = self.peek()
         if t is not None and t.kind == "sym" and t.text == "^":
@@ -603,7 +611,15 @@ class ExprEval:
             if e.kind != "int":
                 raise ParseError("exponent must be a non-negative integer",
                                  e.line, e.col)
-            f = f.pow(int(e.text))
+            k = int(e.text)
+            sig = self.sig
+            if a.kind == "id" and a.text in sig.base_names:
+                return GradedFunction.from_poly(
+                    sig, Poly.var(sig.m0, sig.base_names.index(a.text)).pow(k))
+            if k > sig.max_degree:
+                raise ParseError(f"exponent {k} exceeds the degree cap {sig.max_degree}",
+                                 e.line, e.col)
+            f = f.pow(k)
         return f
 
     def parse_atom(self) -> GradedFunction:

@@ -28,7 +28,6 @@ from .exactnum import (
     rat_inverse,
     rat_kernel,
     rat_rref,
-    rat_solve,
 )
 from .gradedring import (
     GradedFunction,
@@ -762,8 +761,13 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
 
     Works degree by degree: the kernel of the comultiplication maps to the new
     generators, a pivot-column complement maps to the unique decomposable
-    preimage of its comultiplication image.  Requires fiberwise-constant
-    comultiplication; pass `at_point` to work in a single fiber otherwise.
+    preimage of its comultiplication image.  Per degree the images of all
+    columns are one sparse product (tensor square of the lower-degree map
+    times the comultiplication), and their preimages come from one RREF of
+    [decomposable block of the split comultiplication | images]; a pivot in
+    the right-hand part means an image leaves that block's span.  Requires
+    fiberwise-constant comultiplication; pass `at_point` to work in a single
+    fiber otherwise.
     """
     if not E.is_constant():
         if at_point is None:
@@ -821,30 +825,23 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
             raise NotAdmissible(f"kernel and pivot complement overlap at degree {-i}")
         proj = inv[:d_i]
 
-        # decomposable block of the split comultiplication
+        # every column solves at once when no pivot lies right of the
+        # decomposable block; the RREF rows then hold the solutions, free
+        # variables at zero
         smu = S.full_mu(i).to_rat()
-        decomp_cols = [[smu[row][c] for c in decomp_pos] for row in range(len(smu))]
-        tsq = CoalgebraMorphism(E, S, matrices).tensor_square(i).to_rat()
-        cols_out = []
-        for c in range(r):
-            w = [row[c] for row in m]
-            tw = [sum((tsq[row][s] * w[s] for s in range(len(w))), Fraction(0))
-                  for row in range(len(tsq))] if tsq else []
-            if decomp_cols and decomp_cols[0]:
-                sol, bad = rat_solve(decomp_cols, tw)
-            else:
-                sol, bad = ([], None) if all(v == 0 for v in tw) else (None, 0)
-            if sol is None:
-                raise NotAdmissible(
-                    f"comultiplication image leaves the constraint space at degree {-i}"
-                )
-            col = [Fraction(0)] * rs
-            for t in range(d_i):
-                col[singleton_pos[t]] = proj[t][c] if proj else Fraction(0)
-            for t, pos in enumerate(decomp_pos):
-                col[pos] = sol[t]
-            cols_out.append(col)
-        mat = [[cols_out[c][row] for c in range(r)] for row in range(rs)]
+        image = CoalgebraMorphism(E, S, matrices).tensor_square(i).mul(E.full_mu(i)).to_rat()
+        ndec = len(decomp_pos)
+        red, pivots = rat_rref([[row[c] for c in decomp_pos] + img
+                                for row, img in zip(smu, image)])
+        if pivots and pivots[-1] >= ndec:
+            raise NotAdmissible(
+                f"comultiplication image leaves the constraint space at degree {-i}"
+            )
+        mat = [[Fraction(0)] * r for _ in range(rs)]
+        for t in range(d_i):
+            mat[singleton_pos[t]] = proj[t]
+        for row, p in zip(red, pivots):
+            mat[decomp_pos[p]] = row[ndec:]
         try:
             rat_inverse(mat)
         except ValueError:

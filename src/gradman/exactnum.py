@@ -3,9 +3,13 @@ linear algebra.
 
 Scalars are `fractions.Fraction` (arbitrary precision, normalized gcd = 1,
 positive denominator), aliased as `Rat`.  Polynomials are sparse maps from
-exponent vectors to nonzero scalars; the monomial order used for pivoting is
-graded lexicographic.  Everything here is immutable in spirit: operations
-return fresh values and never mutate their inputs.
+exponent vectors to nonzero coefficients in canonical form: a Python `int`
+when the coefficient is integral and a `Fraction` otherwise, so integral data
+never pays for Fraction objects.  Values that leave a polynomial
+(`constant_value`, `leading`, `eval`) are always Fractions.  The monomial
+order used for pivoting is graded lexicographic.  Everything here is
+immutable in spirit: operations return fresh values and never mutate their
+inputs.
 
 All linear algebra (rank, echelon form, kernel, solve, inverse, over the
 rationals and over Q[x]) is one fraction-free Gauss-Jordan routine,
@@ -26,6 +30,16 @@ RAT_ZERO = Fraction(0)
 RAT_ONE = Fraction(1)
 
 
+def _canon(c):
+    """A rational in stored form: an int when integral, else the Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _point(point: Sequence) -> list:
+    """Rational coordinates in canonical form, so integral data evaluates on ints."""
+    return [_canon(Fraction(p)) for p in point]
+
+
 def _key(exps: tuple, degree: int):
     # graded lex: total degree first, then plain lex on the exponent vector
     return (degree, exps)
@@ -34,7 +48,8 @@ def _key(exps: tuple, degree: int):
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
-    `terms` maps exponent tuples (length `nvars`) to nonzero Fractions.
+    `terms` maps exponent tuples (length `nvars`) to nonzero coefficients,
+    each an `int` when integral and a `Fraction` otherwise.
     """
 
     __slots__ = ("nvars", "terms")
@@ -51,7 +66,8 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = _canon(Fraction(c))
         if c == 0:
             return cls(nvars, {})
         return cls(nvars, {(0,) * nvars: c})
@@ -63,7 +79,7 @@ class Poly:
     @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: RAT_ONE})
+        return cls(nvars, {exps: 1})
 
     # --- predicates ---------------------------------------------------
 
@@ -71,14 +87,14 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(not any(exps) for exps in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.terms:
             return RAT_ZERO
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -95,11 +111,11 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, RAT_ZERO) + c
-            if s == 0:
-                terms.pop(exps, None)
+            s = terms.get(exps, 0) + c
+            if s:
+                terms[exps] = _canon(s)
             else:
-                terms[exps] = s
+                terms.pop(exps, None)
         return Poly(self.nvars, terms)
 
     def neg(self) -> "Poly":
@@ -110,22 +126,28 @@ class Poly:
 
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)
+        if len(self.terms) == 1 == len(other.terms):
+            # one term times one term: a single product, zero only when a
+            # factor holds a zero coefficient
+            (e1, c1), = self.terms.items()
+            (e2, c2), = other.terms.items()
+            c = c1 * c2
+            if not c:
+                return Poly(self.nvars, {})
+            return Poly(self.nvars, {tuple(map(operator.add, e1, e2)): _canon(c)})
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, RAT_ZERO) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly(self.nvars, terms)
+                e = tuple(map(operator.add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(self.nvars, {e: _canon(c) for e, c in terms.items() if c})
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        if not isinstance(c, int):
+            c = _canon(Fraction(c))
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return Poly(self.nvars, {e: _canon(c * v) for e, v in self.terms.items()})
 
     def pow(self, k: int) -> "Poly":
         result = Poly.one(self.nvars)
@@ -148,12 +170,8 @@ class Poly:
             k = e[i]
             e[i] -= 1
             te = tuple(e)
-            s = terms.get(te, RAT_ZERO) + c * k
-            if s == 0:
-                terms.pop(te, None)
-            else:
-                terms[te] = s
-        return Poly(self.nvars, terms)
+            terms[te] = terms.get(te, 0) + c * k
+        return Poly(self.nvars, {e: _canon(c) for e, c in terms.items() if c})
 
     def antiderivative(self, i: int) -> "Poly":
         """Termwise antiderivative in variable i with zero constant term."""
@@ -161,14 +179,17 @@ class Poly:
         for exps, c in self.terms.items():
             e = list(exps)
             e[i] += 1
-            terms[tuple(e)] = c / e[i]
+            terms[tuple(e)] = _canon(Fraction(c, e[i]))
         return Poly(self.nvars, terms)
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        pt = [Fraction(p) for p in point]
-        total = RAT_ZERO
+        return Fraction(self._eval(_point(point)))
+
+    def _eval(self, pt: list):
+        """Value at a point of canonical coordinates, as an int or Fraction."""
+        total = 0
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(pt, exps):
@@ -193,12 +214,15 @@ class Poly:
 
     # --- leading data & division ---------------------------------------
 
+    def _leading_exps(self) -> tuple:
+        return max(self.terms, key=lambda e: _key(e, sum(e)))
+
     def leading(self):
         """Leading (exponents, coefficient) under graded lex order."""
         if not self.terms:
             return None
-        exps = max(self.terms, key=lambda e: _key(e, sum(e)))
-        return exps, self.terms[exps]
+        exps = self._leading_exps()
+        return exps, Fraction(self.terms[exps])
 
     def div_exact(self, other: "Poly") -> Optional["Poly"]:
         """Exact quotient self / other, or None when division is not exact."""
@@ -209,18 +233,19 @@ class Poly:
             return Poly.zero(self.nvars)
         if other.is_constant():
             return self.scale(1 / other.constant_value())
-        lo, lc = other.leading()
+        lo = other._leading_exps()
+        lc = other.terms[lo]
         rem = self
         qterms: dict = {}
         while not rem.is_zero():
-            le, ce = rem.leading()
+            le = rem._leading_exps()
             qe = tuple(a - b for a, b in zip(le, lo))
             if any(e < 0 for e in qe):
                 return None
-            qc = ce / lc
-            qterms[qe] = qterms.get(qe, RAT_ZERO) + qc
+            # leading exponents strictly fall, so each qe is new
+            qterms[qe] = qc = _canon(Fraction(rem.terms[le], lc))
             rem = rem.sub(Poly(self.nvars, {qe: qc}).mul(other))
-        return Poly(self.nvars, {e: c for e, c in qterms.items() if c != 0})
+        return Poly(self.nvars, qterms)
 
     # --- dunder -------------------------------------------------------
 
@@ -431,13 +456,16 @@ def _eliminate(a: list, ops, ncols: Optional[int] = None, reduce: bool = True):
 
 
 def _int_rows(m: list) -> list:
-    """Rational rows as integer rows, each scaled by its common denominator.
+    """Rows of ints and Fractions as integer rows, each scaled by its common
+    denominator; rows already all int pass through.
 
     Row scaling changes no rank, echelon form, kernel or solution.
     """
     out = []
     for row in m:
-        row = [Fraction(v) for v in row]
+        if all(type(v) is int for v in row):
+            out.append(row)
+            continue
         den = lcm(*(v.denominator for v in row))
         out.append([v.numerator * (den // v.denominator) for v in row])
     return out
@@ -449,7 +477,8 @@ def _prepare(rows: list, nvars: int):
     Integer rows when every entry is constant, else copies of the Poly rows.
     """
     if all(p.is_constant() for row in rows for p in row):
-        return _int_rows([[p.constant_value() for p in row] for row in rows]), _INT_OPS
+        z = (0,) * nvars
+        return _int_rows([[p.terms.get(z, 0) for p in row] for row in rows]), _INT_OPS
     ops = (Poly.mul, Poly.sub, _exact_div, Poly.is_zero, Poly.one(nvars))
     return [list(row) for row in rows], ops
 
@@ -552,7 +581,11 @@ def rank_generic(m: PolyMatrix) -> int:
 
 def rank_at(m: PolyMatrix, point: Sequence) -> int:
     """Rank of the numeric specialization at a rational point."""
-    return len(_eliminate(_int_rows(m.eval_at(point)), _INT_OPS, reduce=False)[0])
+    if len(point) != m.nvars:
+        raise ValueError("point has wrong length")
+    pt = _point(point)
+    rows = _int_rows([[e._eval(pt) for e in row] for row in m.entries])
+    return len(_eliminate(rows, _INT_OPS, reduce=False)[0])
 
 
 def kernel_basis(m: PolyMatrix):

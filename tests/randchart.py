@@ -90,10 +90,7 @@ def random_triangular_substitution(rng, sig):
         for g2 in ids[:pos]:
             if g2[0] == g[0] and rng.random() < 0.5:
                 if nv:
-                    coeff = Poly(nv, {
-                        tuple(1 if i == 0 else 0 for i in range(nv)):
-                        Fraction(rng.randint(-1, 1))
-                    })
+                    coeff = Poly.var(nv, 0).scale(rng.randint(-1, 1))
                 else:
                     coeff = Poly.const(nv, rng.randint(-2, 2))
                 img = img.add(GradedFunction.monomial(sig, (g2,), coeff))

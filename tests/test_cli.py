@@ -258,6 +258,10 @@ class TestExitCodes:
             "roundtrip",
             "coalgebra C {\n rank -1 = 1\n}\nmorphism F : C -> C { deg -1 = [[1/]] }\n",
             "end of expression after '/' (line 4, col 35)"),
+        "exponent above the degree cap": (
+            "roundtrip",
+            "base x\ncoord e : 1\nvf X : 0 { d/dx = (1 + x)^3000 }\n",
+            "exponent 3000 exceeds the degree cap 3 (line 3, col 27)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -313,6 +317,19 @@ class TestExitCodes:
         assert code == 2 and message in rep["witnesses"]["error"]
         with pytest.raises(ParseError):
             parse_document(source)
+
+    def test_exponent_cap_follows_max_degree(self):
+        source = "base x\ncoord e : 1\nvf X : 0 { d/dx = (1 + x)^4 }\n"
+        with pytest.raises(ParseError, match="exponent 4 exceeds the degree cap 3"):
+            parse_document(source)
+        assert parse_document(source, max_degree=4).vfs["X"].actions
+
+    def test_base_variable_power_is_uncapped_and_prints_back(self):
+        # the printer writes base degree 4 as x^4, above the cap 3 of this chart
+        doc = parse_document("base x\ncoord e : 1\nvf X : 0 { d/dx = x*x*x*x + x^3000 }\n")
+        printed = pretty_print(doc)
+        assert "x^3000 + x^4" in printed
+        assert pretty_print(parse_document(printed)) == printed
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.gm"

@@ -33,7 +33,11 @@ from gradman.exactnum import (
     primitive_vector,
     rank_at,
     rank_generic,
+    rat_inverse,
+    rat_kernel,
     rat_rank,
+    rat_rref,
+    rat_solve,
     span_rank,
 )
 from randchart import SPLIT_CORPUS, conjugate_frames, partition_count
@@ -770,3 +774,148 @@ class TestAdmissibilityDecision:
         rep = check_admissible(e, ORIGIN)
         assert not compute_K(e, -2).contains_image and not rep.per_degree[-2].equal
         assert len(calls) == 1
+
+
+# --- the splitting isomorphism against the per-column solve -----------------
+
+
+def per_column_splitting_iso(E, at_point=None):
+    """splitting_iso with one dense product and one rational solve per
+    column of the comultiplication; a slow oracle for the one elimination
+    per degree."""
+    if not E.is_constant():
+        E = CoalgebraBundle(E.n, (), E.ranks, {
+            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+                for bk, m in blocks.items()}
+            for i, blocks in E.mu.items()})
+    mu_rat = {i: E.full_mu(i).to_rat() for i in range(1, E.n + 1)}
+    kernels = {i: rat_kernel(m, cols=E.rank(i)) for i, m in mu_rat.items()}
+    S = split_coalgebra([len(kernels[i]) for i in range(1, E.n + 1)], E.base_names)
+    matrices = {1: PolyMatrix.identity(E.rank(1), E.nvars)}
+    for i in range(2, E.n + 1):
+        r, rs = E.rank(i), S.rank(i)
+        singleton_pos, decomp_pos = {}, []
+        for t, w in enumerate(S.split.monomials[i]):
+            if len(w) == 1 and w[0][0] == i:
+                singleton_pos[w[0][1]] = t
+            else:
+                decomp_pos.append(t)
+        ker = kernels[i]
+        d_i = len(ker)
+        if rs != r:
+            raise NotAdmissible(
+                f"rank mismatch at degree {-i}: bundle rank {r}, split model rank {rs}")
+        m = mu_rat[i]
+        _, complement = rat_rref(m) if m else ([], [])
+        if len(complement) + d_i != r:
+            raise NotAdmissible(f"kernel/image ranks do not fill degree {-i}")
+        basis_change = [[Fraction(0)] * r for _ in range(r)]
+        for t, kv in enumerate(ker):
+            for row in range(r):
+                basis_change[row][t] = kv[row]
+        for t, c in enumerate(complement):
+            basis_change[c][d_i + t] = Fraction(1)
+        try:
+            inv = rat_inverse(basis_change)
+        except ValueError:
+            raise NotAdmissible(f"kernel and pivot complement overlap at degree {-i}")
+        proj = inv[:d_i]
+        smu = S.full_mu(i).to_rat()
+        decomp_cols = [[row[c] for c in decomp_pos] for row in smu]
+        tsq = CoalgebraMorphism(E, S, matrices).tensor_square(i).to_rat()
+        cols_out = []
+        for c in range(r):
+            w = [row[c] for row in m]
+            tw = [sum((row[s] * w[s] for s in range(len(w))), Fraction(0)) for row in tsq]
+            if decomp_cols and decomp_cols[0]:
+                sol, _ = rat_solve(decomp_cols, tw)
+            else:
+                sol = [] if all(v == 0 for v in tw) else None
+            if sol is None:
+                raise NotAdmissible(
+                    f"comultiplication image leaves the constraint space at degree {-i}")
+            col = [Fraction(0)] * rs
+            for t in range(d_i):
+                col[singleton_pos[t]] = proj[t][c]
+            for t, pos in enumerate(decomp_pos):
+                col[pos] = sol[t]
+            cols_out.append(col)
+        mat = [[cols_out[c][row] for c in range(r)] for row in range(rs)]
+        try:
+            rat_inverse(mat)
+        except ValueError:
+            raise NotAdmissible(f"splitting map is singular at degree {-i}")
+        matrices[i] = PolyMatrix.from_rat(rs, r, mat, E.nvars)
+    return CoalgebraMorphism(E, S, matrices)
+
+
+def splitting_outcome(split, e, at_point=None):
+    """(target ranks, matrices) of a splitting, or the NotAdmissible message."""
+    try:
+        iso = split(e, at_point)
+    except NotAdmissible as exc:
+        return str(exc)
+    return iso.target.ranks, iso.matrices
+
+
+def rank_dropped(rng, profile):
+    """A split bundle with one or two nonzero top-degree comultiplication
+    columns zeroed, under random constant frames: not admissible."""
+    s = split_coalgebra(list(profile))
+    n = s.n
+    cols = [c for c, col in enumerate(s.mu_columns(n)) if col]
+    zeroed = set(rng.sample(cols, min(len(cols), rng.randint(1, 2))))
+    mu = dict(s.mu)
+    mu[n] = {bk: PolyMatrix(m.rows, m.cols, [
+        [Poly.zero(0) if c in zeroed else p for c, p in enumerate(row)] for row in m.entries], 0)
+        for bk, m in s.mu[n].items()}
+    return conjugate_frames(rng, CoalgebraBundle(n, (), dict(s.ranks), mu))
+
+
+class TestSplittingIsoOracle:
+    def test_split_corpus_and_conjugates(self):
+        rng = random.Random(9)
+        # the oracle alone takes seconds on 3|3|3|3, the one profile left out
+        for profile in [p for p in SPLIT_CORPUS if p != (3, 3, 3, 3)]:
+            for e in (split_coalgebra(list(profile)),
+                      conjugate_frames(rng, split_coalgebra(list(profile)))):
+                fast = splitting_outcome(splitting_iso, e)
+                assert not isinstance(fast, str), (profile, fast)
+                assert fast == splitting_outcome(per_column_splitting_iso, e), profile
+
+    def test_x_dependent_bundles_at_a_fiber(self):
+        rng = random.Random(4)
+        x = Poly.var(1, 0)
+        cases = []
+        for profile, base in [((2, 1), ("x",)), ((1, 1, 1), ("x",)), ((2, 1, 1), ("x", "y")),
+                              ((2, 2, 1), ("x",)), ((1, 1, 1, 1), ("x", "y"))]:
+            s = split_coalgebra(list(profile), base_names=base)
+            frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                      for i in range(1, s.n + 1)}
+            cases += [(transport_frames(s, frames), p) for p in X_POINTS[len(base)]]
+        for profile in [(2, 1), (1, 1, 1), (2, 2, 1)]:
+            # rank drops at x = 1 only
+            e = scaled_bundle(split_coalgebra(list(profile), base_names=("x",)), x.sub(Poly.one(1)))
+            cases += [(e, [Fraction(1)]), (e, [Fraction(2)])]
+        outcomes = []
+        for e, point in cases:
+            fast = splitting_outcome(splitting_iso, e, point)
+            assert fast == splitting_outcome(per_column_splitting_iso, e, point), (e, point)
+            outcomes.append(isinstance(fast, str))
+        assert True in outcomes and False in outcomes
+
+    def test_rank_dropped_negatives_raise_the_same_refusal(self):
+        rng = random.Random(6)
+        messages = Counter()
+        bundles = [rank_dropped(rng, p) for p in [(3, 3), (2, 2, 1), (1, 1, 1, 1), (2, 1, 0, 1)]]
+        for profile in [(2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 1, 1)]:
+            bundles += [random_constant_bundle(rng, profile) for _ in range(3)]
+        bundles.append(zero_mu_bundle())
+        for e in bundles:
+            fast = splitting_outcome(splitting_iso, e)
+            assert isinstance(fast, str), e
+            assert fast == splitting_outcome(per_column_splitting_iso, e), e
+            messages[fast.split(" at degree")[0]] += 1
+        # both the rank check and a pivot in the right-hand part refuse
+        assert messages["rank mismatch"] and messages[
+            "comultiplication image leaves the constraint space"], messages

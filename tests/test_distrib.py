@@ -333,9 +333,8 @@ class TestFrobeniusRandomized:
             # unipotent same-degree mixing with earlier generators
             for g2 in ids[:pos]:
                 if g2[0] == g[0] and rng.random() < 0.5:
-                    coeff = Poly.const(nv, rng.randint(-2, 2)) if nv == 0 else Poly(
-                        nv, {tuple(1 if i == 0 else 0 for i in range(nv)): Fraction(rng.randint(-1, 1))}
-                    )
+                    coeff = Poly.const(nv, rng.randint(-2, 2)) if nv == 0 else (
+                        Poly.var(nv, 0).scale(rng.randint(-1, 1)))
                     img = img.add(GradedFunction.monomial(sig, (g2,), coeff))
             # corrections by strictly lower degree monomials
             words = [w for w in monomials_of_degree(ids, g[0]) if len(w) > 1]

@@ -105,6 +105,165 @@ class TestPolyArith:
             assert p.antiderivative(0).derivative(0) == p
 
 
+# --- canonical coefficients against a Fraction-only reference ----------------
+
+
+def ref(p):
+    """The terms of a Poly as a plain {exponents: Fraction} dict."""
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, c):
+    return ref_clean({e: Fraction(c) * v for e, v in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k, nvars):
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_compose(a, subs, nvars):
+    out = {}
+    for exps, c in a.items():
+        term = {(0,) * nvars: c}
+        for sub, k in zip(subs, exps):
+            term = ref_mul(term, ref_pow(sub, k, nvars))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_derivative(a, i):
+    out = {}
+    for exps, c in a.items():
+        if exps[i]:
+            e = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            out[e] = out.get(e, Fraction(0)) + c * exps[i]
+    return ref_clean(out)
+
+
+def ref_antiderivative(a, i):
+    return {exps[:i] + (exps[i] + 1,) + exps[i + 1:]: c / (exps[i] + 1)
+            for exps, c in a.items()}
+
+
+def ref_eval(a, point):
+    total = Fraction(0)
+    for exps, c in a.items():
+        v = c
+        for x, k in zip(point, exps):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+def canonical_poly(rng, nvars=2, integral=False):
+    """A random Poly built through the public constructors only; with
+    `integral` every coefficient is an integer."""
+    p = Poly.zero(nvars)
+    for _ in range(rng.randint(0, 4)):
+        c = Fraction(rng.randint(-6, 6), 1 if integral else rng.randint(1, 3))
+        mono = Poly.const(nvars, c)
+        for i in range(nvars):
+            mono = mono.mul(Poly.var(nvars, i).pow(rng.randint(0, 2)))
+        p = p.add(mono)
+    return p
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) in (int, Fraction), type(c)
+        assert (type(c) is int) == (Fraction(c).denominator == 1), c
+    return ref(p)
+
+
+class TestCanonicalCoefficients:
+    def pairs(self, seed):
+        rng = random.Random(seed)
+        for t in range(80):
+            yield (canonical_poly(rng, integral=t % 2 == 0),
+                   canonical_poly(rng, integral=t % 3 == 0))
+
+    def test_ring_operations_match_fraction_reference(self):
+        rng = random.Random(21)
+        for a, b in self.pairs(20):
+            ra, rb = assert_canonical(a), assert_canonical(b)
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            assert assert_canonical(a.add(b)) == ref_add(ra, rb)
+            assert assert_canonical(a.sub(b)) == ref_add(ra, ref_scale(rb, -1))
+            assert assert_canonical(a.neg()) == ref_scale(ra, -1)
+            assert assert_canonical(a.mul(b)) == ref_mul(ra, rb)
+            assert assert_canonical(a.scale(c)) == ref_scale(ra, c)
+            assert assert_canonical(a.scale(2)) == ref_scale(ra, 2)
+            assert assert_canonical(a.pow(3)) == ref_pow(ra, 3, 2)
+            subs = [b, a.add(Poly.var(2, 0))]
+            assert assert_canonical(a.compose(subs)) == ref_compose(ra, [ref(s) for s in subs], 2)
+
+    def test_calculus_and_division_match_fraction_reference(self):
+        for a, b in self.pairs(22):
+            ra, rb = ref(a), ref(b)
+            for i in range(2):
+                assert assert_canonical(a.derivative(i)) == ref_derivative(ra, i)
+                assert assert_canonical(a.antiderivative(i)) == ref_antiderivative(ra, i)
+            if b.is_zero():
+                continue
+            q = a.mul(b).div_exact(b)
+            assert assert_canonical(q) == ra
+            q = a.div_exact(b)
+            if q is not None:
+                assert ref_mul(assert_canonical(q), rb) == ra
+
+    def test_eval_and_extracted_values_are_fractions(self):
+        rng = random.Random(23)
+        for a, _ in self.pairs(24):
+            point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+            got = a.eval(point)
+            assert type(got) is Fraction and got == ref_eval(ref(a), point)
+            assert type(a.eval([1, 2])) is Fraction
+            if not a.is_zero():
+                exps, lc = a.leading()
+                assert type(lc) is Fraction and lc == a.terms[exps]
+        for c in (0, 3, Fraction(6, 2), Fraction(-1, 2)):
+            p = Poly.const(2, c)
+            assert type(p.constant_value()) is Fraction and p.constant_value() == c
+            assert_canonical(p)
+        # integral products and quotients of integral data stay int
+        two = Poly.const(1, Fraction(4, 2))
+        assert two.terms == {(0,): 2} and type(two.terms[(0,)]) is int
+        half = Poly.const(1, Fraction(1, 2))
+        assert type(half.mul(two).terms[(0,)]) is int
+        assert type(Poly.var(1, 0).scale(2).div_exact(two).terms[(1,)]) is int
+        assert assert_canonical(Poly.var(1, 0).div_exact(Poly.const(1, 3))) == {(1,): Fraction(1, 3)}
+
+    def test_monomial_product_drops_a_zero_coefficient(self):
+        # a Poly built by hand may hold a zero coefficient; the product drops it
+        zero_term = Poly(2, {(1, 0): 0})
+        assert Poly.var(2, 1).mul(zero_term).is_zero()
+        assert zero_term.mul(Poly.var(2, 1)).terms == {}
+
+
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
         m = PolyMatrix.identity(3, 1)

@@ -44,9 +44,9 @@ def dd(sig, name):
 
 
 def rand_coeff(rng, sig):
-    return Poly(sig.m0, {
-        tuple(rng.randint(0, 1) for _ in range(sig.m0)): Fraction(rng.randint(-3, 3))
-    }).add(Poly.zero(sig.m0))
+    exps = tuple(rng.randint(0, 1) for _ in range(sig.m0))
+    c = rng.randint(-3, 3)
+    return Poly(sig.m0, {exps: c} if c else {})
 
 
 def rand_field(rng, sig, degree):
