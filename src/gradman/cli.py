@@ -547,6 +547,8 @@ class ExprEval:
         self.tokens = tokens
         self.pos = 0
         self.sig = sig
+        # largest product of nested exponents expanded in the factor being parsed
+        self.power = 1
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -600,8 +602,11 @@ class ExprEval:
         The exponent is capped by the chart's degree cap, because expanding a
         power costs time that grows with it, except on a bare base variable:
         that power is one monomial, and the pretty printer writes any base
-        degree that way.
+        degree that way.  A power of an atom that already holds a power is
+        capped on the product of the nested exponents, so nesting cannot
+        multiply its way past the cap.
         """
+        outer, self.power = self.power, 1
         a = self.peek()
         f = self.parse_atom()
         t = self.peek()
@@ -614,12 +619,17 @@ class ExprEval:
             k = int(e.text)
             sig = self.sig
             if a.kind == "id" and a.text in sig.base_names:
+                self.power = outer
                 return GradedFunction.from_poly(
                     sig, Poly.var(sig.m0, sig.base_names.index(a.text)).pow(k))
-            if k > sig.max_degree:
-                raise ParseError(f"exponent {k} exceeds the degree cap {sig.max_degree}",
+            power = k * self.power
+            if power > sig.max_degree:
+                what = f"exponent {k}" if self.power == 1 else f"nested exponent {power}"
+                raise ParseError(f"{what} exceeds the degree cap {sig.max_degree}",
                                  e.line, e.col)
+            self.power = power
             f = f.pow(k)
+        self.power = max(outer, self.power)
         return f
 
     def parse_atom(self) -> GradedFunction:

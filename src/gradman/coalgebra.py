@@ -27,6 +27,7 @@ from .exactnum import (
     rank_generic,
     rat_inverse,
     rat_kernel,
+    rat_pivots,
     rat_rref,
 )
 from .gradedring import (
@@ -809,8 +810,7 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
                 f"rank mismatch at degree {-i}: bundle rank {r}, split model rank {rs}"
             )
         # coordinates along the kernel inside ker (+) complement
-        m = mu_rat[i]
-        _, complement = rat_rref(m) if m else ([], [])
+        complement = rat_pivots(mu_rat[i])
         if len(complement) + d_i != r:
             raise NotAdmissible(f"kernel/image ranks do not fill degree {-i}")
         basis_change = [[Fraction(0)] * r for _ in range(r)]

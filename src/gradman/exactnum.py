@@ -5,7 +5,11 @@ Scalars are `fractions.Fraction` (arbitrary precision, normalized gcd = 1,
 positive denominator), aliased as `Rat`.  Polynomials are sparse maps from
 exponent vectors to nonzero coefficients in canonical form: a Python `int`
 when the coefficient is integral and a `Fraction` otherwise, so integral data
-never pays for Fraction objects.  Values that leave a polynomial
+never pays for Fraction objects.  The form is canonical on construction:
+`Poly(nvars, terms)` drops zeros and coerces every coefficient, so input
+built from Fractions or floats runs on ints like parsed input; the operations
+here build their already canonical results through `_poly`, which checks
+nothing.  Values that leave a polynomial
 (`constant_value`, `leading`, `eval`) are always Fractions.  The monomial
 order used for pivoting is graded lexicographic.  Everything here is
 immutable in spirit: operations return fresh values and never mutate their
@@ -35,6 +39,12 @@ def _canon(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _coeff(c):
+    """Any exact rational value (int, bool, Fraction, float, numeric string) in
+    stored form."""
+    return c if type(c) is int else _canon(Fraction(c))
+
+
 def _point(point: Sequence) -> list:
     """Rational coordinates in canonical form, so integral data evaluates on ints."""
     return [_canon(Fraction(p)) for p in point]
@@ -49,28 +59,27 @@ class Poly:
     """Sparse multivariate polynomial over the rationals.
 
     `terms` maps exponent tuples (length `nvars`) to nonzero coefficients,
-    each an `int` when integral and a `Fraction` otherwise.
+    each an `int` when integral and a `Fraction` otherwise.  The form is
+    canonical on construction: the constructor drops zero coefficients and
+    stores the rest by the rule of `Poly.const`, so no float is ever kept.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
-        self.terms = terms
+        self.terms = {e: c for e, c in ((e, _coeff(v)) for e, v in terms.items()) if c}
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, {})
+        return _poly(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        if not isinstance(c, int):
-            c = _canon(Fraction(c))
-        if c == 0:
-            return cls(nvars, {})
-        return cls(nvars, {(0,) * nvars: c})
+        c = _coeff(c)
+        return _poly(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
@@ -79,7 +88,7 @@ class Poly:
     @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exps: 1})
+        return _poly(nvars, {exps: 1})
 
     # --- predicates ---------------------------------------------------
 
@@ -116,10 +125,10 @@ class Poly:
                 terms[exps] = _canon(s)
             else:
                 terms.pop(exps, None)
-        return Poly(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     def neg(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def sub(self, other: "Poly") -> "Poly":
         return self.add(other.neg())
@@ -127,27 +136,23 @@ class Poly:
     def mul(self, other: "Poly") -> "Poly":
         self._check(other)
         if len(self.terms) == 1 == len(other.terms):
-            # one term times one term: a single product, zero only when a
-            # factor holds a zero coefficient
+            # one term times one term: a single product, nonzero because
+            # stored coefficients are
             (e1, c1), = self.terms.items()
             (e2, c2), = other.terms.items()
-            c = c1 * c2
-            if not c:
-                return Poly(self.nvars, {})
-            return Poly(self.nvars, {tuple(map(operator.add, e1, e2)): _canon(c)})
+            return _poly(self.nvars, {tuple(map(operator.add, e1, e2)): _canon(c1 * c2)})
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(operator.add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Poly(self.nvars, {e: _canon(c) for e, c in terms.items() if c})
+        return _poly(self.nvars, {e: _canon(c) for e, c in terms.items() if c})
 
     def scale(self, c) -> "Poly":
-        if not isinstance(c, int):
-            c = _canon(Fraction(c))
+        c = _coeff(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: _canon(c * v) for e, v in self.terms.items()})
+        return _poly(self.nvars, {e: _canon(c * v) for e, v in self.terms.items()})
 
     def pow(self, k: int) -> "Poly":
         result = Poly.one(self.nvars)
@@ -171,7 +176,7 @@ class Poly:
             e[i] -= 1
             te = tuple(e)
             terms[te] = terms.get(te, 0) + c * k
-        return Poly(self.nvars, {e: _canon(c) for e, c in terms.items() if c})
+        return _poly(self.nvars, {e: _canon(c) for e, c in terms.items() if c})
 
     def antiderivative(self, i: int) -> "Poly":
         """Termwise antiderivative in variable i with zero constant term."""
@@ -180,7 +185,7 @@ class Poly:
             e = list(exps)
             e[i] += 1
             terms[tuple(e)] = _canon(Fraction(c, e[i]))
-        return Poly(self.nvars, terms)
+        return _poly(self.nvars, terms)
 
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -244,8 +249,8 @@ class Poly:
                 return None
             # leading exponents strictly fall, so each qe is new
             qterms[qe] = qc = _canon(Fraction(rem.terms[le], lc))
-            rem = rem.sub(Poly(self.nvars, {qe: qc}).mul(other))
-        return Poly(self.nvars, qterms)
+            rem = rem.sub(_poly(self.nvars, {qe: qc}).mul(other))
+        return _poly(self.nvars, qterms)
 
     # --- dunder -------------------------------------------------------
 
@@ -287,6 +292,17 @@ class Poly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+
+_new = object.__new__
+
+
+def _poly(nvars: int, terms: dict) -> Poly:
+    """A Poly on terms already in canonical form, without the constructor's pass."""
+    p = _new(Poly)
+    p.nvars = nvars
+    p.terms = terms
+    return p
 
 
 # --- matrices ------------------------------------------------------------
@@ -510,9 +526,15 @@ def primitive_vector(vec: list) -> list:
 # --- rational (Fraction) linear algebra ----------------------------------
 
 
+def rat_pivots(m: list) -> list:
+    """Pivot columns of a matrix given as list of Fraction rows, from one
+    forward elimination; they are the pivots of its RREF."""
+    return _eliminate(_int_rows(m), _INT_OPS, reduce=False)[0]
+
+
 def rat_rank(m: list) -> int:
     """Rank of a matrix given as list of Fraction rows."""
-    return len(_eliminate(_int_rows(m), _INT_OPS, reduce=False)[0])
+    return len(rat_pivots(m))
 
 
 def rat_rref(m: list):

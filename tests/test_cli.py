@@ -262,6 +262,10 @@ class TestExitCodes:
             "roundtrip",
             "base x\ncoord e : 1\nvf X : 0 { d/dx = (1 + x)^3000 }\n",
             "exponent 3000 exceeds the degree cap 3 (line 3, col 27)"),
+        "nested powers above the degree cap": (
+            "roundtrip",
+            "base x\ncoord e : 1\nvf X : 0 { d/dx = ((((((1 + x)^3)^3)^3)^3)^3)^3 }\n",
+            "nested exponent 9 exceeds the degree cap 3 (line 3, col 35)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -323,6 +327,11 @@ class TestExitCodes:
         with pytest.raises(ParseError, match="exponent 4 exceeds the degree cap 3"):
             parse_document(source)
         assert parse_document(source, max_degree=4).vfs["X"].actions
+        # nested exponents count by their product; a bare base power counts 1
+        nested = "base x\ncoord e : 1\nvf X : 0 { d/dx = ((1 + x)^3)^3 + ((x^5 + 1)^3)^1 }\n"
+        with pytest.raises(ParseError, match="nested exponent 9 exceeds the degree cap 3"):
+            parse_document(nested)
+        assert parse_document(nested, max_degree=9).vfs["X"].actions
 
     def test_base_variable_power_is_uncapped_and_prints_back(self):
         # the printer writes base degree 4 as x^4, above the cap 3 of this chart

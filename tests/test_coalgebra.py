@@ -85,6 +85,18 @@ class TestCheckCoalgebra:
         assert not rep.cocommutative
         assert rep.witnesses[0][0] == "cocommutativity"
 
+    def test_explicit_zero_entry_is_zero(self):
+        # Fraction(0) placed in the all-zero second column of the (1, 1) block
+        s = split_coalgebra([2, 1])
+        for row in range(4):
+            entries = [list(r) for r in s.mu[2][(1, 1)].entries]
+            entries[row][1] = Poly(0, {(): Fraction(0)})
+            e = CoalgebraBundle(2, (), dict(s.ranks),
+                                {2: {(1, 1): PolyMatrix(4, 2, entries, 0)}})
+            rep = check_coalgebra(e)
+            assert rep.ok and not rep.witnesses, (row, rep.witnesses)
+            assert e == s
+
     def test_dvb_bundle_passes(self):
         phi = PolyMatrix.identity(4, 0)
         e = dvb_coalgebra(2, 2, 0, 4, phi, 2)
@@ -919,3 +931,52 @@ class TestSplittingIsoOracle:
         # both the rank check and a pivot in the right-hand part refuse
         assert messages["rank mismatch"] and messages[
             "comultiplication image leaves the constraint space"], messages
+
+
+def fraction_built(e):
+    """e rebuilt through the public Poly constructor from Fraction
+    coefficients, each zero entry spelled as an explicit Fraction(0)."""
+    nv = e.nvars
+    zero = {(0,) * nv: Fraction(0)}
+    mu = {i: {bk: PolyMatrix(m.rows, m.cols, [
+        [Poly(nv, {x: Fraction(c) for x, c in p.terms.items()} or zero) for p in row]
+        for row in m.entries], nv) for bk, m in blocks.items()}
+        for i, blocks in e.mu.items()}
+    return CoalgebraBundle(e.n, e.base_names, dict(e.ranks), mu)
+
+
+class TestFractionBuiltBundles:
+    def cases(self):
+        """(bundle, sample points, splitting point): conjugated constant
+        bundles, x-dependent frame transports and one rank drop."""
+        rng = random.Random(17)
+        for profile in [(2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 0, 1), (3, 3)]:
+            yield conjugate_frames(rng, split_coalgebra(list(profile))), ORIGIN, None
+        for profile, base in [((2, 1), ("x",)), ((1, 1, 1), ("x",)), ((2, 2, 1), ("x",)),
+                              ((2, 1, 1), ("x", "y")), ((1, 1, 1, 1), ("x", "y"))]:
+            s = split_coalgebra(list(profile), base_names=base)
+            frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                      for i in range(1, s.n + 1)}
+            points = X_POINTS[len(base)]
+            yield transport_frames(s, frames), points, points[1]
+        root = scaled_bundle(split_coalgebra([2, 1], base_names=("x",)),
+                             Poly.var(1, 0).sub(Poly.one(1)))
+        yield root, [[Fraction(1)], [Fraction(2)]], [Fraction(1)]
+
+    def test_match_int_built_twins(self):
+        for e, points, at in self.cases():
+            f = fraction_built(e)
+            for i, blocks in e.mu.items():
+                for bk, m in blocks.items():
+                    for row, frow in zip(m.entries, f.mu[i][bk].entries):
+                        for p, q in zip(row, frow):
+                            assert p.terms == q.terms
+                            assert [type(c) for c in p.terms.values()] == \
+                                [type(c) for c in q.terms.values()]
+            for i in range(2, e.n + 2):
+                ke, kf = compute_K(e, -i), compute_K(f, -i)
+                assert ke.vectors == kf.vectors, (e, i)
+                assert ke.contains_image == kf.contains_image, (e, i)
+            assert check_admissible(f, points) == check_admissible(e, points), e
+            assert splitting_outcome(splitting_iso, f, at) == \
+                splitting_outcome(splitting_iso, e, at), e

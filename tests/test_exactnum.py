@@ -258,10 +258,34 @@ class TestCanonicalCoefficients:
         assert assert_canonical(Poly.var(1, 0).div_exact(Poly.const(1, 3))) == {(1,): Fraction(1, 3)}
 
     def test_monomial_product_drops_a_zero_coefficient(self):
-        # a Poly built by hand may hold a zero coefficient; the product drops it
+        # the constructor drops a zero coefficient, so a product never meets one
         zero_term = Poly(2, {(1, 0): 0})
+        assert zero_term.terms == {} and zero_term.is_zero()
         assert Poly.var(2, 1).mul(zero_term).is_zero()
         assert zero_term.mul(Poly.var(2, 1)).terms == {}
+
+    def test_constructor_is_canonical(self):
+        zeros = Poly(2, {(1, 0): 0, (0, 1): Fraction(0), (0, 0): 0.0, (2, 0): Fraction(0, 5)})
+        assert zeros.terms == {} and zeros.is_zero() and zeros == Poly.zero(2)
+        assert Poly(0, {(): Fraction(0)}).is_zero()
+        p = Poly(2, {(0, 0): Fraction(6, 2), (1, 0): Fraction(1, 2), (0, 1): 0.25, (1, 1): -4.0})
+        assert p.terms == {(0, 0): 3, (1, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 1): -4}
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, Fraction, int]
+        assert_canonical(p)
+        # equal to, and hashing with, its twin built by the named constructors
+        for c in (3, Fraction(6, 2), Fraction(1, 2), -2.5, True):
+            hand, twin = Poly(1, {(0,): c}), Poly.const(1, c)
+            assert hand == twin and hash(hand) == hash(twin) and hand.terms == twin.terms
+            assert all(type(a) is type(b) for a, b in zip(hand.terms.values(), twin.terms.values()))
+        assert Poly.const(1, True).to_string(["x"]) == "1" and Poly(1, {(0,): False}).is_zero()
+        hand, twin = Poly(3, {(0, 1, 0): Fraction(1)}), Poly.var(3, 1)
+        assert hand == twin and hash(hand) == hash(twin)
+        assert type(hand.terms[(0, 1, 0)]) is int
+        # the constructor copies: later edits to the input dict do not reach it
+        terms = {(1,): Fraction(2)}
+        q = Poly(1, terms)
+        terms[(1,)] = 5
+        assert q.terms == {(1,): 2}
 
 
 class TestKernel:
