@@ -49,6 +49,11 @@ from .fields import (
 from .geometrize import geometrize, reduce_product, roundtrip
 from .gradedring import GradedFunction, GradedSignature
 
+# Largest declared `coord` or `rank` degree.  The engine's work grows with the
+# square of the chart degree: `admissible` on `rank -1000 = 1` takes about
+# 0.2 s, so the cap keeps any declaration well under a second.
+MAX_DECLARED_DEGREE = 1000
+
 # --- tokenizer -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -280,6 +285,9 @@ class Parser:
                 deg = int(self.expect("int").text)
                 if deg < 1:
                     raise ParseError("coordinate degree must be >= 1", t.line, t.col)
+                if deg > MAX_DECLARED_DEGREE:
+                    raise ParseError(f"coordinate degree {deg} exceeds the cap "
+                                     f"{MAX_DECLARED_DEGREE}", t.line, t.col)
                 coords.append((name, deg))
             elif t.text in raw:
                 decl = getattr(self, "parse_" + t.text)()
@@ -362,6 +370,9 @@ class Parser:
                 deg = self.parse_signed_int()
                 if deg >= 0:
                     raise ParseError("rank degree must be negative", key.line, key.col)
+                if -deg > MAX_DECLARED_DEGREE:
+                    raise ParseError(f"rank degree {deg} is below the cap "
+                                     f"-{MAX_DECLARED_DEGREE}", key.line, key.col)
                 self.expect("sym", "=")
                 ranks[-deg] = int(self.expect("int").text)
             elif key.text == "mu":

@@ -7,8 +7,11 @@ whose exact division by the pivot determinant fails is reported as
 flattens positive-degree generators by exact antiderivative substitutions,
 reduces degree-0 generators modulo the flat ones, straightens constant
 symbols by a linear base change, and integrates the remaining connection
-terms through a terminating Picard iteration.  Cases outside the
-algebraically solvable scope fail loudly with a precise diagnostic.
+terms through a terminating Picard iteration.  Each of these coordinate
+changes carries its own inverse, built in closed form from the data that
+defines the step and checked two-sided before the step is taken.  Cases
+outside the algebraically solvable scope fail loudly with a precise
+diagnostic.
 """
 
 from __future__ import annotations
@@ -280,27 +283,50 @@ class FrobeniusChart:
 
 
 def _apply_step(state, sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
-                base: Optional[list] = None):
-    """Push one substitution through the cumulative maps and all generators.
+                inv_gmap: Dict[GenId, GradedFunction], base: Optional[list] = None,
+                inv_base: Optional[list] = None):
+    """Push one substitution and its inverse through the cumulative maps and
+    all generators.
 
     The step sends the generators in `gmap` to their images, every other
     generator to itself, and the base coordinates to `base` (default: to
-    themselves); its inverse comes from `_invert_chart_map`."""
+    themselves); `inv_gmap` and `inv_base` give its inverse the same way.
+    Each site builds that inverse in closed form from the data of its step,
+    and both composites are checked to be the identity here."""
+    step, inverse = _substitution(sig, gmap, base), _substitution(sig, inv_gmap, inv_base)
+    if not step.after(inverse).is_identity() or not inverse.after(step).is_identity():
+        raise NonPolynomialFlatFrame("substitution inverse verification failed")
+    total_nio, total_oin, gens = state
+    return (step.after(total_nio), total_oin.after(inverse),
+            [transform_field(g, step, inverse) for g in gens])
+
+
+def _substitution(sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
+                  base: Optional[list]) -> ChartMap:
     if base is None:
         base = [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
-    step_nio = ChartMap(sig, sig, base, _gen_map_with(sig, gmap))
-    step_oin = _invert_chart_map(step_nio)
-    total_nio, total_oin, gens = state
-    total_nio = step_nio.after(total_nio)
-    total_oin = total_oin.after(step_oin)
-    gens = [transform_field(g, step_nio, step_oin) for g in gens]
-    return total_nio, total_oin, gens
+    gens = {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()}
+    gens.update(gmap)
+    return ChartMap(sig, sig, base, gens)
 
 
-def _gen_map_with(sig: GradedSignature, overrides: Dict[GenId, GradedFunction]):
-    out = {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()}
-    out.update(overrides)
-    return out
+def _polynomial_inverse(m: PolyMatrix, degree: int) -> PolyMatrix:
+    inv = poly_inverse(m)
+    if inv is None:
+        raise NonPolynomialFlatFrame(f"degree {degree} linear block has no polynomial inverse")
+    return inv
+
+
+def _linear_gens(sig: GradedSignature, words: list, coeffs: Dict[GenId, list]):
+    """Generator images g -> sum over t of coeffs[g][t] * words[t]."""
+    return {g: GradedFunction(sig, dict(zip(words, row))) for g, row in coeffs.items()}
+
+
+def _linear_base(sig: GradedSignature, m: list) -> list:
+    """Base images x_b -> sum over a of m[b][a] * x_a, for a constant matrix m."""
+    nv = sig.m0
+    units = [tuple(int(a == b) for a in range(nv)) for b in range(nv)]
+    return [GradedFunction.from_poly(sig, Poly(nv, dict(zip(units, row)))) for row in m]
 
 
 def _unimodular_alignment(a_rows: list, m: int, nv: int):
@@ -328,90 +354,6 @@ def _unimodular_alignment(a_rows: list, m: int, nv: int):
             if r != col and not coeff.is_zero():
                 rows[r] = [p.sub(coeff.mul(q)) for p, q in zip(rows[r], rows[col])]
     return PolyMatrix(m, m, [row[d:] for row in rows], nv)
-
-
-def _invert_chart_map(m: ChartMap) -> ChartMap:
-    """Inverse of a graded-triangular substitution with affine base part.
-
-    The per-degree linear blocks must be invertible over the polynomial ring;
-    decomposable corrections involve strictly lower degrees only."""
-    sig = m.source
-    nv = sig.m0
-    # base part: affine with constant coefficients
-    smat = [[Poly.zero(nv) for _ in range(nv)] for _ in range(nv)]
-    shift = [Fraction(0)] * nv
-    for b, f in enumerate(m.base):
-        body = f.body()
-        if f.terms and set(f.terms) != {()}:
-            raise NonPolynomialFlatFrame("base image mixes in positive-degree terms")
-        for exps, c in body.terms.items():
-            total = sum(exps)
-            if total == 0:
-                shift[b] = c
-            elif total == 1:
-                smat[b][exps.index(1)] = Poly.const(nv, c)
-            else:
-                raise NonPolynomialFlatFrame("base substitution is not affine")
-    s_rat = [[smat[r][c].constant_value() for c in range(nv)] for r in range(nv)]
-    try:
-        s_inv = rat_inverse(s_rat) if nv else []
-    except ValueError:
-        raise NonPolynomialFlatFrame("base substitution is singular")
-    inv_base = []
-    for a in range(nv):
-        f = GradedFunction.constant(sig, 0)
-        for b in range(nv):
-            if s_inv[a][b] != 0:
-                f = f.add(GradedFunction.base_var(sig, b).scale(s_inv[a][b]))
-        total_shift = sum((s_inv[a][b] * shift[b] for b in range(nv)), Fraction(0))
-        f = f.sub(GradedFunction.constant(sig, total_shift))
-        inv_base.append(f)
-    base_subs = [f.body() for f in inv_base]
-
-    inv_gens: Dict[GenId, GradedFunction] = {}
-    for degree in range(1, sig.n + 1):
-        gens = [(degree, t) for t in range(sig.rank(degree))]
-        if not gens:
-            continue
-        # split each image into a same-degree linear part and lower corrections
-        lin = [[Poly.zero(nv) for _ in gens] for _ in gens]
-        corr = []
-        for col, g in enumerate(gens):
-            img = m.gens[g]
-            c_fun = GradedFunction.zero(sig)
-            for w, coeff in img.terms.items():
-                if len(w) == 1 and w[0][0] == degree:
-                    lin[w[0][1]][col] = coeff
-                else:
-                    c_fun = c_fun.add(GradedFunction(sig, {w: coeff}))
-            corr.append(c_fun)
-        lmat = PolyMatrix(len(gens), len(gens), lin, nv)
-        # rewrite the linear block over the new base coordinates
-        lmat_new = lmat.map_entries(lambda p: p.compose(base_subs))
-        linv = poly_inverse(lmat_new)
-        if linv is None:
-            raise NonPolynomialFlatFrame(
-                f"degree {degree} linear block has no polynomial inverse"
-            )
-        # corrections involve strictly lower degrees: rewrite through the
-        # already inverted coordinates
-        rewritten = [
-            c.substitute(sig, inv_base, _gen_map_with(sig, inv_gens)) for c in corr
-        ]
-        # new = transpose(L) . old + corr, so old = transpose(inverse(L)) . (new - corr)
-        for row, g in enumerate(gens):
-            f = GradedFunction.zero(sig)
-            for col, g2 in enumerate(gens):
-                p = linv.entries[col][row]
-                if p.is_zero():
-                    continue
-                term = GradedFunction.from_gen(sig, g2).sub(rewritten[col])
-                f = f.add(term.scale(p))
-            inv_gens[g] = f
-    out = ChartMap(sig, sig, inv_base, _gen_map_with(sig, inv_gens))
-    if not m.after(out).is_identity() or not out.after(m).is_identity():
-        raise NonPolynomialFlatFrame("substitution inverse verification failed")
-    return out
 
 
 def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
@@ -446,17 +388,14 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                     val = gens[i].action(gen_coord((r, t)))
                     row.append(val.body())
                 a_rows.append(row)
+            # e_(r,t) -> sum_s T[t][s] e_(r,s); T is a product of elementary
+            # row operations with constant pivots, so its inverse is polynomial
             t_mat = _unimodular_alignment(a_rows, m_r, nv)
-            gmap = {}
-            for gnew in range(m_r):
-                f = GradedFunction.zero(sig)
-                for gold in range(m_r):
-                    p = t_mat.entries[gnew][gold]
-                    if not p.is_zero():
-                        f = f.add(GradedFunction.from_gen(sig, (r, gold)).scale(p))
-                gmap[(r, gnew)] = f
+            ids = [(r, t) for t in range(m_r)]
+            step, inverse = (_linear_gens(sig, [(g,) for g in ids], dict(zip(ids, m.entries)))
+                             for m in (t_mat, _polynomial_inverse(t_mat, r)))
             total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                     sig, gmap)
+                                                     sig, step, inverse)
             for pos, i in enumerate(z_idx):
                 flat_of[i] = gen_coord((r, pos))
             flat_sets[r] = [gen_coord((r, pos)) for pos in range(d_r)]
@@ -485,10 +424,13 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                             "self-bracket obstruction while flattening",
                             witness=gens[i], pair=(i, i),
                         )
+                    # G has degree r and is built from e_s (degree k < r), so
+                    # it holds no degree-r generator: c -> c + G undoes c -> c - G
                     big_g = graded_antiderivative(g_val, e_s)
-                    gmap = {c[1]: GradedFunction.from_gen(sig, c[1]).sub(big_g)}
+                    e_c = GradedFunction.from_gen(sig, c[1])
                     total_nio, total_oin, gens = _apply_step(
-                        (total_nio, total_oin, gens), sig, gmap)
+                        (total_nio, total_oin, gens), sig,
+                        {c[1]: e_c.sub(big_g)}, {c[1]: e_c.add(big_g)})
     for i in range(len(gens)):
         if gens[i].degree < 0:
             expected = VectorField.coordinate_field(sig, flat_of[i])
@@ -549,16 +491,9 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
             gens[i] = new_zero[pos]
         # base change sending the pivot directions to the leading coordinates
         comp = _complete_to_invertible(rref, pivots, nv)
-        s_inv = rat_inverse(comp)
-        base_new = []
-        for b in range(nv):
-            f = GradedFunction.constant(sig, 0)
-            for g in range(nv):
-                if s_inv[b][g] != 0:
-                    f = f.add(GradedFunction.base_var(sig, g).scale(s_inv[b][g]))
-            base_new.append(f)
-        total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                 sig, {}, base_new)
+        total_nio, total_oin, gens = _apply_step(
+            (total_nio, total_oin, gens), sig, {}, {},
+            _linear_base(sig, rat_inverse(comp)), _linear_base(sig, comp))
         for pos, i in enumerate(zero_idx):
             flat_of[i] = base_coord(pos)
         for i in zero_idx:
@@ -573,7 +508,6 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
             (r, t) for r in range(1, sig.n + 1)
             for t in range(len(flat_sets[r]), sig.rank(r))
         ]
-        gen_over: Dict[GenId, GradedFunction] = {}
         for degree in range(1, sig.n + 1):
             ids = [g for g in nonflat_ids if g[0] == degree]
             if not ids:
@@ -597,17 +531,19 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                         mat[row][bcol] = coeff
                 a_mats.append(PolyMatrix(n_w, n_w, mat, nv))
             f_total = _flat_frame(a_mats, n_w, d0, nv)
-            gmap = {}
-            for g in ids:
-                s_pos = windex[(g,)]
-                f = GradedFunction.zero(sig)
-                for row, w in enumerate(words):
-                    p = f_total.entries[row][s_pos]
-                    if not p.is_zero():
-                        f = f.add(GradedFunction.monomial(sig, w, p))
-                gmap[g] = f
+            # the step fixes the lower-degree generators, so on the degree-d
+            # words it is linear over Q[x]: generator columns from f_total,
+            # identity columns for products; its inverse reads the same
+            # columns of the inverse matrix
+            cols = [windex[(g,)] for g in ids]
+            frame = PolyMatrix.identity(n_w, nv)
+            for row in range(n_w):
+                for col in cols:
+                    frame.entries[row][col] = f_total.entries[row][col]
+            step, inverse = (_linear_gens(sig, words, {g: m.col(col) for g, col in zip(ids, cols)})
+                             for m in (frame, _polynomial_inverse(frame, degree)))
             total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                     sig, gmap)
+                                                     sig, step, inverse)
         for i in zero_idx:
             expected = VectorField.coordinate_field(sig, flat_of[i])
             if gens[i] != expected:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Rat = Fraction
 
@@ -674,9 +674,3 @@ def poly_inverse(m: PolyMatrix) -> Optional[PolyMatrix]:
     if any(v is None for row in inv for v in row):
         return None
     return PolyMatrix(n, n, inv, nv)
-
-
-def span_rank(columns: Iterable[list], nvars: int) -> int:
-    """Generic rank of the span of polynomial column vectors."""
-    a, ops = _prepare(list(columns), nvars)
-    return len(_eliminate(a, ops, reduce=False)[0])

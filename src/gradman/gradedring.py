@@ -170,26 +170,37 @@ class GradedFunction:
     """Element of the chart algebra in canonical form.
 
     `terms` maps canonical generator words to nonzero polynomial coefficients
-    in the base coordinates.
+    in the base coordinates.  The form is canonical on construction: the
+    constructor Koszul-sorts each word, merges words that coincide and drops
+    zero coefficients, so `is_zero` and `==` are structural.
     """
 
     __slots__ = ("sig", "terms")
 
     def __init__(self, sig: GradedSignature, terms: Dict[Gens, Poly]):
         self.sig = sig
-        self.terms = terms
+        out: Dict[Gens, Poly] = {}
+        for w, c in terms.items():
+            sign, canon = normalize(sig, w)
+            if sign == 0:
+                continue
+            if sign < 0:
+                c = c.neg()
+            s = out.get(canon)
+            out[canon] = c if s is None else s.add(c)
+        self.terms = {w: c for w, c in out.items() if not c.is_zero()}
 
     # --- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, sig: GradedSignature) -> "GradedFunction":
-        return cls(sig, {})
+        return _gf(sig, {})
 
     @classmethod
     def from_poly(cls, sig: GradedSignature, p: Poly) -> "GradedFunction":
         if p.nvars != sig.m0:
             raise SignatureMismatch("coefficient over wrong base variable count")
-        return cls(sig, {} if p.is_zero() else {(): p})
+        return _gf(sig, {} if p.is_zero() else {(): p})
 
     @classmethod
     def constant(cls, sig: GradedSignature, c) -> "GradedFunction":
@@ -207,14 +218,14 @@ class GradedFunction:
     def from_gen(cls, sig: GradedSignature, g: GenId) -> "GradedFunction":
         if not sig.has_gen(g):
             raise UnknownGenerator(f"generator {g!r} not in signature")
-        return cls(sig, {(g,): Poly.one(sig.m0)})
+        return _gf(sig, {(g,): Poly.one(sig.m0)})
 
     @classmethod
     def monomial(cls, sig: GradedSignature, word: Gens, coeff: Poly) -> "GradedFunction":
         sign, canon = normalize(sig, word)
         if sign == 0 or coeff.is_zero():
-            return cls.zero(sig)
-        return cls(sig, {canon: coeff.scale(sign)})
+            return _gf(sig, {})
+        return _gf(sig, {canon: coeff.scale(sign)})
 
     # --- structure ----------------------------------------------------
 
@@ -258,10 +269,10 @@ class GradedFunction:
                 terms.pop(w, None)
             else:
                 terms[w] = s
-        return GradedFunction(self.sig, terms)
+        return _gf(self.sig, terms)
 
     def neg(self) -> "GradedFunction":
-        return GradedFunction(self.sig, {w: c.neg() for w, c in self.terms.items()})
+        return _gf(self.sig, {w: c.neg() for w, c in self.terms.items()})
 
     def sub(self, other: "GradedFunction") -> "GradedFunction":
         return self.add(other.neg())
@@ -271,8 +282,8 @@ class GradedFunction:
             return self.mul(GradedFunction.from_poly(self.sig, c))
         c = Fraction(c)
         if c == 0:
-            return GradedFunction.zero(self.sig)
-        return GradedFunction(self.sig, {w: p.scale(c) for w, p in self.terms.items()})
+            return _gf(self.sig, {})
+        return _gf(self.sig, {w: p.scale(c) for w, p in self.terms.items()})
 
     def mul(self, other: "GradedFunction") -> "GradedFunction":
         self._check(other)
@@ -295,7 +306,7 @@ class GradedFunction:
                     terms.pop(canon, None)
                 else:
                     terms[canon] = s
-        return GradedFunction(sig, terms)
+        return _gf(sig, terms)
 
     def pow(self, k: int) -> "GradedFunction":
         result = GradedFunction.one(self.sig)
@@ -318,26 +329,27 @@ class GradedFunction:
             d = c.derivative(alpha)
             if not d.is_zero():
                 terms[w] = d
-        return GradedFunction(self.sig, terms)
+        return _gf(self.sig, terms)
 
     def derivative_gen(self, g: GenId) -> "GradedFunction":
         """Left derivative along a generator.
 
         Acts as a derivation of degree -|g|: passing over a factor of odd
-        degree flips the sign when |g| is odd.
+        degree flips the sign when |g| is odd.  Removing g from distinct
+        canonical words leaves distinct words, so the terms are built in one
+        pass: an even g that occurs k times weighs its word by k, and an odd
+        g occurs at most once.
         """
-        sig = self.sig
-        gp = sig.parity(g)
-        out = GradedFunction.zero(sig)
+        terms = {}
         for w, c in self.terms.items():
-            passed_parity = 0
-            for t, factor in enumerate(w):
-                if factor == g:
-                    rest = w[:t] + w[t + 1:]
-                    sign = -1 if (gp and passed_parity & 1) else 1
-                    out = out.add(GradedFunction(sig, {rest: c.scale(sign)}))
-                passed_parity += sig.parity(factor)
-        return out
+            k = w.count(g)
+            if not k:
+                continue
+            t = w.index(g)
+            if g[0] & 1 and sum(f[0] & 1 for f in w[:t]) & 1:
+                k = -1
+            terms[w[:t] + w[t + 1:]] = c.scale(k)
+        return _gf(self.sig, terms)
 
     def substitute(self, target: GradedSignature, base_map: Sequence["GradedFunction"],
                    gen_map: Dict[GenId, "GradedFunction"]) -> "GradedFunction":
@@ -372,7 +384,7 @@ class GradedFunction:
         for w, c in self.terms.items():
             if all(g[0] <= target.n for g in w):
                 terms[w] = c
-        return GradedFunction(target, terms)
+        return _gf(target, terms)
 
     # --- dunder ---------------------------------------------------------
 
@@ -419,6 +431,18 @@ class GradedFunction:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+
+_new = object.__new__
+
+
+def _gf(sig: GradedSignature, terms: Dict[Gens, Poly]) -> GradedFunction:
+    """A GradedFunction on terms already in canonical form, without the
+    constructor's pass."""
+    f = _new(GradedFunction)
+    f.sig = sig
+    f.terms = terms
+    return f
 
 
 def dim_symmetric_component(gen_degrees: Sequence[int], level: int) -> int:

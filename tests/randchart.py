@@ -1,11 +1,13 @@
 """Shared randomized corpus builders for the higher-level tests."""
 
 from fractions import Fraction
+from typing import Dict
 
 from gradman.coalgebra import CoalgebraBundle
-from gradman.exactnum import Poly, PolyMatrix, rat_inverse, rat_rank
+from gradman.errors import NonPolynomialFlatFrame
+from gradman.exactnum import Poly, PolyMatrix, poly_inverse, rank_generic, rat_inverse, rat_rank
 from gradman.fields import ChartMap, VectorField, base_coord, gen_coord
-from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
+from gradman.gradedring import GenId, GradedFunction, GradedSignature, monomials_of_degree
 
 CHART_PROFILES = [
     [("e1", 1), ("e2", 1)],
@@ -55,6 +57,104 @@ def rat_mat_mul(a: list, b: list) -> list:
         return []
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def span_rank(columns, nvars: int) -> int:
+    """Generic rank of the span of polynomial column vectors."""
+    rows = list(columns)
+    return rank_generic(PolyMatrix(len(rows), len(rows[0]) if rows else 0, rows, nvars))
+
+
+def gen_map_with(sig: GradedSignature, overrides: Dict[GenId, GradedFunction]):
+    out = {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()}
+    out.update(overrides)
+    return out
+
+
+def invert_chart_map(m: ChartMap) -> ChartMap:
+    """Inverse of a graded-triangular substitution with affine base part.
+
+    The general reference for the inverses that `frobenius_normal_form`
+    builds in closed form for each of its substitution steps.
+    The per-degree linear blocks must be invertible over the polynomial ring;
+    decomposable corrections involve strictly lower degrees only."""
+    sig = m.source
+    nv = sig.m0
+    # base part: affine with constant coefficients
+    smat = [[Poly.zero(nv) for _ in range(nv)] for _ in range(nv)]
+    shift = [Fraction(0)] * nv
+    for b, f in enumerate(m.base):
+        body = f.body()
+        if f.terms and set(f.terms) != {()}:
+            raise NonPolynomialFlatFrame("base image mixes in positive-degree terms")
+        for exps, c in body.terms.items():
+            total = sum(exps)
+            if total == 0:
+                shift[b] = c
+            elif total == 1:
+                smat[b][exps.index(1)] = Poly.const(nv, c)
+            else:
+                raise NonPolynomialFlatFrame("base substitution is not affine")
+    s_rat = [[smat[r][c].constant_value() for c in range(nv)] for r in range(nv)]
+    try:
+        s_inv = rat_inverse(s_rat) if nv else []
+    except ValueError:
+        raise NonPolynomialFlatFrame("base substitution is singular")
+    inv_base = []
+    for a in range(nv):
+        f = GradedFunction.constant(sig, 0)
+        for b in range(nv):
+            if s_inv[a][b] != 0:
+                f = f.add(GradedFunction.base_var(sig, b).scale(s_inv[a][b]))
+        total_shift = sum((s_inv[a][b] * shift[b] for b in range(nv)), Fraction(0))
+        f = f.sub(GradedFunction.constant(sig, total_shift))
+        inv_base.append(f)
+    base_subs = [f.body() for f in inv_base]
+
+    inv_gens: Dict[GenId, GradedFunction] = {}
+    for degree in range(1, sig.n + 1):
+        gens = [(degree, t) for t in range(sig.rank(degree))]
+        if not gens:
+            continue
+        # split each image into a same-degree linear part and lower corrections
+        lin = [[Poly.zero(nv) for _ in gens] for _ in gens]
+        corr = []
+        for col, g in enumerate(gens):
+            img = m.gens[g]
+            c_fun = GradedFunction.zero(sig)
+            for w, coeff in img.terms.items():
+                if len(w) == 1 and w[0][0] == degree:
+                    lin[w[0][1]][col] = coeff
+                else:
+                    c_fun = c_fun.add(GradedFunction(sig, {w: coeff}))
+            corr.append(c_fun)
+        lmat = PolyMatrix(len(gens), len(gens), lin, nv)
+        # rewrite the linear block over the new base coordinates
+        lmat_new = lmat.map_entries(lambda p: p.compose(base_subs))
+        linv = poly_inverse(lmat_new)
+        if linv is None:
+            raise NonPolynomialFlatFrame(
+                f"degree {degree} linear block has no polynomial inverse"
+            )
+        # corrections involve strictly lower degrees: rewrite through the
+        # already inverted coordinates
+        rewritten = [
+            c.substitute(sig, inv_base, gen_map_with(sig, inv_gens)) for c in corr
+        ]
+        # new = transpose(L) . old + corr, so old = transpose(inverse(L)) . (new - corr)
+        for row, g in enumerate(gens):
+            f = GradedFunction.zero(sig)
+            for col, g2 in enumerate(gens):
+                p = linv.entries[col][row]
+                if p.is_zero():
+                    continue
+                term = GradedFunction.from_gen(sig, g2).sub(rewritten[col])
+                f = f.add(term.scale(p))
+            inv_gens[g] = f
+    out = ChartMap(sig, sig, inv_base, gen_map_with(sig, inv_gens))
+    if not m.after(out).is_identity() or not out.after(m).is_identity():
+        raise NonPolynomialFlatFrame("substitution inverse verification failed")
+    return out
 
 
 def random_signature(rng):

@@ -53,6 +53,7 @@ from gradman.gradedring import (
 from randchart import (
     SPLIT_CORPUS,
     flat_fields,
+    invert_chart_map,
     partition_count,
     random_flat_coords,
     random_signature,
@@ -322,8 +323,6 @@ def test_criterion_10_frobenius_stage_a():
     ok = ok and chart.flattened == [gen_coord((1, 0))]
 
     # randomized flatten-backs of triangular perturbations of flat distributions
-    from gradman.distrib import _invert_chart_map
-
     rng = random.Random(777)
     done = 0
     while done < 20:
@@ -334,7 +333,7 @@ def test_criterion_10_frobenius_stage_a():
         fields = flat_fields(rsig, flats)
         sub = random_triangular_substitution(rng, rsig)
         try:
-            inv = _invert_chart_map(sub)
+            inv = invert_chart_map(sub)
         except Exception:
             continue
         moved = [transform_field(f, sub, inv) for f in fields]
@@ -343,7 +342,10 @@ def test_criterion_10_frobenius_stage_a():
         if not linearly_independent(moved, points):
             continue
         ch = frobenius_normal_form(make_distribution(moved, points, sig=rsig))
+        ref = invert_chart_map(ch.new_in_old)
         if not (ch.span_preserved and ch.inverse_ok):
+            ok = False
+        if (ch.old_in_new.base, ch.old_in_new.gens) != (ref.base, ref.gens):
             ok = False
         done += 1
     report(10, "stage A example plus twenty randomized flatten-backs", ok)

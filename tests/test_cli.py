@@ -266,6 +266,14 @@ class TestExitCodes:
             "roundtrip",
             "base x\ncoord e : 1\nvf X : 0 { d/dx = ((((((1 + x)^3)^3)^3)^3)^3)^3 }\n",
             "nested exponent 9 exceeds the degree cap 3 (line 3, col 35)"),
+        "rank degree below the declared-degree cap": (
+            "admissible",
+            "coalgebra C {\n rank -400000 = 1\n}\n",
+            "rank degree -400000 is below the cap -1000 (line 2, col 2)"),
+        "coordinate degree above the declared-degree cap": (
+            "frobenius",
+            "coord e : 1001\nvf X : -1001 { d/de = 1 }\ndist D = X\n",
+            "coordinate degree 1001 exceeds the cap 1000 (line 1, col 1)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -38,9 +38,8 @@ from gradman.exactnum import (
     rat_rank,
     rat_rref,
     rat_solve,
-    span_rank,
 )
-from randchart import SPLIT_CORPUS, conjugate_frames, partition_count
+from randchart import SPLIT_CORPUS, conjugate_frames, partition_count, span_rank
 
 ORIGIN = [()]
 

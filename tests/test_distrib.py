@@ -32,6 +32,7 @@ from gradman.fields import (
     transform_field,
 )
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
+from randchart import invert_chart_map
 
 R011 = GradedSignature(2, (), [("e",), ("p",)])
 STAGE_A_SIG = GradedSignature(2, (), [("e1", "e2"), ("ph",)])
@@ -350,8 +351,6 @@ class TestFrobeniusRandomized:
         return ChartMap(sig, sig, base, gens_map)
 
     def test_twenty_randomized_perturbations_flatten_back(self):
-        from gradman.distrib import _invert_chart_map
-
         rng = random.Random(424242)
         done = 0
         while done < 20:
@@ -380,7 +379,7 @@ class TestFrobeniusRandomized:
             fields = [VectorField.coordinate_field(sig, c) for c in flats]
             sub = self.rand_triangular_substitution(rng, sig)
             try:
-                inv = _invert_chart_map(sub)
+                inv = invert_chart_map(sub)
             except Exception:
                 continue
             moved = [transform_field(f, sub, inv) for f in fields]
@@ -392,6 +391,9 @@ class TestFrobeniusRandomized:
             chart = frobenius_normal_form(d)
             assert chart.span_preserved, (profile, flat_counts)
             assert chart.inverse_ok
+            reference = invert_chart_map(chart.new_in_old)
+            assert chart.old_in_new.base == reference.base
+            assert chart.old_in_new.gens == reference.gens
             done += 1
 
 
@@ -407,9 +409,7 @@ class TestInvarianceUnderSubstitution:
             sig.gen_by_name("e2"): e2.add(e1),
             sig.gen_by_name("ph"): ph.sub(e1.mul(e2)),
         })
-        from gradman.distrib import _invert_chart_map
-
-        bwd = _invert_chart_map(fwd)
+        bwd = invert_chart_map(fwd)
         moved = [transform_field(g, fwd, bwd) for g in d.generators]
         d2 = make_distribution(moved, [()], sig=sig)
         assert is_involutive(d).involutive == is_involutive(d2).involutive

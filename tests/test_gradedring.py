@@ -178,6 +178,29 @@ class TestRingLaws:
         assert a.mul(a).is_zero()
 
 
+class TestCanonicalConstruction:
+    XSIG = GradedSignature(1, ("x",), [("e1", "e2")])
+    E1, E2 = (1, 0), (1, 1)
+
+    def test_zero_coefficient_is_dropped(self):
+        assert GradedFunction(self.XSIG, {(): Poly.zero(1)}).is_zero()
+
+    def test_unsorted_word_is_koszul_sorted(self):
+        sig = self.XSIG
+        e2e1 = GradedFunction(sig, {(self.E2, self.E1): Poly.one(1)})
+        e1e2 = GradedFunction.from_gen(sig, self.E1).mul(GradedFunction.from_gen(sig, self.E2))
+        assert e2e1 == e1e2.neg()
+
+    def test_repeated_odd_generator_is_zero(self):
+        assert GradedFunction(self.XSIG, {(self.E1, self.E1): Poly.one(1)}).is_zero()
+
+    def test_coinciding_words_merge(self):
+        sig = self.XSIG
+        f = GradedFunction(sig, {(self.E1, self.E2): Poly.one(1),
+                                 (self.E2, self.E1): Poly.one(1)})
+        assert f.is_zero()
+
+
 class TestEvaluation:
     def test_body_eval_keeps_degree_zero_only(self):
         f = (
