@@ -79,6 +79,16 @@ class Token:
     col: int
 
 
+def read_int(text: str, line: Optional[int] = None, col: Optional[int] = None) -> int:
+    """The value of a digit string; one longer than Python's int-string limit
+    is a ParseError at the given position."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(text)} digits exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits", line, col) from None
+
+
 def tokenize(source: str) -> list:
     tokens = []
     line, col = 1, 1
@@ -147,22 +157,6 @@ class Document:
     vfs: dict
     dists: dict
     morphisms: dict
-
-    def canonical(self):
-        """Structure used for round-trip equality."""
-        return (
-            self.base_names,
-            self.coords,
-            {n: (tuple(sorted(c.ranks.items())),
-                 {i: [[p.terms for p in row] for row in m] for i, m in sorted(c.mu.items())})
-             for n, c in self.coalgebras.items()},
-            {n: (v.degree, tuple((c, tuple(sorted(f.terms.items(), key=lambda kv: kv[0]))) for c, f in v.actions))
-             for n, v in self.vfs.items()},
-            {n: (tuple(d.generators), tuple(map(tuple, d.points))) for n, d in self.dists.items()},
-            {n: (m.source, m.target,
-                 {i: [[p.terms for p in row] for row in mat] for i, mat in sorted(m.matrices.items())})
-             for n, m in self.morphisms.items()},
-        )
 
     def bundle(self, name: str, max_degree: Optional[int] = None) -> CoalgebraBundle:
         decl = self.coalgebras[name]
@@ -256,6 +250,10 @@ class Parser:
                              t.line, t.col)
         return self.advance()
 
+    def expect_int(self) -> int:
+        t = self.expect("int")
+        return read_int(t.text, t.line, t.col)
+
     def skip_seps(self):
         while self.peek().kind == "sep":
             self.advance()
@@ -282,7 +280,7 @@ class Parser:
                 self.advance()
                 name = self.expect("id").text
                 self.expect("sym", ":")
-                deg = int(self.expect("int").text)
+                deg = self.expect_int()
                 if deg < 1:
                     raise ParseError("coordinate degree must be >= 1", t.line, t.col)
                 if deg > MAX_DECLARED_DEGREE:
@@ -374,7 +372,7 @@ class Parser:
                     raise ParseError(f"rank degree {deg} is below the cap "
                                      f"-{MAX_DECLARED_DEGREE}", key.line, key.col)
                 self.expect("sym", "=")
-                ranks[-deg] = int(self.expect("int").text)
+                ranks[-deg] = self.expect_int()
             elif key.text == "mu":
                 deg = self.parse_signed_int()
                 if deg >= -1:
@@ -466,12 +464,12 @@ class Parser:
         if self.peek().kind == "sym" and self.peek().text == "-":
             self.advance()
             neg = True
-        num = int(self.expect("int").text)
+        num = self.expect_int()
         den = 1
         if self.peek().kind == "sym" and self.peek().text == "/":
             self.advance()
             den_tok = self.expect("int")
-            den = int(den_tok.text)
+            den = read_int(den_tok.text, den_tok.line, den_tok.col)
             if den == 0:
                 raise ParseError("division by zero", den_tok.line, den_tok.col)
         v = Fraction(num, den)
@@ -482,7 +480,7 @@ class Parser:
         if self.peek().kind == "sym" and self.peek().text == "-":
             self.advance()
             neg = True
-        v = int(self.expect("int").text)
+        v = self.expect_int()
         return -v if neg else v
 
     def parse_matrix(self):
@@ -627,7 +625,7 @@ class ExprEval:
             if e.kind != "int":
                 raise ParseError("exponent must be a non-negative integer",
                                  e.line, e.col)
-            k = int(e.text)
+            k = read_int(e.text, e.line, e.col)
             sig = self.sig
             if a.kind == "id" and a.text in sig.base_names:
                 self.power = outer
@@ -646,14 +644,14 @@ class ExprEval:
     def parse_atom(self) -> GradedFunction:
         t = self.advance()
         if t.kind == "int":
-            num = int(t.text)
+            num = read_int(t.text, t.line, t.col)
             nxt = self.peek()
             if nxt is not None and nxt.kind == "sym" and nxt.text == "/":
                 self.advance()
                 den_tok = self.advance()
                 if den_tok.kind != "int":
                     raise ParseError("expected denominator", den_tok.line, den_tok.col)
-                den = int(den_tok.text)
+                den = read_int(den_tok.text, den_tok.line, den_tok.col)
                 if den == 0:
                     raise ParseError("division by zero", den_tok.line, den_tok.col)
                 return GradedFunction.constant(self.sig, Fraction(num, den))
@@ -892,14 +890,17 @@ def _parse_frame_expr(text: str, name: str, e: CoalgebraBundle, doc: Document):
             raise ParseError("empty factor in --expr")
         m = re.fullmatch(rf"{re.escape(name)}_(\d+)_(\d+)", part)
         if m:
-            i, a = int(m.group(1)), int(m.group(2))
+            i, a = read_int(m.group(1)), read_int(m.group(2))
             if not (1 <= i <= e.n) or not (1 <= a <= e.rank(i)):
                 raise ParseError(f"frame element {part!r} out of range")
             factors.append((i, a - 1))
             continue
-        m = re.fullmatch(r"-?\d+(/\d+)?", part)
+        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", part)
         if m:
-            coeff *= Fraction(part)
+            den = read_int(m.group(2) or "1")
+            if den == 0:
+                raise ParseError(f"division by zero in factor {part!r}")
+            coeff *= Fraction(read_int(m.group(1)), den)
             continue
         raise ParseError(f"cannot read factor {part!r}: use {name}_<deg>_<index> or a rational")
     return coeff, factors

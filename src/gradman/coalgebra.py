@@ -26,7 +26,6 @@ from .exactnum import (
     rank_at,
     rank_generic,
     rat_inverse,
-    rat_kernel,
     rat_pivots,
     rat_rref,
 )
@@ -488,7 +487,11 @@ def dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
     """Bundle built from a double-vector-bundle sequence 0 -> C -> Omega -> A(x)B -> 0.
 
     `phi` maps the Omega frame to A tensor B (rows ordered (a, b) row-major).
-    Raises when the claimed sequence cannot be exact.
+    The bundle is the split one on letters a_s of degree 1 and b_t of degree
+    n - 1, except in degree -n: there the frame lists the words in A alone,
+    then Omega, whose column m is the sum over (s, t) of phi[(s, t)][m] times
+    the word a_s b_t, then the remaining words.  Raises when the claimed
+    sequence cannot be exact.
     """
     if n < 2:
         raise ValueError("needs degree bound n >= 2")
@@ -499,110 +502,28 @@ def dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
     if rank_generic(phi) != rk_a * rk_b:
         raise DvbNotExact("phi is not generically surjective")
     nv = len(base_names)
-
-    def wedge_words(count, length):
-        return list(itertools.combinations(range(count), length))
-
-    # fiber bases per degree
-    bases: Dict[int, list] = {}
-    for i in range(1, n + 1):
-        items: list = []
-        if n == 2:
-            if i == 1:
-                items = [("A", (s,)) for s in range(rk_a)] + [("B", (t,)) for t in range(rk_b)]
-            else:
-                items = (
-                    [("wA", w) for w in wedge_words(rk_a, 2)]
-                    + [("Om", (m,)) for m in range(rk_omega)]
-                    + [("wB", w) for w in wedge_words(rk_b, 2)]
-                )
-        else:
-            if i <= n - 2:
-                items = [("wA", w) for w in wedge_words(rk_a, i)]
-            elif i == n - 1:
-                items = [("wA", w) for w in wedge_words(rk_a, i)] + [("B", (t,)) for t in range(rk_b)]
-            else:
-                items = [("wA", w) for w in wedge_words(rk_a, i)] + [("Om", (m,)) for m in range(rk_omega)]
-        bases[i] = items
-    ranks = {i: len(bases[i]) for i in range(1, n + 1)}
-    index = {i: {item: t for t, item in enumerate(bases[i])} for i in range(1, n + 1)}
-
-    def letter_word(item):
-        """Word of degree-1 letters for pure wedge items; A and B letters are
-        kept apart by tagging B letters past the A range."""
-        kind, data = item
-        if kind == "wA":
-            return tuple((1, s) for s in data)
-        if kind == "A":
-            return ((1, data[0]),)
-        if n == 2 and kind == "B":
-            return ((1, rk_a + data[0]),)
-        if n == 2 and kind == "wB":
-            return tuple((1, rk_a + s) for s in data)
-        return None
-
-    mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]] = {}
-    for i in range(2, n + 1):
-        blocks: Dict[Tuple[int, int], PolyMatrix] = {}
-        for j in range(1, i // 2 + 1):
-            k = i - j
-            if ranks[j] == 0 or ranks[k] == 0:
-                continue
-            m = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
-            blocks[(j, k)] = m
-        # wedge-dual part on the pure wedge columns
-        for c, item in enumerate(bases[i]):
-            wa = letter_word(item)
-            if wa is None:
-                continue
-            for j in range(1, i // 2 + 1):
-                k = i - j
-                for a, ia in enumerate(bases[j]):
-                    u = letter_word(ia)
-                    if u is None or len(u) != j:
-                        continue
-                    for b, ib in enumerate(bases[k]):
-                        v = letter_word(ib)
-                        if v is None or len(v) != k:
-                            continue
-                        sign, canon = koszul_sort(u + v)
-                        if sign == 0 or canon != wa:
-                            continue
-                        blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
-        # phi part on the Omega columns of degree -n
-        if i == n:
-            for c, item in enumerate(bases[n]):
-                kind, data = item
-                if kind != "Om":
-                    continue
-                mcol = data[0]
-                jb = n - 1  # degree of the factor carrying B
-                block = blocks.get((1, jb))
-                if block is None:
-                    block = PolyMatrix.zero(ranks[1] * ranks[jb], ranks[n], nv)
-                    blocks[(1, jb)] = block
-                for s in range(rk_a):
-                    for t in range(rk_b):
-                        entry = phi.entries[s * rk_b + t][mcol]
-                        if entry.is_zero():
-                            continue
-                        if n == 2:
-                            a_idx = index[1][("A", (s,))]
-                            b_idx = index[1][("B", (t,))]
-                            # symmetrized image: a (x) b - b (x) a for odd a, b
-                            block.entries[a_idx * ranks[1] + b_idx][c] = (
-                                block.entries[a_idx * ranks[1] + b_idx][c].add(entry)
-                            )
-                            block.entries[b_idx * ranks[1] + a_idx][c] = (
-                                block.entries[b_idx * ranks[1] + a_idx][c].sub(entry)
-                            )
-                        else:
-                            a_idx = index[1][("wA", (s,))]
-                            b_idx = index[jb][("B", (t,))]
-                            block.entries[a_idx * ranks[jb] + b_idx][c] = (
-                                block.entries[a_idx * ranks[jb] + b_idx][c].add(entry)
-                            )
-        mu[i] = {bk: bm for bk, bm in blocks.items() if not bm.is_zero()}
+    S = split_from_gens(base_names, [(1, f"a{s + 1}") for s in range(rk_a)]
+                        + [(n - 1, f"b{t + 1}") for t in range(rk_b)], n)
+    # for n = 2 the b letters are degree-1 generators numbered after the a's
+    b0 = rk_a if n == 2 else 0
+    ab_rows = {((1, s), (n - 1, b0 + t)): s * rk_b + t
+               for s in range(rk_a) for t in range(rk_b)}
+    words = S.split.monomials[n]
+    in_a = [w for w in words if all(g[0] == 1 and g[1] < rk_a for g in w)]
+    rest = [w for w in words if w not in ab_rows and w not in in_a]
+    one = Poly.one(nv)
+    frame = ([{w: one} for w in in_a]
+             + [{w: phi.entries[r][m] for w, r in ab_rows.items()} for m in range(rk_omega)]
+             + [{w: one} for w in rest])
+    pos = {w: t for t, w in enumerate(words)}
+    select = PolyMatrix.zero(len(words), len(frame), nv)
+    for c, col in enumerate(frame):
+        for w, e in col.items():
+            select.entries[pos[w]][c] = e
+    ranks = {**S.ranks, n: len(frame)}
+    mu = dict(S.mu)
+    products = ((bk, bm.mul(select)) for bk, bm in S.mu[n].items())
+    mu[n] = {bk: bm for bk, bm in products if not bm.is_zero()}
     return CoalgebraBundle(n, base_names, ranks, mu)
 
 
@@ -762,13 +683,17 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
 
     Works degree by degree: the kernel of the comultiplication maps to the new
     generators, a pivot-column complement maps to the unique decomposable
-    preimage of its comultiplication image.  Per degree the images of all
-    columns are one sparse product (tensor square of the lower-degree map
-    times the comultiplication), and their preimages come from one RREF of
-    [decomposable block of the split comultiplication | images]; a pivot in
-    the right-hand part means an image leaves that block's span.  Requires
-    fiberwise-constant comultiplication; pass `at_point` to work in a single
-    fiber otherwise.
+    preimage of its comultiplication image.  The standard kernel vector of a
+    free column f of the comultiplication is 1 at f and 0 at the other free
+    columns, and every pivot column is 0 at all free columns; so in
+    kernel (+) complement the coordinate along that vector is the entry at f,
+    and the rows onto the new generators are unit rows at the free columns.
+    Per degree the images of all columns are one sparse product (tensor
+    square of the lower-degree map times the comultiplication), and their
+    preimages come from one RREF of [decomposable block of the split
+    comultiplication | images]; a pivot in the right-hand part means an image
+    leaves that block's span.  Requires fiberwise-constant comultiplication;
+    pass `at_point` to work in a single fiber otherwise.
     """
     if not E.is_constant():
         if at_point is None:
@@ -783,9 +708,9 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         }
         E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
 
-    mu_rat = {i: E.full_mu(i).to_rat() for i in range(1, E.n + 1)}
-    kernels = {i: rat_kernel(m, cols=E.rank(i)) for i, m in mu_rat.items()}
-    S = split_coalgebra([len(kernels[i]) for i in range(1, E.n + 1)], E.base_names)
+    mu_pivots = {i: rat_pivots(E.full_mu(i).to_rat()) for i in range(1, E.n + 1)}
+    S = split_coalgebra([E.rank(i) - len(mu_pivots[i]) for i in range(1, E.n + 1)],
+                        E.base_names)
 
     matrices: Dict[int, PolyMatrix] = {}
     nv = E.nvars
@@ -803,27 +728,11 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
                 singleton_pos[w[0][1]] = t
             else:
                 decomp_pos.append(t)
-        ker = kernels[i]
-        d_i = len(ker)
         if rs != r:
             raise NotAdmissible(
                 f"rank mismatch at degree {-i}: bundle rank {r}, split model rank {rs}"
             )
-        # coordinates along the kernel inside ker (+) complement
-        complement = rat_pivots(mu_rat[i])
-        if len(complement) + d_i != r:
-            raise NotAdmissible(f"kernel/image ranks do not fill degree {-i}")
-        basis_change = [[Fraction(0)] * r for _ in range(r)]
-        for t, kv in enumerate(ker):
-            for row in range(r):
-                basis_change[row][t] = kv[row]
-        for t, c in enumerate(complement):
-            basis_change[c][d_i + t] = Fraction(1)
-        try:
-            inv = rat_inverse(basis_change)
-        except ValueError:
-            raise NotAdmissible(f"kernel and pivot complement overlap at degree {-i}")
-        proj = inv[:d_i]
+        free = [c for c in range(r) if c not in mu_pivots[i]]
 
         # every column solves at once when no pivot lies right of the
         # decomposable block; the RREF rows then hold the solutions, free
@@ -838,8 +747,8 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
                 f"comultiplication image leaves the constraint space at degree {-i}"
             )
         mat = [[Fraction(0)] * r for _ in range(rs)]
-        for t in range(d_i):
-            mat[singleton_pos[t]] = proj[t]
+        for t, f in enumerate(free):
+            mat[singleton_pos[t]][f] = Fraction(1)
         for row, p in zip(red, pivots):
             mat[decomp_pos[p]] = row[ndec:]
         try:

@@ -1,13 +1,20 @@
 """Shared randomized corpus builders for the higher-level tests."""
 
+import itertools
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 from gradman.coalgebra import CoalgebraBundle
-from gradman.errors import NonPolynomialFlatFrame
+from gradman.errors import DvbNotExact, NonPolynomialFlatFrame
 from gradman.exactnum import Poly, PolyMatrix, poly_inverse, rank_generic, rat_inverse, rat_rank
 from gradman.fields import ChartMap, VectorField, base_coord, gen_coord
-from gradman.gradedring import GenId, GradedFunction, GradedSignature, monomials_of_degree
+from gradman.gradedring import (
+    GenId,
+    GradedFunction,
+    GradedSignature,
+    koszul_sort,
+    monomials_of_degree,
+)
 
 CHART_PROFILES = [
     [("e1", 1), ("e2", 1)],
@@ -262,3 +269,130 @@ def random_flat_coords(rng, sig):
 
 def flat_fields(sig, flats):
     return [VectorField.coordinate_field(sig, c) for c in flats]
+
+
+def reference_dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
+                            phi: PolyMatrix, n: int,
+                            base_names: Sequence[str] = ()) -> CoalgebraBundle:
+    """Bundle built from a double-vector-bundle sequence 0 -> C -> Omega -> A(x)B -> 0.
+
+    The direct construction with its own wedge bases and sign bookkeeping,
+    kept as the reference for `dvb_coalgebra`, which edits the split model.
+
+    `phi` maps the Omega frame to A tensor B (rows ordered (a, b) row-major).
+    Raises when the claimed sequence cannot be exact.
+    """
+    if n < 2:
+        raise ValueError("needs degree bound n >= 2")
+    if phi.rows != rk_a * rk_b or phi.cols != rk_omega:
+        raise DvbNotExact("phi has the wrong shape for the declared ranks")
+    if rk_omega != rk_c + rk_a * rk_b:
+        raise DvbNotExact("rank bookkeeping fails: rk Omega != rk C + rk A * rk B")
+    if rank_generic(phi) != rk_a * rk_b:
+        raise DvbNotExact("phi is not generically surjective")
+    nv = len(base_names)
+
+    def wedge_words(count, length):
+        return list(itertools.combinations(range(count), length))
+
+    # fiber bases per degree
+    bases: Dict[int, list] = {}
+    for i in range(1, n + 1):
+        items: list = []
+        if n == 2:
+            if i == 1:
+                items = [("A", (s,)) for s in range(rk_a)] + [("B", (t,)) for t in range(rk_b)]
+            else:
+                items = (
+                    [("wA", w) for w in wedge_words(rk_a, 2)]
+                    + [("Om", (m,)) for m in range(rk_omega)]
+                    + [("wB", w) for w in wedge_words(rk_b, 2)]
+                )
+        else:
+            if i <= n - 2:
+                items = [("wA", w) for w in wedge_words(rk_a, i)]
+            elif i == n - 1:
+                items = [("wA", w) for w in wedge_words(rk_a, i)] + [("B", (t,)) for t in range(rk_b)]
+            else:
+                items = [("wA", w) for w in wedge_words(rk_a, i)] + [("Om", (m,)) for m in range(rk_omega)]
+        bases[i] = items
+    ranks = {i: len(bases[i]) for i in range(1, n + 1)}
+    index = {i: {item: t for t, item in enumerate(bases[i])} for i in range(1, n + 1)}
+
+    def letter_word(item):
+        """Word of degree-1 letters for pure wedge items; A and B letters are
+        kept apart by tagging B letters past the A range."""
+        kind, data = item
+        if kind == "wA":
+            return tuple((1, s) for s in data)
+        if kind == "A":
+            return ((1, data[0]),)
+        if n == 2 and kind == "B":
+            return ((1, rk_a + data[0]),)
+        if n == 2 and kind == "wB":
+            return tuple((1, rk_a + s) for s in data)
+        return None
+
+    mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]] = {}
+    for i in range(2, n + 1):
+        blocks: Dict[Tuple[int, int], PolyMatrix] = {}
+        for j in range(1, i // 2 + 1):
+            k = i - j
+            if ranks[j] == 0 or ranks[k] == 0:
+                continue
+            m = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
+            blocks[(j, k)] = m
+        # wedge-dual part on the pure wedge columns
+        for c, item in enumerate(bases[i]):
+            wa = letter_word(item)
+            if wa is None:
+                continue
+            for j in range(1, i // 2 + 1):
+                k = i - j
+                for a, ia in enumerate(bases[j]):
+                    u = letter_word(ia)
+                    if u is None or len(u) != j:
+                        continue
+                    for b, ib in enumerate(bases[k]):
+                        v = letter_word(ib)
+                        if v is None or len(v) != k:
+                            continue
+                        sign, canon = koszul_sort(u + v)
+                        if sign == 0 or canon != wa:
+                            continue
+                        blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
+        # phi part on the Omega columns of degree -n
+        if i == n:
+            for c, item in enumerate(bases[n]):
+                kind, data = item
+                if kind != "Om":
+                    continue
+                mcol = data[0]
+                jb = n - 1  # degree of the factor carrying B
+                block = blocks.get((1, jb))
+                if block is None:
+                    block = PolyMatrix.zero(ranks[1] * ranks[jb], ranks[n], nv)
+                    blocks[(1, jb)] = block
+                for s in range(rk_a):
+                    for t in range(rk_b):
+                        entry = phi.entries[s * rk_b + t][mcol]
+                        if entry.is_zero():
+                            continue
+                        if n == 2:
+                            a_idx = index[1][("A", (s,))]
+                            b_idx = index[1][("B", (t,))]
+                            # symmetrized image: a (x) b - b (x) a for odd a, b
+                            block.entries[a_idx * ranks[1] + b_idx][c] = (
+                                block.entries[a_idx * ranks[1] + b_idx][c].add(entry)
+                            )
+                            block.entries[b_idx * ranks[1] + a_idx][c] = (
+                                block.entries[b_idx * ranks[1] + a_idx][c].sub(entry)
+                            )
+                        else:
+                            a_idx = index[1][("wA", (s,))]
+                            b_idx = index[jb][("B", (t,))]
+                            block.entries[a_idx * ranks[jb] + b_idx][c] = (
+                                block.entries[a_idx * ranks[jb] + b_idx][c].add(entry)
+                            )
+        mu[i] = {bk: bm for bk, bm in blocks.items() if not bm.is_zero()}
+    return CoalgebraBundle(n, base_names, ranks, mu)

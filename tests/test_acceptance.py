@@ -441,7 +441,7 @@ def test_criterion_13_cli_matrix():
     for path in golden:
         doc = parse_document(path.read_text())
         printed = pretty_print(doc)
-        if parse_document(printed).canonical() != doc.canonical():
+        if parse_document(printed) != doc:
             ok = False
         if pretty_print(parse_document(printed)) != printed:
             ok = False

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -10,6 +11,11 @@ from gradman.errors import ParseError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 REPORTS = GOLDEN / "reports.json"
+
+# an integer literal past Python's int-string limit, and the refusal it earns
+LONG = "9" * 5000
+TOO_LONG = (f"integer literal of 5000 digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits")
 
 
 def run(capsys, *argv):
@@ -77,7 +83,7 @@ class TestRoundTrip:
         doc = parse_document(source)
         printed = pretty_print(doc)
         doc2 = parse_document(printed)
-        assert doc.canonical() == doc2.canonical()
+        assert doc == doc2
         # printing is a fixed point
         assert pretty_print(doc2) == printed
 
@@ -274,6 +280,18 @@ class TestExitCodes:
             "frobenius",
             "coord e : 1001\nvf X : -1001 { d/de = 1 }\ndist D = X\n",
             "coordinate degree 1001 exceeds the cap 1000 (line 1, col 1)"),
+        "coordinate degree past the int-string limit": (
+            "roundtrip",
+            f"coord e : {LONG}\n",
+            f"{TOO_LONG} (line 1, col 11)"),
+        "field constant past the int-string limit": (
+            "roundtrip",
+            f"base x\ncoord e : 1\nvf X : 0 {{ d/dx = x + {LONG} }}\n",
+            f"{TOO_LONG} (line 3, col 23)"),
+        "point denominator past the int-string limit": (
+            "involutive",
+            f"base x\ncoord e : 1\nvf A : -1 {{ d/de = 1 }}\ndist D = A @ points (1/{LONG})\n",
+            f"{TOO_LONG} (line 4, col 24)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -285,6 +303,15 @@ class TestExitCodes:
         assert code == 2 and message in rep["witnesses"]["error"]
         with pytest.raises(ParseError):
             run_command(cmd, parse_document(source))
+
+    def test_malformed_reduce_expression(self, capsys):
+        wedge = str(GOLDEN / "wedge22.gm")
+        for expr, message in [(f"E_{LONG}_1", TOO_LONG), (f"E_1_{LONG}", TOO_LONG),
+                              (f"{LONG} * E_1_1", TOO_LONG),
+                              (f"-1/{LONG} * E_1_1", TOO_LONG),
+                              ("1/0 * E_1_1", "division by zero in factor '1/0'")]:
+            code, rep = run_json(capsys, "reduce", wedge, "--expr", expr)
+            assert code == 2 and message in rep["witnesses"]["error"], expr
 
     C21 = "coalgebra C {\n rank -1 = 2\n rank -2 = 1\n mu -2 = [[0], [1], [-1], [0]]\n}\n"
     DECLARATIONS = {

@@ -32,11 +32,13 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300
 BASE = ("x", "y")
 COORDS = ("e", "f", "p")
 NAMES = BASE + COORDS + ("zz",)
+# an integer literal past Python's default int-string limit of 4,300 digits
+LONG = "7" * 4400
 VOCAB = (
     "chart", "base", "coord", "coalgebra", "rank", "mu", "vf", "dist", "morphism",
     "deg", "points", "x", "y", "e", "p", "A", "C", "D", "d/dx", "d/de", "d/dp",
     "0", "1", "2", "-", "+", "*", "^", "/", "(", ")", "[", "]", "{", "}", ",",
-    ";", ":", "=", "@", "->", "\n", "# note\n", "é",
+    ";", ":", "=", "@", "->", "\n", "# note\n", "é", LONG,
 )
 
 small_int = st.integers(min_value=0, max_value=3).map(str)
@@ -58,7 +60,7 @@ scalars = expressions(BASE)
 # an expression cut short: a dangling operator or an open parenthesis
 cut_short = st.tuples(scalars, st.sampled_from("+-*^/(")).map("".join)
 exprs = st.one_of(scalars, expressions(NAMES), cut_short)
-points = st.lists(st.lists(st.sampled_from(("0", "1", "-1", "1/2")), max_size=3)
+points = st.lists(st.lists(st.sampled_from(("0", "1", "-1", "1/2", LONG)), max_size=3)
                   .map(lambda p: "(" + ", ".join(p) + ")"), max_size=2).map(" ".join)
 
 
@@ -138,7 +140,7 @@ def check_document(source, subcommand, opts):
         return
     printed = pretty_print(doc)
     again = parse_document(printed)
-    assert again.canonical() == doc.canonical()
+    assert again == doc
     assert pretty_print(again) == printed
 
 

@@ -39,7 +39,13 @@ from gradman.exactnum import (
     rat_rref,
     rat_solve,
 )
-from randchart import SPLIT_CORPUS, conjugate_frames, partition_count, span_rank
+from randchart import (
+    SPLIT_CORPUS,
+    conjugate_frames,
+    partition_count,
+    reference_dvb_coalgebra,
+    span_rank,
+)
 
 ORIGIN = [()]
 
@@ -351,6 +357,54 @@ class TestDvb:
         e = dvb_coalgebra(2, 2, 1, 5, phi, 2)
         assert check_coalgebra(e).ok
         assert check_admissible(e, ORIGIN).admissible
+
+    def test_matches_reference_construction(self):
+        rng = random.Random(12)
+        refused = built_over_x = 0
+        for n, rk_a, rk_b, rk_c, nv in itertools.product(
+                range(2, 6), range(5), range(3), range(2), range(3)):
+            surjective = rng.random() < 0.75
+            phi = random_dvb_phi(rng, rk_a, rk_b, rk_c, nv, surjective)
+            args = (rk_a, rk_b, rk_c, rk_c + rk_a * rk_b, phi, n, ("x", "y")[:nv])
+            got = dvb_outcome(dvb_coalgebra, *args)
+            assert got == dvb_outcome(reference_dvb_coalgebra, *args), args[:4] + args[5:]
+            refused += got[0] == "DvbNotExact"
+            built_over_x += got[0] == n and nv > 0 and rk_a * rk_b > 0
+        assert refused > 20 and built_over_x > 50
+
+
+def dvb_outcome(build, *args):
+    """The built bundle's data, or the type and message of the refusal."""
+    try:
+        e = build(*args)
+    except (DvbNotExact, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return e.n, e.base_names, e.ranks, e.mu, e.split is None
+
+
+def random_dvb_phi(rng, rk_a, rk_b, rk_c, nv, surjective):
+    """phi = [core columns | upper triangular on A(x)B], entries affine in the
+    base variables.  The diagonal is 1 or a base variable, so a surjective
+    phi may still drop rank at a point; a non-surjective one repeats its
+    first row, times a base variable when there is one, or zeroes its row."""
+    x = [Poly.var(nv, v) for v in range(nv)]
+
+    def entry():
+        p = Poly.const(nv, rng.randint(-2, 2))
+        for v in x:
+            p = p.add(v.scale(rng.randint(-1, 1)))
+        return p
+
+    rows = rk_a * rk_b
+    diag = [Poly.one(nv)] + x
+    ent = [[entry() for _ in range(rk_c)]
+           + [rng.choice(diag) if c == r else entry() if c > r else Poly.zero(nv)
+              for c in range(rows)]
+           for r in range(rows)]
+    if not surjective and rows:
+        scale = x[0] if x else Poly.zero(nv)
+        ent[-1] = [p.mul(scale) for p in ent[0]]
+    return PolyMatrix(rows, rk_c + rows, ent, nv)
 
 
 class TestTruncation:
