@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     UnsupportedXDependence,
 )
-from .exactnum import Poly, PolyMatrix
+from .exactnum import Poly, PolyMatrix, rat_text
 from .fields import (
     VectorField,
     base_coord,
@@ -929,8 +929,8 @@ def cmd_tangent(doc: Document, args) -> Report:
     table = {}
     for p in points:
         tv = tangent_at(x, p)
-        table["(" + ", ".join(str(v) for v in p) + ")"] = {
-            coord_name(doc.sig, c): str(v) for c, v in tv.components.items() if v != 0
+        table["(" + ", ".join(map(rat_text, p)) + ")"] = {
+            coord_name(doc.sig, c): rat_text(v) for c, v in tv.components.items() if v != 0
         }
     return Report("tangent", True, 0, {}, {"tangents": table})
 

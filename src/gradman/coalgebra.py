@@ -7,6 +7,10 @@ cocommutativity.  `CoalgebraBundle.mu_columns` expands the blocks once per
 degree into sparse columns over the full ordered pair basis; every check
 (cocommutativity, coassociativity, the coherence constraint space,
 admissibility) reads that one expanded form.
+
+The column helpers are written on `+`, unary `-`, `*` and truth values, so
+`compute_K` runs them on ints over a constant bundle's `integer_view` and on
+Polys otherwise.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DvbNotExact, NotAdmissible, UnsupportedXDependence
@@ -26,6 +31,7 @@ from .exactnum import (
     rank_at,
     rank_generic,
     rat_inverse,
+    rat_kernel,
     rat_pivots,
     rat_rref,
 )
@@ -40,11 +46,11 @@ from .gradedring import (
 Elem = Tuple[int, int]  # (positive degree, fiber index)
 
 
-def _accumulate(col: dict, key, val: Poly):
+def _accumulate(col: dict, key, val):
     """Add `val` at `key` of a sparse column, dropping the key when the sum is zero."""
     acc = col.get(key)
-    acc = val if acc is None else acc.add(val)
-    if acc.is_zero():
+    acc = val if acc is None else acc + val
+    if not acc:
         col.pop(key, None)
     else:
         col[key] = acc
@@ -79,6 +85,8 @@ class CoalgebraBundle:
         self._tensor_cache: dict = {}
         self._power_cache: dict = {}
         self._columns_cache: dict = {}
+        self._one = Poly.one(self.nvars)
+        self._integer_view: Optional[CoalgebraBundle] = None
 
     # --- basic structure -------------------------------------------------
 
@@ -143,6 +151,30 @@ class CoalgebraBundle:
         self._columns_cache[i] = cols
         return cols
 
+    def integer_view(self) -> "CoalgebraBundle":
+        """This constant bundle on ints, scaled by the common denominator.
+
+        The view shares the ranks and tensor bases.  Its `mu_columns` hold
+        lam times the value of each entry, lam being the least common
+        denominator of all entries, so every term of its k-fold
+        `power_columns` iterate is an int, lam^k times the bundle's.  Built
+        once and kept; `compute_K` reads it.
+        """
+        if self._integer_view is None:
+            z = (0,) * self.nvars
+            cols = {i: [[(p, c.terms[z]) for p, c in col.items()] for col in self.mu_columns(i)]
+                    for i in range(2, self.n + 1)}
+            lam = lcm(*(c.denominator for cs in cols.values() for col in cs for _, c in col))
+            view = CoalgebraBundle(self.n, self.base_names, self.ranks, {})
+            view._tensor_cache = self._tensor_cache
+            view._columns_cache = {
+                i: [{p: c.numerator * (lam // c.denominator) for p, c in col} for col in cs]
+                for i, cs in cols.items()
+            }
+            view._one = 1
+            self._integer_view = view
+        return self._integer_view
+
     def full_mu(self, i: int) -> PolyMatrix:
         """Comultiplication at degree -i as a matrix over the full ordered pair basis."""
         index = {p: r for r, p in enumerate(self.tensor_basis(2, i))}
@@ -155,14 +187,15 @@ class CoalgebraBundle:
     def power_columns(self, e: Elem, k: int) -> dict:
         """Sparse column of the k-fold comultiplication iterate on one frame element.
 
-        Iterates apply the comultiplication to the last tensor factor.
+        Iterates apply the comultiplication to the last tensor factor.  The
+        entries are Polys, or ints on an `integer_view`.
         """
         key = (e, k)
         cached = self._power_cache.get(key)
         if cached is not None:
             return cached
         if k == 0:
-            out = {(e,): Poly.one(self.nvars)}
+            out = {(e,): self._one}
         else:
             out = apply_mu(self, self.power_columns(e, k - 1), k - 1)
         self._power_cache[key] = out
@@ -194,7 +227,7 @@ def apply_mu(E: CoalgebraBundle, col: dict, pos: int) -> dict:
         if u[0] == 1:
             continue
         for pair, q in E.mu_columns(u[0])[u[1]].items():
-            _accumulate(out, T[:pos] + pair + T[pos + 1:], c.mul(q))
+            _accumulate(out, T[:pos] + pair + T[pos + 1:], c * q)
     return out
 
 
@@ -211,7 +244,7 @@ def permute_column(col: dict, perm: Sequence[int]) -> dict:
     out: dict = {}
     for T, c in col.items():
         sign = braiding_sign(move, [g[0] & 1 for g in T])
-        _accumulate(out, tuple(T[q] for q in perm), c.scale(sign))
+        _accumulate(out, tuple(T[q] for q in perm), c if sign > 0 else -c)
     return out
 
 
@@ -225,7 +258,7 @@ def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int) -> li
         col: dict = {}
         for t1, c1 in cu.items():
             for t2, c2 in cv.items():
-                _accumulate(col, t1 + t2, c1.mul(c2))
+                _accumulate(col, t1 + t2, c1 * c2)
         cols.append(col)
     return cols
 
@@ -283,10 +316,10 @@ def _image(diffs: list, vec) -> dict:
     """Sparse image of a vector, given as (pair position, coefficient) items."""
     img: dict = {}
     for p, coeff in vec:
-        if coeff.is_zero():
+        if not coeff:
             continue
         for T, c in diffs[p].items():
-            _accumulate(img, T, coeff.mul(c))
+            _accumulate(img, T, coeff * c)
     return img
 
 
@@ -309,6 +342,15 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     K.  While all differences so far do, the columns lie in the span of the
     current basis; so a difference that kills the basis kills them too, and
     an empty basis (the early exit) leaves them zero, as K = 0 requires.
+
+    On a constant bundle the columns come from `integer_view`, scaled by
+    lam: every term of a length-L variant is a product of L - 2 entries, so
+    each difference of that length scales by lam^(L-2) as a whole, which
+    changes no kernel and no zero test.  Every column, difference, image
+    and basis vector is then an int, and each constraint matrix goes to
+    `rat_kernel`.  The vectors equal those of the Q[x] path: both kernels
+    are positive multiples of the standard kernel vectors, and each updated
+    basis vector is made primitive.  They are returned as Polys.
     """
     if not (-(E.n + 1) <= degree <= -2):
         raise ValueError("degree out of range for constraint space")
@@ -317,16 +359,17 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     nv = E.nvars
     if not pairs:
         return KSpace(degree, pairs, [], True)
+    constant = E.is_constant()
+    view = E.integer_view() if constant else E
+    zero, one = (0, 1) if constant else (Poly.zero(nv), Poly.one(nv))
     index = {p: t for t, p in enumerate(pairs)}
-    mu_vecs = [[(index[p], c) for p, c in col.items()] for col in E.mu_columns(d)]
+    mu_vecs = [[(index[p], c) for p, c in col.items()] for col in view.mu_columns(d)]
     contains = True
-    basis = []
-    for t in range(len(pairs)):
-        basis.append([Poly.one(nv) if s == t else Poly.zero(nv) for s in range(len(pairs))])
+    basis = [[one if s == t else zero for s in range(len(pairs))] for t in range(len(pairs))]
 
     for length in range(2, d + 1):
-        ref_cols = _variant_pair_columns(E, d, 0, length - 2)
-        splits = (_variant_pair_columns(E, d, k, length - 2 - k)
+        ref_cols = _variant_pair_columns(view, d, 0, length - 2)
+        splits = (_variant_pair_columns(view, d, k, length - 2 - k)
                   for k in range(1, length - 1))
         swaps = ([permute_column(c, (*range(a), a + 1, a, *range(a + 2, length)))
                   for c in ref_cols] for a in range(length - 1))
@@ -336,7 +379,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
             diffs = [dict(col) for col in var_cols]
             for diff, ref in zip(diffs, ref_cols):
                 for T, c in ref.items():
-                    _accumulate(diff, T, c.neg())
+                    _accumulate(diff, T, -c)
             images = [_image(diffs, enumerate(vec)) for vec in basis]
             tuples_seen = {}
             for img in images:
@@ -346,24 +389,32 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                 continue
             if contains:
                 contains = not any(_image(diffs, vec) for vec in mu_vecs)
-            rows = len(tuples_seen)
-            m = PolyMatrix.zero(rows, len(basis), nv)
+            m = [[zero] * len(basis) for _ in tuples_seen]
             for col, img in enumerate(images):
                 for t, c in img.items():
-                    m.entries[tuples_seen[t]][col] = c
+                    m[tuples_seen[t]][col] = c
+            if constant:
+                # rows divided by their content keep lam^(L-2) out of the
+                # elimination; the kernel vectors come back as ints
+                rows = [primitive_vector(r) for r in m]
+                kernel = [primitive_vector(kv) for kv in rat_kernel(rows)]
+            else:
+                kernel = [kv for kv, _ in kernel_basis(PolyMatrix(len(m), len(basis), m, nv))]
             new_basis = []
-            for kv, _ in kernel_basis(m):
-                vec = [Poly.zero(nv) for _ in range(len(pairs))]
+            for kv in kernel:
+                vec = [zero] * len(pairs)
                 for t, coeff in enumerate(kv):
-                    if coeff.is_zero():
+                    if not coeff:
                         continue
-                    for s in range(len(pairs)):
-                        if not basis[t][s].is_zero():
-                            vec[s] = vec[s].add(coeff.mul(basis[t][s]))
+                    for s, b in enumerate(basis[t]):
+                        if b:
+                            vec[s] = vec[s] + coeff * b
                 new_basis.append(primitive_vector(vec))
             basis = new_basis
         if not basis:
             break
+    if constant:
+        basis = [[Poly.const(nv, c) for c in vec] for vec in basis]
     return KSpace(degree, pairs, basis, contains)
 
 

@@ -52,6 +52,10 @@ class HypothesisFailed(GradmanError):
     pass
 
 
+class NumberTooLong(GradmanError):
+    """A coefficient has more digits than Python converts to decimal text."""
+
+
 class ParseError(GradmanError):
     def __init__(self, message, line=None, col=None):
         loc = f" (line {line}, col {col})" if line is not None else ""

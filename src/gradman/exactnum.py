@@ -10,23 +10,30 @@ never pays for Fraction objects.  The form is canonical on construction:
 built from Fractions or floats runs on ints like parsed input; the operations
 here build their already canonical results through `_poly`, which checks
 nothing.  Values that leave a polynomial
-(`constant_value`, `leading`, `eval`) are always Fractions.  The monomial
-order used for pivoting is graded lexicographic.  Everything here is
+(`constant_value`, `leading`, `eval`) are always Fractions.  On Polys, `+`,
+unary `-`, `*` and truth values are `add`, `neg`, `mul` and `not is_zero`,
+so code written on the operators runs on Polys and on plain numbers alike.
+The monomial order used for pivoting is graded lexicographic.  Everything here is
 immutable in spirit: operations return fresh values and never mutate their
 inputs.
 
 All linear algebra (rank, echelon form, kernel, solve, inverse, over the
 rationals and over Q[x]) is one fraction-free Gauss-Jordan routine,
 `_eliminate`, run on integer rows when every entry is constant and on Poly
-rows otherwise.
+rows otherwise.  The kernels of the coherence constraints in
+`coalgebra.compute_K` come from `rat_kernel` on constant bundles and from
+`kernel_basis` otherwise.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Optional, Sequence
+
+from .errors import NumberTooLong
 
 Rat = Fraction
 
@@ -154,6 +161,17 @@ class Poly:
             return Poly.zero(self.nvars)
         return _poly(self.nvars, {e: _canon(c * v) for e, v in self.terms.items()})
 
+    # `*` goes through the `mul` attribute, so a counter patched onto
+    # `Poly.mul` counts operator products too
+    __add__ = add
+    __neg__ = neg
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        return self.mul(other)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def pow(self, k: int) -> "Poly":
         result = Poly.one(self.nvars)
         base = self
@@ -279,7 +297,7 @@ class Poly:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            coeff = str(c)
+            coeff = rat_text(c)
             if factors and abs(c) == 1:
                 body = "*".join(factors)
                 text = body if c > 0 else "-" + body
@@ -292,6 +310,29 @@ class Poly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+
+def _digits(n: int) -> int:
+    """Decimal digit count of a positive int, without converting it to text."""
+    k = int(log10(n))
+    while 10**k <= n:
+        k += 1
+    return k
+
+
+def rat_text(c) -> str:
+    """Decimal text of an int or Fraction.
+
+    A numerator or denominator past Python's int-string limit is a
+    `NumberTooLong` naming its digit count and the limit; the limit itself is
+    left as it is.
+    """
+    try:
+        return str(c)
+    except ValueError:
+        digits = _digits(max(abs(c.numerator), c.denominator))
+    raise NumberTooLong(f"coefficient of {digits} digits exceeds the limit of "
+                        f"{sys.get_int_max_str_digits()} digits for decimal output")
 
 
 _new = object.__new__
@@ -511,7 +552,16 @@ def _quotient(v, det, nvars: int) -> Optional[Poly]:
 
 
 def primitive_vector(vec: list) -> list:
-    """Poly vector divided by the positive rational gcd of all its coefficients."""
+    """Vector divided by the positive rational gcd of all its coefficients.
+
+    The entries are all Polys, or all plain ints and Fractions; a vector of
+    plain numbers comes back as ints.
+    """
+    if vec and not isinstance(vec[0], Poly):
+        den = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (den // v.denominator) for v in vec]
+        g = gcd(*ints)
+        return ints if g < 2 else [v // g for v in ints]
     num, den = 0, 1
     for p in vec:
         for c in p.terms.values():
@@ -545,7 +595,13 @@ def rat_rref(m: list):
 
 
 def rat_kernel(m: list, cols: Optional[int] = None) -> list:
-    """Basis of the right kernel, cleared to standard form vectors."""
+    """Basis of the right kernel, cleared to standard form vectors.
+
+    Vector f is 1 at the non-pivot column f, 0 at the other non-pivot
+    columns, and a Fraction at each pivot column.  `coalgebra.compute_K`
+    eliminates each constraint matrix of a constant bundle here, on its
+    integer rows.
+    """
     if not m:
         return [[RAT_ONE if i == j else RAT_ZERO for i in range(cols or 0)] for j in range(cols or 0)]
     ncols = len(m[0])
@@ -618,6 +674,8 @@ def kernel_basis(m: PolyMatrix):
     f, minors of m elsewhere), signed so that its entry at f has a positive
     leading coefficient and divided by its rational content.  The flag is
     always True; the benchmark tracer (`bench/tracer.py`) unpacks the pairs.
+    `coalgebra.compute_K` calls it for the constraint matrices of bundles
+    with non-constant entries; those of constant bundles go to `rat_kernel`.
     """
     nv = m.nvars
     a, ops = _prepare(m.entries, nv)

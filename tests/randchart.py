@@ -4,9 +4,25 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
-from gradman.coalgebra import CoalgebraBundle
+from gradman.coalgebra import (
+    CoalgebraBundle,
+    KSpace,
+    _accumulate,
+    _image,
+    _variant_pair_columns,
+    permute_column,
+)
 from gradman.errors import DvbNotExact, NonPolynomialFlatFrame
-from gradman.exactnum import Poly, PolyMatrix, poly_inverse, rank_generic, rat_inverse, rat_rank
+from gradman.exactnum import (
+    Poly,
+    PolyMatrix,
+    kernel_basis,
+    poly_inverse,
+    primitive_vector,
+    rank_generic,
+    rat_inverse,
+    rat_rank,
+)
 from gradman.fields import ChartMap, VectorField, base_coord, gen_coord
 from gradman.gradedring import (
     GenId,
@@ -396,3 +412,68 @@ def reference_dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
                             )
         mu[i] = {bk: bm for bk, bm in blocks.items() if not bm.is_zero()}
     return CoalgebraBundle(n, base_names, ranks, mu)
+
+
+def reference_compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
+    """Constraint space at the given negative degree, on Polys throughout.
+
+    The `compute_K` body as it was before constant bundles ran on ints, kept
+    as the reference for both of its paths: every column, difference, image
+    and basis vector is a Poly, and every constraint matrix goes to
+    `kernel_basis`.
+    """
+    if not (-(E.n + 1) <= degree <= -2):
+        raise ValueError("degree out of range for constraint space")
+    d = -degree
+    pairs = E.tensor_basis(2, d)
+    nv = E.nvars
+    if not pairs:
+        return KSpace(degree, pairs, [], True)
+    index = {p: t for t, p in enumerate(pairs)}
+    mu_vecs = [[(index[p], c) for p, c in col.items()] for col in E.mu_columns(d)]
+    contains = True
+    basis = []
+    for t in range(len(pairs)):
+        basis.append([Poly.one(nv) if s == t else Poly.zero(nv) for s in range(len(pairs))])
+
+    for length in range(2, d + 1):
+        ref_cols = _variant_pair_columns(E, d, 0, length - 2)
+        splits = (_variant_pair_columns(E, d, k, length - 2 - k)
+                  for k in range(1, length - 1))
+        swaps = ([permute_column(c, (*range(a), a + 1, a, *range(a + 2, length)))
+                  for c in ref_cols] for a in range(length - 1))
+        for var_cols in itertools.chain(splits, swaps):
+            if not basis:
+                break
+            diffs = [dict(col) for col in var_cols]
+            for diff, ref in zip(diffs, ref_cols):
+                for T, c in ref.items():
+                    _accumulate(diff, T, c.neg())
+            images = [_image(diffs, enumerate(vec)) for vec in basis]
+            tuples_seen = {}
+            for img in images:
+                for t in img:
+                    tuples_seen.setdefault(t, len(tuples_seen))
+            if not tuples_seen:
+                continue
+            if contains:
+                contains = not any(_image(diffs, vec) for vec in mu_vecs)
+            rows = len(tuples_seen)
+            m = PolyMatrix.zero(rows, len(basis), nv)
+            for col, img in enumerate(images):
+                for t, c in img.items():
+                    m.entries[tuples_seen[t]][col] = c
+            new_basis = []
+            for kv, _ in kernel_basis(m):
+                vec = [Poly.zero(nv) for _ in range(len(pairs))]
+                for t, coeff in enumerate(kv):
+                    if coeff.is_zero():
+                        continue
+                    for s in range(len(pairs)):
+                        if not basis[t][s].is_zero():
+                            vec[s] = vec[s].add(coeff.mul(basis[t][s]))
+                new_basis.append(primitive_vector(vec))
+            basis = new_basis
+        if not basis:
+            break
+    return KSpace(degree, pairs, basis, contains)

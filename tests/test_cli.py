@@ -313,6 +313,19 @@ class TestExitCodes:
             code, rep = run_json(capsys, "reduce", wedge, "--expr", expr)
             assert code == 2 and message in rep["witnesses"]["error"], expr
 
+    def test_output_coefficient_past_the_int_string_limit(self, tmp_path, capsys):
+        # each literal parses; their product has too many digits to print
+        n = "9" * 4000
+        message = (f"coefficient of 8000 digits exceeds the limit of "
+                   f"{sys.get_int_max_str_digits()} digits for decimal output")
+        src = tmp_path / "big.gm"
+        src.write_text(f"base x\ncoord e : 1\nvf X : -1 {{ d/de = {n} * {n} }}\n")
+        code, rep = run_json(capsys, "tangent", str(src), "--field", "X")
+        assert code == 2 and rep["witnesses"]["error"] == message
+        code, rep = run_json(capsys, "reduce", str(GOLDEN / "wedge22.gm"),
+                             "--expr", f"{n} * {n} * E_1_1")
+        assert code == 2 and rep["witnesses"]["error"] == message
+
     C21 = "coalgebra C {\n rank -1 = 2\n rank -2 = 1\n mu -2 = [[0], [1], [-1], [0]]\n}\n"
     DECLARATIONS = {
         "morphism to an unknown coalgebra": (

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradman import coalgebra
+from gradman import coalgebra, exactnum
 from gradman.coalgebra import (
     AdmissibilityDegree,
     AdmissibilityReport,
@@ -43,6 +43,7 @@ from randchart import (
     SPLIT_CORPUS,
     conjugate_frames,
     partition_count,
+    reference_compute_K,
     reference_dvb_coalgebra,
     span_rank,
 )
@@ -684,6 +685,70 @@ class TestConstraintGenerators:
             for i in range(2, 9):
                 degrees = [d + 1 for d, r in enumerate(profile) for _ in range(r) if d + 1 <= i - 1]
                 assert compute_K(e, -i).dim == partition_count(degrees, i), (profile, i)
+
+
+class TestIntegerPath:
+    """`compute_K` on constant bundles runs on ints; the Poly-only reference
+    pins its output on both paths."""
+
+    def bundles(self):
+        # oracle_corpus opens with the SPLIT_CORPUS bundles; the same profiles
+        # over a base variable are constant bundles with one variable
+        yield from oracle_corpus()
+        yield from (split_coalgebra(list(p), base_names=("x",)) for p in SPLIT_CORPUS)
+
+    def test_matches_the_poly_reference_exactly(self):
+        paths = Counter()
+        for e in self.bundles():
+            paths[e.is_constant()] += 1
+            for i in range(2, e.n + 1):
+                got, want = compute_K(e, -i), reference_compute_K(e, -i)
+                assert got.pair_basis == want.pair_basis, (e, i)
+                assert got.vectors == want.vectors, (e, i)
+                assert got.contains_image == want.contains_image, (e, i)
+                assert [[(p.nvars, [type(c) for c in p.terms.values()]) for p in v]
+                        for v in got.vectors] == \
+                    [[(p.nvars, [type(c) for c in p.terms.values()]) for p in v]
+                     for v in want.vectors], (e, i)
+        assert paths[True] and paths[False]
+
+    def poly_products(self, monkeypatch, e):
+        """Poly.mul calls made by compute_K over every degree of a fresh bundle."""
+        calls = []
+        mul = exactnum.Poly.mul
+
+        def counting(p, q):
+            calls.append(1)
+            return mul(p, q)
+
+        monkeypatch.setattr(exactnum.Poly, "mul", counting)
+        for i in range(2, e.n + 2):
+            compute_K(e, -i)
+        monkeypatch.setattr(exactnum.Poly, "mul", mul)
+        return len(calls)
+
+    def test_constant_bundles_make_no_poly_products(self, monkeypatch):
+        assert self.poly_products(monkeypatch, split_coalgebra([1] * 6)) == 0
+        e = conjugate_frames(random.Random(3), split_coalgebra([2, 1, 1]))
+        assert e.is_constant()
+        assert self.poly_products(monkeypatch, e) == 0
+
+    def test_bundles_over_a_base_variable_multiply_polys(self, monkeypatch):
+        e = next(e for e in oracle_corpus() if not e.is_constant())
+        assert e.nvars and self.poly_products(monkeypatch, e) > 0
+
+    def test_integer_view_scales_every_column_by_one_denominator(self):
+        e = conjugate_frames(random.Random(3), split_coalgebra([2, 1, 1]))
+        view = e.integer_view()
+        assert view is e.integer_view()
+        ratios = set()
+        for i in range(2, e.n + 1):
+            for col, icol in zip(e.mu_columns(i), view.mu_columns(i)):
+                assert icol.keys() == col.keys()
+                assert all(type(c) is int for c in icol.values())
+                ratios |= {icol[pair] / p.constant_value() for pair, p in col.items()}
+        lam, = ratios
+        assert lam.denominator == 1 and lam > 1
 
 
 # --- the admissibility decision against the union rank ----------------------

@@ -9,6 +9,7 @@ from gradman.exactnum import (
     kernel_basis,
     poly_inverse,
     poly_solve,
+    primitive_vector,
     rank_at,
     rank_generic,
     rat_inverse,
@@ -84,6 +85,15 @@ class TestPolyArith:
             assert a.mul(b.mul(c)) == a.mul(b).mul(c)
             assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
             assert a.add(b) == b.add(a)
+
+    def test_operators_are_the_named_methods(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            a, b = rand_poly(rng), rand_poly(rng)
+            assert a + b == a.add(b) and -a == a.neg() and a * b == a.mul(b)
+            assert bool(a) is not a.is_zero()
+        assert not Poly.zero(2) and not Poly(2, {(1, 0): Fraction(0)})
+        assert Poly.const(0, Fraction(1, 2))
 
     def test_div_exact(self):
         x, y = Poly.var(2, 0), Poly.var(2, 1)
@@ -386,6 +396,21 @@ class TestFractionField:
         assert m.mul(inv) == PolyMatrix.identity(2, 1)
         bad = PolyMatrix(1, 1, [[x]], 1)
         assert poly_inverse(bad) is None
+
+
+class TestPrimitiveVector:
+    def test_plain_numbers_come_back_as_primitive_ints(self):
+        got = primitive_vector([Fraction(2, 3), 4, 0, Fraction(-8, 3)])
+        assert got == [1, 6, 0, -4] and all(type(v) is int for v in got)
+        assert primitive_vector([0, 0]) == [0, 0]
+        assert primitive_vector([Fraction(-1, 2)]) == [-1]
+
+    def test_matches_the_poly_vector(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
+            polys = primitive_vector([Poly.const(1, v) for v in vec])
+            assert [Poly.const(1, v) for v in primitive_vector(vec)] == polys
 
 
 class TestRatHelpers:
