@@ -39,7 +39,7 @@ from .gradedring import (
     GradedFunction,
     GradedSignature,
     braiding_sign,
-    koszul_sort,
+    koszul_merge,
     monomials_of_degree,
 )
 
@@ -505,7 +505,7 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
             m = PolyMatrix.zero(rows, ranks[i], nv)
             for a, wa in enumerate(monomials[j]):
                 for b, wb in enumerate(monomials[k]):
-                    sign, canon = koszul_sort(wa + wb)
+                    sign, canon = koszul_merge(wa, wb)
                     if sign == 0:
                         continue
                     c = mon_index[i].get(canon)

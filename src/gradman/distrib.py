@@ -277,9 +277,9 @@ class FrobeniusChart:
         return self._table(self.old_in_new)
 
     def _table(self, cmap: ChartMap) -> dict:
-        ident = ChartMap.identity(self.sig)
+        moved = cmap.moved()
         return {coord_name(self.sig, c): cmap.image(c).to_string()
-                for c in all_coords(self.sig) if cmap.image(c) != ident.image(c)}
+                for c in all_coords(self.sig) if c in moved}
 
 
 def _apply_step(state, sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
@@ -334,14 +334,23 @@ def _unimodular_alignment(a_rows: list, m: int, nv: int):
 
     One Gauss-Jordan pass over the rows of [transpose(A) | I].  The pivot of
     column c is the first row at or below c whose entry in that column is a
-    nonzero constant.  A column with no such entry is refused: no other row
-    operation is tried, so the pass needs no iteration cap."""
+    nonzero constant.  Over one base variable, a column with no such entry
+    runs the Euclidean algorithm on its entries at and below the diagonal:
+    the entry of least degree is the pivot, and the other rows are reduced by
+    division with remainder, until one nonzero entry is left.  Each round
+    either lowers the least degree or leaves a single nonzero entry, so the
+    loop ends without a cap; the column aligns exactly when that entry is a
+    constant.  A column with no constant pivot is refused otherwise: over two
+    or more base variables, a unimodular column may still need the
+    Quillen-Suslin construction (Logar and Sturmfels, J. Algebra 145, 1992)."""
     d = len(a_rows)
     rows = [[a_rows[r][c] for r in range(d)]
             + [Poly.const(nv, 1 if i == c else 0) for i in range(m)] for c in range(m)]
     for col in range(d):
         piv = next((r for r in range(col, m)
                     if rows[r][col].is_constant() and not rows[r][col].is_zero()), None)
+        if piv is None and nv == 1:
+            piv = _euclid_pivot(rows, col, m)
         if piv is None:
             raise NonPolynomialFlatFrame(
                 "no unimodular polynomial alignment: a constant pivot is unavailable"
@@ -354,6 +363,27 @@ def _unimodular_alignment(a_rows: list, m: int, nv: int):
             if r != col and not coeff.is_zero():
                 rows[r] = [p.sub(coeff.mul(q)) for p, q in zip(rows[r], rows[col])]
     return PolyMatrix(m, m, [row[d:] for row in rows], nv)
+
+
+def _euclid_pivot(rows: list, col: int, m: int) -> Optional[int]:
+    """Euclidean algorithm over Q[x] on the entries of column `col` in rows
+    col..m-1, by row operations; the row of the one nonzero entry left, when
+    it is a constant, else None."""
+    while True:
+        live = [r for r in range(col, m) if not rows[r][col].is_zero()]
+        if not live:
+            return None
+        piv = min(live, key=lambda r: rows[r][col].total_degree())
+        if len(live) == 1:
+            return piv if rows[piv][col].is_constant() else None
+        (dp,), cp = rows[piv][col].leading()
+        for r in live:
+            rem = rows[r][col]
+            while r != piv and rem.total_degree() >= dp:
+                (dr,), cr = rem.leading()
+                q = Poly(1, {(dr - dp,): cr / cp})
+                rows[r] = [a.sub(q.mul(b)) for a, b in zip(rows[r], rows[piv])]
+                rem = rows[r][col]
 
 
 def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:

@@ -283,7 +283,11 @@ class Poly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return f"Poly({self.to_string([f'x{i}' for i in range(self.nvars)])})"
+        try:
+            text = self.to_string([f"x{i}" for i in range(self.nvars)])
+        except NumberTooLong as err:
+            text = f"<{err}>"
+        return f"Poly({text})"
 
     def to_string(self, names: Sequence[str]) -> str:
         if not self.terms:

@@ -277,22 +277,53 @@ class ChartMap:
     def image(self, c: Coord) -> GradedFunction:
         return self.base[c[1]] if c[0] == "x" else self.gens[c[1]]
 
-    def apply_to(self, f: GradedFunction) -> GradedFunction:
+    def moved(self) -> set:
+        """Source coordinates whose image is missing or is not the coordinate
+        itself; all of them when the map changes charts.  Read at each call,
+        since callers may assign into `.base` and `.gens`."""
+        sig = self.source
+        same, one = sig == self.target, Poly.one(sig.m0)
+        out = {base_coord(a) for a, f in enumerate(self.base)
+               if not same or f.terms != {(): Poly.var(sig.m0, a)}}
+        out.update(gen_coord(g) for g in sig.gen_ids()
+                   if not same or g not in self.gens or self.gens[g].terms != {(g,): one})
+        return out
+
+    def _rewrite(self, f: GradedFunction, moved: set) -> GradedFunction:
+        """`apply_to(f)` given `moved()`: a function on the target chart that
+        involves no moved coordinate is its own image."""
+        used = {gen_coord(g) for w in f.terms for g in w}
+        used.update(base_coord(a) for c in f.terms.values() for exps in c.terms
+                    for a, e in enumerate(exps) if e)
+        if f.sig == self.target and moved.isdisjoint(used):
+            return f
         return f.substitute(self.target, self.base, self.gens)
 
+    def apply_to(self, f: GradedFunction) -> GradedFunction:
+        return self._rewrite(f, self.moved())
+
     def after(self, inner: "ChartMap") -> "ChartMap":
-        """Composite substitution: first rewrite through self, then through inner."""
+        """Composite substitution: first rewrite through self, then through inner.
+
+        A coordinate that self fixes takes inner's image; only the moved
+        images go through inner."""
         if inner.source != self.target:
             raise SignatureMismatch("substitutions do not compose")
+        mine, theirs = self.moved(), inner.moved()
+
+        def image(c, f):
+            return inner._rewrite(f, theirs) if c in mine else inner.image(c)
+
         return ChartMap(
             self.source, inner.target,
-            [inner.apply_to(f) for f in self.base],
-            {g: inner.apply_to(f) for g, f in self.gens.items()},
+            [image(base_coord(a), f) for a, f in enumerate(self.base)],
+            {g: image(gen_coord(g), f) for g, f in self.gens.items()},
         )
 
     def is_identity(self) -> bool:
-        ident = ChartMap.identity(self.source)
-        return self.base == ident.base and self.gens == ident.gens
+        sig = self.source
+        return (not self.moved() and len(self.base) == sig.m0
+                and self.gens.keys() == set(sig.gen_ids()))
 
 
 def transform_field(x: VectorField, new_in_old: ChartMap, old_in_new: ChartMap) -> VectorField:
@@ -300,13 +331,15 @@ def transform_field(x: VectorField, new_in_old: ChartMap, old_in_new: ChartMap) 
 
     `new_in_old` expresses each new coordinate as a function of the old ones,
     `old_in_new` the converse; the new action on a coordinate is the old field
-    applied to its defining function, rewritten in new coordinates.
+    applied to its defining function, rewritten in new coordinates.  On a
+    coordinate that `new_in_old` fixes, that is the old action itself.
     """
+    moved, back = new_in_old.moved(), old_in_new.moved()
     actions = {}
     for c in all_coords(new_in_old.source):
-        val = x.apply(new_in_old.image(c))
+        val = x.apply(new_in_old.image(c)) if c in moved else x.action(c)
         if not val.is_zero():
-            actions[c] = old_in_new.apply_to(val)
+            actions[c] = old_in_new._rewrite(val, back)
     return VectorField(old_in_new.target, x.degree, actions)
 
 

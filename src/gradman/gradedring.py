@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import DegreeOverflow, SignatureMismatch, UnknownGenerator
+from .errors import DegreeOverflow, NumberTooLong, SignatureMismatch, UnknownGenerator
 from .exactnum import Poly
 
 GenId = Tuple[int, int]  # (degree, declared index), both 0-based index
@@ -127,6 +127,27 @@ def koszul_sort(word: Iterable[GenId]):
         perm[s] = pos
     sign = braiding_sign(perm, [g[0] & 1 for g in word])
     return sign, tuple(sorted(word))
+
+
+def koszul_merge(w1: Gens, w2: Gens):
+    """`koszul_sort(w1 + w2)` for two canonical words, in one merge pass:
+    each odd factor of w2 crosses the odd factors of w1 that sort after it.
+    The sign is 0 when the words share an odd factor."""
+    out, i, crossings = [], 0, 0
+    odd_left = sum(g[0] & 1 for g in w1)  # odd factors of w1 not yet placed
+    for b in w2:
+        while i < len(w1) and w1[i] <= b:
+            a = w1[i]
+            if a[0] & 1:
+                if a == b:
+                    return 0, ()
+                odd_left -= 1
+            out.append(a)
+            i += 1
+        crossings += odd_left * (b[0] & 1)
+        out.append(b)
+    out.extend(w1[i:])
+    return -1 if crossings & 1 else 1, tuple(out)
 
 
 def normalize(sig: GradedSignature, gens: Iterable[GenId]):
@@ -289,12 +310,14 @@ class GradedFunction:
         self._check(other)
         sig = self.sig
         terms: Dict[Gens, Poly] = {}
+        right = [(w2, c2, self.monomial_degree(w2)) for w2, c2 in other.terms.items()]
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                sign, canon = normalize(sig, w1 + w2)
+            d1 = self.monomial_degree(w1)
+            for w2, c2, d2 in right:
+                sign, canon = koszul_merge(w1, w2)
                 if sign == 0:
                     continue
-                total = self.monomial_degree(canon)
+                total = d1 + d2
                 if total > sig.max_degree:
                     raise DegreeOverflow(
                         f"product of degree {total} exceeds cap {sig.max_degree}"
@@ -399,7 +422,11 @@ class GradedFunction:
         return hash(frozenset((w, frozenset(c.terms.items())) for w, c in self.terms.items()))
 
     def __repr__(self):
-        return f"GradedFunction({self.to_string()})"
+        try:
+            text = self.to_string()
+        except NumberTooLong as err:
+            text = f"<{err}>"
+        return f"GradedFunction({text})"
 
     def to_string(self) -> str:
         if not self.terms:

@@ -12,7 +12,7 @@ from gradman.coalgebra import (
     _variant_pair_columns,
     permute_column,
 )
-from gradman.errors import DvbNotExact, NonPolynomialFlatFrame
+from gradman.errors import DegreeOverflow, DvbNotExact, NonPolynomialFlatFrame
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
@@ -23,13 +23,16 @@ from gradman.exactnum import (
     rat_inverse,
     rat_rank,
 )
-from gradman.fields import ChartMap, VectorField, base_coord, gen_coord
+from gradman.fields import ChartMap, VectorField, all_coords, base_coord, gen_coord
 from gradman.gradedring import (
     GenId,
+    Gens,
     GradedFunction,
     GradedSignature,
+    _gf,
     koszul_sort,
     monomials_of_degree,
+    normalize,
 )
 
 CHART_PROFILES = [
@@ -92,6 +95,62 @@ def gen_map_with(sig: GradedSignature, overrides: Dict[GenId, GradedFunction]):
     out = {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()}
     out.update(overrides)
     return out
+
+
+def reference_mul(self: GradedFunction, other: GradedFunction) -> GradedFunction:
+    """`GradedFunction.mul` as it was before products merged canonical words:
+    every pair of words is checked and re-sorted by `normalize`."""
+    self._check(other)
+    sig = self.sig
+    terms: Dict[Gens, Poly] = {}
+    for w1, c1 in self.terms.items():
+        for w2, c2 in other.terms.items():
+            sign, canon = normalize(sig, w1 + w2)
+            if sign == 0:
+                continue
+            total = self.monomial_degree(canon)
+            if total > sig.max_degree:
+                raise DegreeOverflow(
+                    f"product of degree {total} exceeds cap {sig.max_degree}"
+                )
+            c = c1.mul(c2).scale(sign)
+            s = terms.get(canon)
+            s = c if s is None else s.add(c)
+            if s.is_zero():
+                terms.pop(canon, None)
+            else:
+                terms[canon] = s
+    return _gf(sig, terms)
+
+
+def full_substitute(m: ChartMap, f: GradedFunction) -> GradedFunction:
+    """`m.apply_to(f)` with every coordinate substituted, fixed ones too."""
+    return f.substitute(m.target, m.base, m.gens)
+
+
+def full_after(outer: ChartMap, inner: ChartMap) -> ChartMap:
+    """`outer.after(inner)` with every image of outer substituted through inner."""
+    return ChartMap(outer.source, inner.target,
+                    [full_substitute(inner, f) for f in outer.base],
+                    {g: full_substitute(inner, f) for g, f in outer.gens.items()})
+
+
+def full_transform_field(x: VectorField, new_in_old: ChartMap,
+                         old_in_new: ChartMap) -> VectorField:
+    """`transform_field` with the field applied to every image and every
+    action substituted in full."""
+    actions = {}
+    for c in all_coords(new_in_old.source):
+        val = x.apply(new_in_old.image(c))
+        if not val.is_zero():
+            actions[c] = full_substitute(old_in_new, val)
+    return VectorField(old_in_new.target, x.degree, actions)
+
+
+def full_is_identity(m: ChartMap) -> bool:
+    """`m.is_identity()` by comparison with the identity map of its source."""
+    ident = ChartMap.identity(m.source)
+    return m.base == ident.base and m.gens == ident.gens
 
 
 def invert_chart_map(m: ChartMap) -> ChartMap:

@@ -517,6 +517,37 @@ class TestUnimodularAlignment:
             a_t = [lower[p] for p in perm]
             self.check_aligned([[a_t[c][r] for c in range(m)] for r in range(d)], m, nv)
 
+    def test_euclid_over_one_variable(self):
+        # (1 + x, x) has no constant entry, yet (1 + x) - x = 1
+        x = self.X
+        t = self.check_aligned([[self.ONE.add(x), x]], 2, 1)
+        assert t.entries == [[self.ONE, self.ONE.neg()], [x.neg(), self.ONE.add(x)]]
+
+    def test_euclid_takes_several_rounds(self):
+        # x^2 + x + 1 - x^2 = x + 1, then x^2 = (x - 1)(x + 1) + 1
+        x = self.X
+        self.check_aligned([[x.mul(x).add(x).add(self.ONE), x.mul(x)]], 2, 1)
+        self.check_aligned([[x, x.mul(x).add(self.ONE), x.mul(x)]], 3, 1)
+
+    def test_seeded_unimodular_columns_align(self):
+        # e_1 under random elementary operations row_i += p * row_j over Q[x]
+        # stays unimodular, so the Euclidean step must reach a constant
+        rng = random.Random(1406)
+        for _ in range(40):
+            m = rng.randint(2, 4)
+            col = [self.ONE] + [Poly.zero(1) for _ in range(m - 1)]
+            for _ in range(rng.randint(1, 4)):
+                i, j = rng.sample(range(m), 2)
+                p = Poly(1, {(rng.randint(0, 2),): rng.choice([-2, -1, 1, 3])})
+                col[i] = col[i].add(p.mul(col[j]))
+            self.check_aligned([col], m, 1)
+
+    def test_unimodular_column_over_two_variables_is_refused(self):
+        # the Euclidean step is for one base variable only
+        x, one = Poly.var(2, 0), Poly.one(2)
+        with pytest.raises(NonPolynomialFlatFrame, match=f"^{self.REFUSAL}$"):
+            _unimodular_alignment([[one.add(x), x]], 2, 2)
+
     @pytest.mark.parametrize("power", [1, 2])
     def test_column_in_the_ideal_of_x_is_refused(self, power):
         # (x, x) and (x, x^2) vanish at x = 0, so no polynomial T aligns them

@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from gradman.errors import NumberTooLong
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
@@ -32,6 +34,20 @@ def rand_poly(rng, nvars=2, max_deg=3, max_terms=4):
         if c != 0:
             terms[exps] = terms.get(exps, Fraction(0)) + c
     return Poly(nvars, {e: c for e, c in terms.items() if c != 0})
+
+
+class TestPolyRepr:
+    def test_repr_of_an_unprintable_coefficient_names_the_refusal(self):
+        p = Poly.const(0, 10**5000)
+        text = (f"coefficient of 5001 digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits for decimal output")
+        assert repr(p) == f"Poly(<{text}>)"
+        assert repr(Poly(1, {(1,): Fraction(1, 10**5000)})) == f"Poly(<{text}>)"
+        with pytest.raises(NumberTooLong, match=f"^{text}$"):
+            p.to_string([])
+
+    def test_repr_of_a_printable_poly(self):
+        assert repr(Poly(2, {(1, 0): 3, (0, 0): -1})) == "Poly(3*x0 - 1)"
 
 
 class TestPolyArith:

@@ -27,6 +27,14 @@ from gradman.fields import (
 )
 from gradman.geometrize import geometrize
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
+from randchart import (
+    full_after,
+    full_is_identity,
+    full_substitute,
+    full_transform_field,
+    random_signature,
+    random_triangular_substitution,
+)
 
 SIG = GradedSignature(3, ("x",), [("e1", "e2"), ("p",), ("q",)])
 R11 = GradedSignature(1, ("x",), [("e",)])
@@ -313,6 +321,97 @@ class TestChartMap:
                        {sig.gen_by_name("e"): gen(sig, "e")})
         assert fwd.after(bwd).is_identity()
         assert bwd.after(fwd).is_identity()
+
+
+def same_map(a, b):
+    return (a.source == b.source and a.target == b.target
+            and a.base == b.base and a.gens == b.gens)
+
+
+def shear_identity(rng, sig):
+    """An identity map edited in place, one coordinate shifted by terms free
+    of it: a base shift x_b + c*x_b2 + k, or a generator shift g + sum of
+    words in other generators."""
+    m = ChartMap.identity(sig)
+    assert m.is_identity()
+    if sig.m0 and rng.random() < 0.4:
+        b = rng.randrange(sig.m0)
+        b2 = (b + 1) % sig.m0
+        shift = GradedFunction.constant(sig, rng.randint(-1, 1))
+        if b2 != b:
+            shift = shift.add(GradedFunction.base_var(sig, b2).scale(rng.choice([-1, 1])))
+        m.base[b] = m.base[b].add(shift)
+        return m
+    g = rng.choice(sig.gen_ids())
+    words = [w for w in monomials_of_degree(sig.gen_ids(), g[0]) if g not in w]
+    for w in rng.sample(words, min(len(words), 2)):
+        m.gens[g] = m.gens[g].add(GradedFunction.monomial(sig, w, rand_coeff(rng, sig)))
+    return m
+
+
+class TestMovedCoordinates:
+    """Composition, application and field transport skip the coordinates a
+    map fixes; each must equal the full substitution."""
+
+    def check_against_full(self, rng, sig, a, b):
+        assert a.is_identity() == full_is_identity(a)
+        assert same_map(a.after(b), full_after(a, b))
+        assert same_map(b.after(a), full_after(b, a))
+        for _ in range(3):
+            x = rand_field(rng, sig, rng.randint(-sig.n, 0))
+            assert transform_field(x, a, b) == full_transform_field(x, a, b)
+            assert transform_field(x, b, a) == full_transform_field(x, b, a)
+            for c in all_coords(sig):
+                f = x.action(c)
+                assert a.apply_to(f) == full_substitute(a, f)
+
+    def test_identity_edited_after_construction(self):
+        # the moved set is read at use time, so edits into .base and .gens of
+        # an identity map (queried once before the edit) are seen
+        rng = random.Random(1404)
+        moved = 0
+        for _ in range(40):
+            sig = random_signature(rng)
+            a = shear_identity(rng, sig)
+            moved += not a.is_identity()
+            self.check_against_full(rng, sig, a, random_triangular_substitution(rng, sig))
+            self.check_against_full(rng, sig, a, shear_identity(rng, sig))
+        assert moved > 30
+
+    def test_random_triangular_substitutions(self):
+        rng = random.Random(1405)
+        for _ in range(30):
+            sig = random_signature(rng)
+            self.check_against_full(rng, sig, random_triangular_substitution(rng, sig),
+                                    random_triangular_substitution(rng, sig))
+
+    def test_identity_edited_back_is_identity(self):
+        sig = SIG
+        m = ChartMap.identity(sig)
+        e1 = gen(sig, "e1")
+        m.gens[(1, 0)] = e1.add(gen(sig, "e2"))
+        assert m.moved() == {gen_coord((1, 0))} and not m.is_identity()
+        m.gens[(1, 0)] = e1
+        assert not m.moved() and m.is_identity()
+        del m.gens[(3, 0)]
+        assert m.moved() == {gen_coord((3, 0))} and not m.is_identity()
+
+    def test_map_between_charts_moves_every_coordinate(self):
+        # same shape, other names: the images live on another chart, so even
+        # a constant image is rewritten onto it
+        other = GradedSignature(3, ("y",), [("f1", "f2"), ("u",), ("v",)])
+        m = ChartMap(SIG, other, [GradedFunction.base_var(other, 0)],
+                     {g: GradedFunction.from_gen(other, g) for g in SIG.gen_ids()})
+        assert m.moved() == set(all_coords(SIG))
+        assert not m.is_identity() and not full_is_identity(m)
+        for f in (GradedFunction.constant(SIG, 3), GradedFunction.zero(SIG),
+                  gen(SIG, "e1").mul(gen(SIG, "p"))):
+            assert m.apply_to(f) == full_substitute(m, f)
+            assert m.apply_to(f).sig == other
+        back = ChartMap(other, SIG, [GradedFunction.base_var(SIG, 0)],
+                        {g: GradedFunction.from_gen(SIG, g) for g in SIG.gen_ids()})
+        assert same_map(m.after(back), full_after(m, back))
+        assert m.after(back).is_identity()
 
 
 class TestCompatDerivations:

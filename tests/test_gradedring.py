@@ -1,21 +1,23 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gradman.errors import DegreeOverflow, UnknownGenerator
+from gradman.errors import DegreeOverflow, NumberTooLong, UnknownGenerator
 from gradman.exactnum import Poly
 from gradman.gradedring import (
     GradedFunction,
     GradedSignature,
     braiding_sign,
     dim_symmetric_component,
+    koszul_merge,
     koszul_sort,
     monomials_of_degree,
     normalize,
 )
-from randchart import partition_count
+from randchart import CHART_PROFILES, partition_count, random_signature, reference_mul
 
 
 def bubble_normalize(sig, word):
@@ -132,6 +134,63 @@ class TestKoszulSort:
         assert normalize(SIG, word) == koszul_sort(word) == (-1, tuple(sorted(word)))
 
 
+def rand_chart_function(rng, sig, max_total=4):
+    """A few random terms on any chart, words of degree up to max_total."""
+    words = [w for k in range(max_total + 1) for w in monomials_of_degree(sig.gen_ids(), k)]
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(sig.m0))
+        coeff = Poly(sig.m0, {exps: Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+        terms[rng.choice(words)] = coeff
+    return GradedFunction(sig, terms)
+
+
+class TestMergedProduct:
+    def test_merge_equals_sort_on_all_canonical_pairs(self):
+        # every pair of canonical words up to degree 5 over odd generators in
+        # degrees 1 and 3 and even ones in degree 2
+        gens = [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0)]
+        words = [w for k in range(6) for w in monomials_of_degree(gens, k)]
+        signs = set()
+        for w1 in words:
+            for w2 in words:
+                got = koszul_merge(w1, w2)
+                assert got == koszul_sort(w1 + w2), (w1, w2)
+                signs.add(got[0])
+        assert signs == {-1, 0, 1}
+
+    def test_mul_equals_reference_on_seeded_charts(self):
+        rng = random.Random(1401)
+        shared = 0
+        for _ in range(300):
+            sig = random_signature(rng)
+            f, g = rand_chart_function(rng, sig, 3), rand_chart_function(rng, sig, 3)
+            assert f.mul(g) == reference_mul(f, g)
+            shared += any(koszul_sort(w1 + w2)[0] == 0 for w1 in f.terms for w2 in g.terms)
+        assert shared > 20
+
+    @pytest.mark.parametrize("profile", [p for p in CHART_PROFILES if ("p", 2) in p])
+    def test_overflow_matches_reference(self, profile):
+        # a product of degree max_degree + 1, built from the even generator p
+        # and, for an odd degree, the odd e1
+        by_deg = {}
+        for name, d in profile:
+            by_deg.setdefault(d, []).append(name)
+        n = max(by_deg)
+        sig = GradedSignature(n, ("x",), [tuple(by_deg.get(i, ())) for i in range(1, n + 1)])
+        top = sig.max_degree + 1
+        e, p = sig.gen_by_name("e1"), sig.gen_by_name("p")
+        one = Poly.one(1)
+        left = GradedFunction.monomial(sig, (e,) * (top % 2) + (p,) * (top // 2 - 1), one)
+        right = GradedFunction.monomial(sig, (p,), Poly.var(1, 0))
+        with pytest.raises(DegreeOverflow) as want:
+            reference_mul(left, right)
+        with pytest.raises(DegreeOverflow) as got:
+            left.mul(right)
+        assert str(got.value) == str(want.value) == (
+            f"product of degree {top} exceeds cap {sig.max_degree}")
+
+
 class TestRingLaws:
     def test_graded_commutativity_randomized(self):
         rng = random.Random(23)
@@ -199,6 +258,19 @@ class TestCanonicalConstruction:
         f = GradedFunction(sig, {(self.E1, self.E2): Poly.one(1),
                                  (self.E2, self.E1): Poly.one(1)})
         assert f.is_zero()
+
+
+class TestRepr:
+    def test_repr_of_an_unprintable_coefficient_names_the_refusal(self):
+        f = GradedFunction.constant(SIG, 10**5000).add(gf_gen("e1"))
+        text = (f"coefficient of 5001 digits exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits for decimal output")
+        assert repr(f) == f"GradedFunction(<{text}>)"
+        with pytest.raises(NumberTooLong, match=f"^{text}$"):
+            f.to_string()
+
+    def test_repr_of_a_printable_function(self):
+        assert repr(gf_gen("e1").scale(2)) == "GradedFunction(2*e1)"
 
 
 class TestEvaluation:
