@@ -6,7 +6,8 @@ blocks (j, k) with j <= k are kept, the others being forced by
 cocommutativity.  `CoalgebraBundle.mu_columns` expands the blocks once per
 degree into sparse columns over the full ordered pair basis; every check
 (cocommutativity, coassociativity, the coherence constraint space,
-admissibility) reads that one expanded form.
+admissibility) reads that one expanded form, and so do morphisms, which
+push its pair columns through phi (x) phi.
 
 The column helpers are written on `+`, unary `-`, `*` and truth values, so
 `compute_K` runs them on ints over a constant bundle's `integer_view` and on
@@ -25,14 +26,15 @@ from .errors import DvbNotExact, NotAdmissible, UnsupportedXDependence
 from .exactnum import (
     Poly,
     PolyMatrix,
+    accumulate,
     kernel_basis,
     poly_inverse,
     primitive_vector,
     rank_at,
     rank_generic,
-    rat_inverse,
     rat_kernel,
     rat_pivots,
+    rat_rank,
     rat_rref,
 )
 from .gradedring import (
@@ -44,16 +46,6 @@ from .gradedring import (
 )
 
 Elem = Tuple[int, int]  # (positive degree, fiber index)
-
-
-def _accumulate(col: dict, key, val):
-    """Add `val` at `key` of a sparse column, dropping the key when the sum is zero."""
-    acc = col.get(key)
-    acc = val if acc is None else acc + val
-    if not acc:
-        col.pop(key, None)
-    else:
-        col[key] = acc
 
 
 @dataclass
@@ -227,7 +219,7 @@ def apply_mu(E: CoalgebraBundle, col: dict, pos: int) -> dict:
         if u[0] == 1:
             continue
         for pair, q in E.mu_columns(u[0])[u[1]].items():
-            _accumulate(out, T[:pos] + pair + T[pos + 1:], c * q)
+            accumulate(out, T[:pos] + pair + T[pos + 1:], c * q)
     return out
 
 
@@ -244,7 +236,22 @@ def permute_column(col: dict, perm: Sequence[int]) -> dict:
     out: dict = {}
     for T, c in col.items():
         sign = braiding_sign(move, [g[0] & 1 for g in T])
-        _accumulate(out, tuple(T[q] for q in perm), c if sign > 0 else -c)
+        accumulate(out, tuple(T[q] for q in perm), c if sign > 0 else -c)
+    return out
+
+
+def push_column(phi: "CoalgebraMorphism", col: dict) -> dict:
+    """Push a sparse pair column through phi (x) phi: the pair ((j, a), (k, b))
+    goes to each ((j, a'), (k, b')) times phi_j[a'][a] phi_k[b'][b], no sign."""
+    out: dict = {}
+    for ((j, a), (k, b)), c in col.items():
+        mk = phi.matrix(k).entries
+        for ap, row in enumerate(phi.matrix(j).entries):
+            if row[a]:
+                ca = c * row[a]
+                for bp, row_k in enumerate(mk):
+                    if row_k[b]:
+                        accumulate(out, ((j, ap), (k, bp)), ca * row_k[b])
     return out
 
 
@@ -258,7 +265,7 @@ def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int) -> li
         col: dict = {}
         for t1, c1 in cu.items():
             for t2, c2 in cv.items():
-                _accumulate(col, t1 + t2, c1 * c2)
+                accumulate(col, t1 + t2, c1 * c2)
         cols.append(col)
     return cols
 
@@ -319,7 +326,7 @@ def _image(diffs: list, vec) -> dict:
         if not coeff:
             continue
         for T, c in diffs[p].items():
-            _accumulate(img, T, coeff * c)
+            accumulate(img, T, coeff * c)
     return img
 
 
@@ -379,7 +386,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
             diffs = [dict(col) for col in var_cols]
             for diff, ref in zip(diffs, ref_cols):
                 for T, c in ref.items():
-                    _accumulate(diff, T, -c)
+                    accumulate(diff, T, -c)
             images = [_image(diffs, enumerate(vec)) for vec in basis]
             tuples_seen = {}
             for img in images:
@@ -612,28 +619,6 @@ class CoalgebraMorphism:
                                    self.source.nvars)
         return m
 
-    def tensor_square(self, i: int) -> PolyMatrix:
-        """The induced map on ordered pair bases in total degree -i."""
-        sp = self.source.tensor_basis(2, i)
-        tp = self.target.tensor_basis(2, i)
-        t_index = {p: r for r, p in enumerate(tp)}
-        nv = self.source.nvars
-        out = PolyMatrix.zero(len(tp), len(sp), nv)
-        for cidx, ((j, a), (k, b)) in enumerate(sp):
-            mj = self.matrix(j)
-            mk = self.matrix(k)
-            for ap in range(self.target.rank(j)):
-                e1 = mj.entries[ap][a]
-                if e1.is_zero():
-                    continue
-                for bp in range(self.target.rank(k)):
-                    e2 = mk.entries[bp][b]
-                    if e2.is_zero():
-                        continue
-                    r = t_index[((j, ap), (k, bp))]
-                    out.entries[r][cidx] = out.entries[r][cidx].add(e1.mul(e2))
-        return out
-
     def compose(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
         """self o other (other applied first)."""
         if other.target is not self.source and other.target != self.source:
@@ -667,7 +652,7 @@ class CoalgebraMorphism:
 
 def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
                    F: CoalgebraBundle) -> bool:
-    """Exact check of the comultiplication-intertwining identity per degree."""
+    """Exact check of mu_F phi = (phi (x) phi) mu_E, per degree on sparse columns."""
     if E.n != F.n:
         return False
     for i in range(1, E.n + 1):
@@ -675,10 +660,11 @@ def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
         if (m.rows, m.cols) != (F.rank(i), E.rank(i)):
             raise ValueError("morphism matrices have incompatible shapes")
     for i in range(2, E.n + 1):
-        lhs = F.full_mu(i).mul(phi.matrix(i))
-        rhs = phi.tensor_square(i).mul(E.full_mu(i))
-        if lhs != rhs:
-            return False
+        m = phi.matrix(i).entries
+        for c, col in enumerate(E.mu_columns(i)):
+            lhs = _image(F.mu_columns(i), ((b, row[c]) for b, row in enumerate(m)))
+            if lhs != push_column(phi, col):
+                return False
     return True
 
 
@@ -739,11 +725,11 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
     columns, and every pivot column is 0 at all free columns; so in
     kernel (+) complement the coordinate along that vector is the entry at f,
     and the rows onto the new generators are unit rows at the free columns.
-    Per degree the images of all columns are one sparse product (tensor
-    square of the lower-degree map times the comultiplication), and their
-    preimages come from one RREF of [decomposable block of the split
-    comultiplication | images]; a pivot in the right-hand part means an image
-    leaves that block's span.  Requires fiberwise-constant comultiplication;
+    Per degree the images of all columns are the comultiplication columns
+    pushed through the lower-degree map tensor itself, and their preimages
+    come from one RREF of [decomposable block of the split comultiplication |
+    images]; a pivot in the right-hand part means an image leaves that
+    block's span.  Requires fiberwise-constant comultiplication;
     pass `at_point` to work in a single fiber otherwise.
     """
     if not E.is_constant():
@@ -788,11 +774,16 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         # every column solves at once when no pivot lies right of the
         # decomposable block; the RREF rows then hold the solutions, free
         # variables at zero
-        smu = S.full_mu(i).to_rat()
-        image = CoalgebraMorphism(E, S, matrices).tensor_square(i).mul(E.full_mu(i)).to_rat()
+        phi = CoalgebraMorphism(E, S, matrices)
+        cols = ([S.mu_columns(i)[t] for t in decomp_pos]
+                + [push_column(phi, col) for col in E.mu_columns(i)])
+        index = {p: t for t, p in enumerate(S.tensor_basis(2, i))}
+        rows = [[Fraction(0)] * len(cols) for _ in index]
+        for c, col in enumerate(cols):
+            for p, q in col.items():
+                rows[index[p]][c] = q.constant_value()
         ndec = len(decomp_pos)
-        red, pivots = rat_rref([[row[c] for c in decomp_pos] + img
-                                for row, img in zip(smu, image)])
+        red, pivots = rat_rref(rows)
         if pivots and pivots[-1] >= ndec:
             raise NotAdmissible(
                 f"comultiplication image leaves the constraint space at degree {-i}"
@@ -802,9 +793,7 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
             mat[singleton_pos[t]][f] = Fraction(1)
         for row, p in zip(red, pivots):
             mat[decomp_pos[p]] = row[ndec:]
-        try:
-            rat_inverse(mat)
-        except ValueError:
+        if rat_rank(mat) < rs:
             raise NotAdmissible(f"splitting map is singular at degree {-i}")
         matrices[i] = PolyMatrix.from_rat(rs, r, mat, nv)
     return CoalgebraMorphism(E, S, matrices)

@@ -350,6 +350,16 @@ def _poly(nvars: int, terms: dict) -> Poly:
     return p
 
 
+def accumulate(col: dict, key, val):
+    """Add `val` at `key` of a sparse column, dropping the key when the sum is zero."""
+    acc = col.get(key)
+    acc = val if acc is None else acc + val
+    if not acc:
+        col.pop(key, None)
+    else:
+        col[key] = acc
+
+
 # --- matrices ------------------------------------------------------------
 
 

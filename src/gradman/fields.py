@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegreeMismatch, SignatureMismatch
-from .exactnum import Poly, rat_rank
+from .exactnum import Poly, PolyMatrix, accumulate, rank_at
 from .gradedring import GenId, GradedFunction, GradedSignature
 
 Coord = Tuple  # ("x", alpha) or ("g", (deg, idx))
@@ -201,14 +201,9 @@ def linearly_independent(fields: Sequence[VectorField], points: Sequence) -> boo
     if not fields:
         return True
     sig = fields[0].sig
-    coords = all_coords(sig)
-    for p in points:
-        rows = []
-        for c in coords:
-            rows.append([f.action(c).body_eval(p) for f in fields])
-        if rat_rank(rows) < len(fields):
-            return False
-    return True
+    rows = [[f.action(c).body() for f in fields] for c in all_coords(sig)]
+    m = PolyMatrix(len(rows), len(fields), rows, sig.m0)
+    return all(rank_at(m, p) == len(fields) for p in points)
 
 
 def is_homological(q: VectorField) -> bool:
@@ -412,66 +407,69 @@ def _apply_symbol(sym: list, p: Poly) -> Poly:
     return out
 
 
+# A dual-algebra element is a sparse dict {(degree, frame index): Poly}; the
+# unit is (0, 0), so a degree-0 element is a base function times the unit.
+
+
+def _frame_mul(E, u: dict, v: dict) -> dict:
+    """Product of dual-algebra elements through the dual multiplication.
+
+    The unit multiplies through the frame index; a product of frame
+    elements above degree n vanishes."""
+    out: dict = {}
+    for (i, a), p in u.items():
+        for (j, b), q in v.items():
+            pq = p * q
+            if not i or not j:
+                accumulate(out, (i, a) if j == 0 else (j, b), pq)
+            elif i + j <= E.n:
+                for c in range(E.rank(i + j)):
+                    e = _mu_entry(E, i, j, a, b, c)
+                    if e:
+                        accumulate(out, (i + j, c), pq * e)
+    return out
+
+
+def _derive(d: CompatDerivation, u: dict) -> dict:
+    """A frame derivation applied to a dual-algebra element, by Leibniz over
+    coefficient times frame element: the symbol differentiates coefficients
+    (degree 0 only), the matrices send frame elements to their images.  An
+    image in degree 0 is a multiple of the unit, the matrix's one row."""
+    out: dict = {}
+    for (i, a), p in u.items():
+        if d.degree == 0 and d.symbol:
+            accumulate(out, (i, a), _apply_symbol(d.symbol, p))
+        for r, row in enumerate(d.matrix(i) or ()):
+            if row[a]:
+                accumulate(out, (i + d.degree, r), p * row[a])
+    return out
+
+
+def _matrix(E, t: int, cols: list) -> list:
+    """Frame matrix whose columns are the given elements of degree t."""
+    out = [[Poly.zero(E.nvars) for _ in cols] for _ in range(E.rank(t) if t else 1)]
+    for b, col in enumerate(cols):
+        for (_, r), p in col.items():
+            out[r][b] = p
+    return out
+
+
 def compat_check(d: CompatDerivation, E) -> bool:
-    """Exact multiplicativity of a frame derivation against the dual product."""
-    k = d.degree
-    n = E.n
-    nv = E.nvars
-    sym = d.symbol or []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1 - i):
-            t = i + j + k
-            if t < 0:
-                continue
-            rows_t = 1 if t == 0 else E.rank(t)
-            sign = -1 if (k * i) % 2 else 1
+    """Exact multiplicativity of a frame derivation against the dual product:
+    d(u v) = d(u) v + (-1)^(k deg u) u d(v) on every pair of frame elements."""
+    one = Poly.one(E.nvars)
+    for i in range(1, E.n + 1):
+        sign = -1 if (d.degree * i) % 2 else 1
+        for j in range(1, E.n + 1 - i):
             for a in range(E.rank(i)):
+                u = {(i, a): one}
+                du = _derive(d, u)
                 for b in range(E.rank(j)):
-                    mm = [_mu_entry(E, i, j, a, b, c) for c in range(E.rank(i + j))]
-                    # left side: derivation applied to the product expansion
-                    lhs = [Poly.zero(nv) for _ in range(rows_t)]
-                    dij = d.matrix(i + j)
-                    if dij is not None:
-                        for c, coeff in enumerate(mm):
-                            if coeff.is_zero():
-                                continue
-                            for r in range(rows_t):
-                                lhs[r] = lhs[r].add(coeff.mul(dij[r][c]))
-                    if k == 0:
-                        for c, coeff in enumerate(mm):
-                            s = _apply_symbol(sym, coeff)
-                            if not s.is_zero():
-                                lhs[c] = lhs[c].add(s)
-                    # right side: Leibniz over the two factors; components in
-                    # negative degrees are zero, scalar components multiply
-                    rhs = [Poly.zero(nv) for _ in range(rows_t)]
-                    di = d.matrix(i)
-                    if t > 0 and di is not None and i + k > 0:
-                        for c in range(E.rank(i + k)):
-                            coeff = di[c][a]
-                            if coeff.is_zero():
-                                continue
-                            for r in range(rows_t):
-                                rhs[r] = rhs[r].add(coeff.mul(_mu_entry(E, i + k, j, c, b, r)))
-                    elif t > 0 and di is not None and i + k == 0:
-                        u = di[0][a]
-                        if not u.is_zero():
-                            rhs[b] = rhs[b].add(u)
-                    dj = d.matrix(j)
-                    if t > 0 and dj is not None and j + k > 0:
-                        for c in range(E.rank(j + k)):
-                            coeff = dj[c][b]
-                            if coeff.is_zero():
-                                continue
-                            for r in range(rows_t):
-                                rhs[r] = rhs[r].add(
-                                    coeff.mul(_mu_entry(E, i, j + k, a, c, r)).scale(sign)
-                                )
-                    elif t > 0 and dj is not None and j + k == 0:
-                        u = dj[0][b]
-                        if not u.is_zero():
-                            rhs[a] = rhs[a].add(u.scale(sign))
-                    if lhs != rhs:
+                    v = {(j, b): one}
+                    rhs = _frame_mul(E, du, v)
+                    for key, p in _frame_mul(E, u, _derive(d, v)).items():
+                        accumulate(rhs, key, p if sign > 0 else -p)
+                    if _derive(d, _frame_mul(E, u, v)) != rhs:
                         return False
     return True
 
@@ -485,75 +483,30 @@ def theta_action(e_frame: Tuple[int, int], d: CompatDerivation, E) -> CompatDeri
     k = d.degree
     if k + i > 0:
         raise DegreeMismatch("module action must stay in non-positive degrees")
-    nv = E.nvars
+    one = Poly.one(E.nvars)
+    e = {(i, a): one}
     mats: Dict[int, list] = {}
     for j in range(1, E.n + 1):
-        t = j + k + i
-        if t < 0:
-            continue
-        rows_t = 1 if t == 0 else E.rank(t)
-        out = [[Poly.zero(nv) for _ in range(E.rank(j))] for _ in range(rows_t)]
-        mats[j] = out
-        dj = d.matrix(j)
-        if j + k < 0 or dj is None:
-            continue
-        for b in range(E.rank(j)):
-            if j + k == 0:
-                u = dj[0][b]
-                if u.is_zero():
-                    continue
-                # multiplication by the frame element lands on it directly
-                out[a][b] = out[a][b].add(u)
-            else:
-                for c in range(E.rank(j + k)):
-                    coeff = dj[c][b]
-                    if coeff.is_zero():
-                        continue
-                    for r in range(rows_t):
-                        out[r][b] = out[r][b].add(coeff.mul(_mu_entry(E, i, j + k, a, c, r)))
-        mats[j] = out
+        if j + k + i >= 0:
+            cols = [_frame_mul(E, e, _derive(d, {(j, b): one})) for b in range(E.rank(j))]
+            mats[j] = _matrix(E, j + k + i, cols)
     return CompatDerivation(k + i, E, mats, None)
 
 
 def compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> CompatDerivation:
     """Operator composition of frame derivations (not itself a derivation)."""
     k1, k2 = d1.degree, d2.degree
-    nv = E.nvars
-    sym1 = d1.symbol or []
+    one = Poly.one(E.nvars)
     mats: Dict[int, list] = {}
     for j in range(1, E.n + 1):
-        mid = j + k2
         t = j + k1 + k2
-        if t < 0 or mid < 0:
+        if t < 0 or j + k2 < 0 or d2.matrix(j) is None:
             continue
-        dj2 = d2.matrix(j)
-        if dj2 is None:
-            continue
-        rows_t = 1 if t == 0 else E.rank(t)
-        out = [[Poly.zero(nv) for _ in range(E.rank(j))] for _ in range(rows_t)]
-        for b in range(E.rank(j)):
-            if mid == 0:
-                u = dj2[0][b]
-                if k1 == 0 and not u.is_zero():
-                    out[0][b] = out[0][b].add(_apply_symbol(sym1, u))
-                continue
-            d1mid = d1.matrix(mid)
-            for c in range(E.rank(mid)):
-                coeff = dj2[c][b]
-                if coeff.is_zero():
-                    continue
-                if k1 == 0:
-                    s = _apply_symbol(sym1, coeff)
-                    if not s.is_zero():
-                        out[c][b] = out[c][b].add(s)
-                if d1mid is not None:
-                    for r in range(rows_t):
-                        out[r][b] = out[r][b].add(coeff.mul(d1mid[r][c]))
-        mats[j] = out
+        mats[j] = _matrix(E, t, [_derive(d1, _derive(d2, {(j, b): one}))
+                                 for b in range(E.rank(j))])
     symbol = None
     if k1 == 0 and k2 == 0:
-        sym2 = d2.symbol or []
-        symbol = [_apply_symbol(sym1, p) for p in sym2]
+        symbol = [_apply_symbol(d1.symbol or [], p) for p in d2.symbol or []]
     return CompatDerivation(k1 + k2, E, mats, symbol)
 
 

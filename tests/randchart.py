@@ -6,16 +6,17 @@ from typing import Dict, Sequence, Tuple
 
 from gradman.coalgebra import (
     CoalgebraBundle,
+    CoalgebraMorphism,
     KSpace,
-    _accumulate,
     _image,
     _variant_pair_columns,
     permute_column,
 )
-from gradman.errors import DegreeOverflow, DvbNotExact, NonPolynomialFlatFrame
+from gradman.errors import DegreeMismatch, DegreeOverflow, DvbNotExact, NonPolynomialFlatFrame
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
+    accumulate,
     kernel_basis,
     poly_inverse,
     primitive_vector,
@@ -23,7 +24,15 @@ from gradman.exactnum import (
     rat_inverse,
     rat_rank,
 )
-from gradman.fields import ChartMap, VectorField, all_coords, base_coord, gen_coord
+from gradman.fields import (
+    ChartMap,
+    CompatDerivation,
+    VectorField,
+    _mu_entry,
+    all_coords,
+    base_coord,
+    gen_coord,
+)
 from gradman.gradedring import (
     GenId,
     Gens,
@@ -507,7 +516,7 @@ def reference_compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
             diffs = [dict(col) for col in var_cols]
             for diff, ref in zip(diffs, ref_cols):
                 for T, c in ref.items():
-                    _accumulate(diff, T, c.neg())
+                    accumulate(diff, T, c.neg())
             images = [_image(diffs, enumerate(vec)) for vec in basis]
             tuples_seen = {}
             for img in images:
@@ -536,3 +545,191 @@ def reference_compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
         if not basis:
             break
     return KSpace(degree, pairs, basis, contains)
+
+
+def tensor_square(self: CoalgebraMorphism, i: int) -> PolyMatrix:
+    """The induced map on ordered pair bases in total degree -i.
+
+    The former `CoalgebraMorphism.tensor_square`, a dense |pairs| x |pairs|
+    matrix, kept as the reference for `coalgebra.push_column`.
+    """
+    sp = self.source.tensor_basis(2, i)
+    tp = self.target.tensor_basis(2, i)
+    t_index = {p: r for r, p in enumerate(tp)}
+    nv = self.source.nvars
+    out = PolyMatrix.zero(len(tp), len(sp), nv)
+    for cidx, ((j, a), (k, b)) in enumerate(sp):
+        mj = self.matrix(j)
+        mk = self.matrix(k)
+        for ap in range(self.target.rank(j)):
+            e1 = mj.entries[ap][a]
+            if e1.is_zero():
+                continue
+            for bp in range(self.target.rank(k)):
+                e2 = mk.entries[bp][b]
+                if e2.is_zero():
+                    continue
+                r = t_index[((j, ap), (k, bp))]
+                out.entries[r][cidx] = out.entries[r][cidx].add(e1.mul(e2))
+    return out
+
+
+# --- frame derivations expanded by hand ---------------------------------------
+#
+# The bodies of `compat_check`, `theta_action` and `compat_compose` as they
+# were before frame derivations acted on dual-algebra elements: dense row
+# lists, with the degree-0 targets and symbols handled case by case.
+
+
+def _apply_symbol(sym: list, p: Poly) -> Poly:
+    """The degree-0 symbol sum_alpha sym[alpha] * d/dx_alpha applied to p."""
+    out = Poly.zero(p.nvars)
+    for alpha, coeff in enumerate(sym):
+        if not coeff.is_zero():
+            out = out.add(coeff.mul(p.derivative(alpha)))
+    return out
+
+
+def reference_compat_check(d: CompatDerivation, E) -> bool:
+    """Exact multiplicativity of a frame derivation against the dual product."""
+    k = d.degree
+    n = E.n
+    nv = E.nvars
+    sym = d.symbol or []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1 - i):
+            t = i + j + k
+            if t < 0:
+                continue
+            rows_t = 1 if t == 0 else E.rank(t)
+            sign = -1 if (k * i) % 2 else 1
+            for a in range(E.rank(i)):
+                for b in range(E.rank(j)):
+                    mm = [_mu_entry(E, i, j, a, b, c) for c in range(E.rank(i + j))]
+                    # left side: derivation applied to the product expansion
+                    lhs = [Poly.zero(nv) for _ in range(rows_t)]
+                    dij = d.matrix(i + j)
+                    if dij is not None:
+                        for c, coeff in enumerate(mm):
+                            if coeff.is_zero():
+                                continue
+                            for r in range(rows_t):
+                                lhs[r] = lhs[r].add(coeff.mul(dij[r][c]))
+                    if k == 0:
+                        for c, coeff in enumerate(mm):
+                            s = _apply_symbol(sym, coeff)
+                            if not s.is_zero():
+                                lhs[c] = lhs[c].add(s)
+                    # right side: Leibniz over the two factors; components in
+                    # negative degrees are zero, scalar components multiply
+                    rhs = [Poly.zero(nv) for _ in range(rows_t)]
+                    di = d.matrix(i)
+                    if t > 0 and di is not None and i + k > 0:
+                        for c in range(E.rank(i + k)):
+                            coeff = di[c][a]
+                            if coeff.is_zero():
+                                continue
+                            for r in range(rows_t):
+                                rhs[r] = rhs[r].add(coeff.mul(_mu_entry(E, i + k, j, c, b, r)))
+                    elif t > 0 and di is not None and i + k == 0:
+                        u = di[0][a]
+                        if not u.is_zero():
+                            rhs[b] = rhs[b].add(u)
+                    dj = d.matrix(j)
+                    if t > 0 and dj is not None and j + k > 0:
+                        for c in range(E.rank(j + k)):
+                            coeff = dj[c][b]
+                            if coeff.is_zero():
+                                continue
+                            for r in range(rows_t):
+                                rhs[r] = rhs[r].add(
+                                    coeff.mul(_mu_entry(E, i, j + k, a, c, r)).scale(sign)
+                                )
+                    elif t > 0 and dj is not None and j + k == 0:
+                        u = dj[0][b]
+                        if not u.is_zero():
+                            rhs[a] = rhs[a].add(u.scale(sign))
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def reference_theta_action(e_frame: Tuple[int, int], d: CompatDerivation, E) -> CompatDerivation:
+    """Module action of a dual-frame element on a frame derivation.
+
+    Sends every frame element first through the derivation and then multiplies
+    by the chosen element via the dual product."""
+    i, a = e_frame
+    k = d.degree
+    if k + i > 0:
+        raise DegreeMismatch("module action must stay in non-positive degrees")
+    nv = E.nvars
+    mats: Dict[int, list] = {}
+    for j in range(1, E.n + 1):
+        t = j + k + i
+        if t < 0:
+            continue
+        rows_t = 1 if t == 0 else E.rank(t)
+        out = [[Poly.zero(nv) for _ in range(E.rank(j))] for _ in range(rows_t)]
+        mats[j] = out
+        dj = d.matrix(j)
+        if j + k < 0 or dj is None:
+            continue
+        for b in range(E.rank(j)):
+            if j + k == 0:
+                u = dj[0][b]
+                if u.is_zero():
+                    continue
+                # multiplication by the frame element lands on it directly
+                out[a][b] = out[a][b].add(u)
+            else:
+                for c in range(E.rank(j + k)):
+                    coeff = dj[c][b]
+                    if coeff.is_zero():
+                        continue
+                    for r in range(rows_t):
+                        out[r][b] = out[r][b].add(coeff.mul(_mu_entry(E, i, j + k, a, c, r)))
+        mats[j] = out
+    return CompatDerivation(k + i, E, mats, None)
+
+
+def reference_compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> CompatDerivation:
+    """Operator composition of frame derivations (not itself a derivation)."""
+    k1, k2 = d1.degree, d2.degree
+    nv = E.nvars
+    sym1 = d1.symbol or []
+    mats: Dict[int, list] = {}
+    for j in range(1, E.n + 1):
+        mid = j + k2
+        t = j + k1 + k2
+        if t < 0 or mid < 0:
+            continue
+        dj2 = d2.matrix(j)
+        if dj2 is None:
+            continue
+        rows_t = 1 if t == 0 else E.rank(t)
+        out = [[Poly.zero(nv) for _ in range(E.rank(j))] for _ in range(rows_t)]
+        for b in range(E.rank(j)):
+            if mid == 0:
+                u = dj2[0][b]
+                if k1 == 0 and not u.is_zero():
+                    out[0][b] = out[0][b].add(_apply_symbol(sym1, u))
+                continue
+            d1mid = d1.matrix(mid)
+            for c in range(E.rank(mid)):
+                coeff = dj2[c][b]
+                if coeff.is_zero():
+                    continue
+                if k1 == 0:
+                    s = _apply_symbol(sym1, coeff)
+                    if not s.is_zero():
+                        out[c][b] = out[c][b].add(s)
+                if d1mid is not None:
+                    for r in range(rows_t):
+                        out[r][b] = out[r][b].add(coeff.mul(d1mid[r][c]))
+        mats[j] = out
+    symbol = None
+    if k1 == 0 and k2 == 0:
+        sym2 = d2.symbol or []
+        symbol = [_apply_symbol(sym1, p) for p in sym2]
+    return CompatDerivation(k1 + k2, E, mats, symbol)

@@ -18,6 +18,7 @@ from gradman.coalgebra import (
     dvb_coalgebra,
     morphism_check,
     permute_column,
+    push_column,
     split_coalgebra,
     split_morphism_from_linear,
     splitting_iso,
@@ -46,6 +47,7 @@ from randchart import (
     reference_compute_K,
     reference_dvb_coalgebra,
     span_rank,
+    tensor_square,
 )
 
 ORIGIN = [()]
@@ -576,7 +578,7 @@ def transport_frames(e, frames):
         mu[i] = {}
         if not e.rank(i):
             continue
-        full = phi.tensor_square(i).mul(e.full_mu(i)).mul(poly_inverse(frames[i]))
+        full = tensor_square(phi, i).mul(e.full_mu(i)).mul(poly_inverse(frames[i]))
         index = {p: r for r, p in enumerate(e.tensor_basis(2, i))}
         for j in range(1, i // 2 + 1):
             k = i - j
@@ -952,7 +954,7 @@ def per_column_splitting_iso(E, at_point=None):
         proj = inv[:d_i]
         smu = S.full_mu(i).to_rat()
         decomp_cols = [[row[c] for c in decomp_pos] for row in smu]
-        tsq = CoalgebraMorphism(E, S, matrices).tensor_square(i).to_rat()
+        tsq = tensor_square(CoalgebraMorphism(E, S, matrices), i).to_rat()
         cols_out = []
         for c in range(r):
             w = [row[c] for row in m]
@@ -1098,3 +1100,105 @@ class TestFractionBuiltBundles:
             assert check_admissible(f, points) == check_admissible(e, points), e
             assert splitting_outcome(splitting_iso, f, at) == \
                 splitting_outcome(splitting_iso, e, at), e
+
+
+# --- morphisms on sparse pair columns against the dense tensor square --------
+
+
+def dense_morphism_check(phi, E, F):
+    """morphism_check by dense products: mu_F phi against the tensor square
+    of phi times mu_E, per degree."""
+    return all(F.full_mu(i).mul(phi.matrix(i)) == tensor_square(phi, i).mul(E.full_mu(i))
+               for i in range(2, E.n + 1))
+
+
+def random_int_matrix(rng, rows, cols, nv):
+    return PolyMatrix(rows, cols, [[Poly.const(nv, rng.choice([0, 0, 1, -1, 2]))
+                                    for _ in range(cols)] for _ in range(rows)], nv)
+
+
+def perturbed(phi, i, b, c, delta):
+    """phi with delta added at entry (b, c) of its degree i matrix."""
+    mats = dict(phi.matrices)
+    rows = [list(row) for row in phi.matrix(i).entries]
+    rows[b][c] = rows[b][c].add(delta)
+    mats[i] = PolyMatrix(len(rows), len(rows[0]), rows, phi.source.nvars)
+    return CoalgebraMorphism(phi.source, phi.target, mats)
+
+
+class TestPushColumn:
+    def morphisms(self):
+        """(phi, E): maps out of split, conjugated and frame-transported
+        bundles, and non-square maps between split bundles."""
+        rng = random.Random(21)
+        for profile in SPLIT_CORPUS:
+            e = split_coalgebra(list(profile))
+            yield CoalgebraMorphism(e, e, {i: random_int_matrix(rng, e.rank(i), e.rank(i), 0)
+                                          for i in range(1, e.n + 1)}), e
+        for profile in [(2, 1), (1, 1, 1), (2, 2, 1), (2, 1, 0, 1), (3, 3)]:
+            e = conjugate_frames(rng, split_coalgebra(list(profile)))
+            yield splitting_iso(e), e
+        for profile, base in [((2, 1), ("x",)), ((1, 1, 1), ("x",)), ((2, 2, 1), ("x",)),
+                              ((2, 1, 1), ("x", "y")), ((1, 1, 1, 1), ("x", "y"))]:
+            s = split_coalgebra(list(profile), base_names=base)
+            frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                      for i in range(1, s.n + 1)}
+            yield CoalgebraMorphism(s, transport_frames(s, frames), frames), s
+        for src, dst in [((2, 1), (3, 2)), ((1, 1, 1), (2, 1, 1)), ((2, 0, 1), (3, 1, 1))]:
+            s, t = split_coalgebra(list(src)), split_coalgebra(list(dst))
+            t_ids = list(self.gen_ids(t))
+            linear = {g: {h: Fraction(rng.randint(-2, 2)) for h in t_ids if h[0] == g[0]}
+                      for g in self.gen_ids(s)}
+            yield split_morphism_from_linear(linear, s, t), s
+
+    @staticmethod
+    def gen_ids(e):
+        counts = Counter()
+        for d, _ in e.split.gens:
+            counts[d] += 1
+            yield d, counts[d] - 1
+
+    def test_matches_the_dense_tensor_square(self):
+        nonsquare = 0
+        for phi, e in self.morphisms():
+            nonsquare += any(m.rows != m.cols for m in phi.matrices.values())
+            for i in range(2, e.n + 1):
+                dense = tensor_square(phi, i).mul(e.full_mu(i))
+                pairs = phi.target.tensor_basis(2, i)
+                for c, col in enumerate(e.mu_columns(i)):
+                    want = {pairs[r]: row[c] for r, row in enumerate(dense.entries) if row[c]}
+                    assert push_column(phi, col) == want, (e, i, c)
+        assert nonsquare == 3
+
+    def morphism_cases(self):
+        """(phi, E, F) morphisms, constant and polynomial."""
+        rng = random.Random(22)
+        for profile in [(2, 1), (2, 2, 1), (1, 1, 1, 1)]:
+            e = conjugate_frames(rng, split_coalgebra(list(profile)))
+            phi = splitting_iso(e)
+            yield phi, e, phi.target, Poly.one(0)
+        for profile, base in [((2, 1), ("x",)), ((2, 2, 1), ("x",)), ((2, 1, 1), ("x", "y"))]:
+            s = split_coalgebra(list(profile), base_names=base)
+            frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                      for i in range(1, s.n + 1)}
+            t = transport_frames(s, frames)
+            yield CoalgebraMorphism(s, t, frames), s, t, Poly.var(len(base), 0)
+
+    def test_one_perturbed_entry_breaks_a_morphism(self):
+        constant = Counter()
+        for phi, e, f, delta in self.morphism_cases():
+            constant[f.is_constant()] += 1
+            assert morphism_check(phi, e, f) and dense_morphism_check(phi, e, f)
+            broken = 0
+            for i in range(2, e.n + 1):
+                for b in range(f.rank(i)):
+                    for c in range(e.rank(i)):
+                        bad = perturbed(phi, i, b, c, delta)
+                        verdict = morphism_check(bad, e, f)
+                        assert verdict == dense_morphism_check(bad, e, f), (e, i, b, c)
+                        # a decomposable target column moves mu_F phi alone
+                        if f.mu_columns(i)[b]:
+                            assert not verdict, (e, i, b, c)
+                            broken += 1
+            assert broken, e
+        assert constant[True] and constant[False]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradman.coalgebra import split_coalgebra, wedge_coalgebra
+from gradman import fields
+from gradman.coalgebra import CoalgebraBundle, split_coalgebra, wedge_coalgebra
 from gradman.errors import DegreeMismatch
 from gradman.exactnum import Poly, rat_rank
 from gradman.fields import (
@@ -34,6 +35,9 @@ from randchart import (
     full_transform_field,
     random_signature,
     random_triangular_substitution,
+    reference_compat_check,
+    reference_compat_compose,
+    reference_theta_action,
 )
 
 SIG = GradedSignature(3, ("x",), [("e1", "e2"), ("p",), ("q",)])
@@ -544,3 +548,79 @@ class TestIndependenceOverTheRing:
         for c in all_coords(sig):
             rows.append([f.action(c).body_eval([Fraction(0)]) for f in fields])
         assert rat_rank(rows) == len(fields)
+
+
+# --- frame derivations on dual-algebra elements against the expanded bodies ---
+
+
+def random_poly(rng, nv):
+    """Zero half the time, else up to two terms of degree <= 1 per variable."""
+    if rng.random() < 0.5:
+        return Poly.zero(nv)
+    return Poly(nv, {tuple(rng.randint(0, 1) for _ in range(nv)): rng.randint(-2, 2)
+                     for _ in range(rng.randint(1, 2))})
+
+
+def perturbed_bundle(rng, e):
+    """e with a random polynomial added to some comultiplication entries: in
+    general not a coalgebra, with x-dependent structure constants."""
+    mu = {i: {bk: m.map_entries(lambda p: p.add(random_poly(rng, e.nvars))
+                                if rng.random() < 0.3 else p)
+              for bk, m in blocks.items()} for i, blocks in e.mu.items()}
+    return CoalgebraBundle(e.n, e.base_names, dict(e.ranks), mu)
+
+
+def random_compat(rng, e, k):
+    """Frame matrices for every degree with a target in degrees >= 0 (one row
+    when the target is degree 0), and a symbol in degree 0."""
+    mats = {i: [[random_poly(rng, e.nvars) for _ in range(e.rank(i))]
+                for _ in range(e.rank(i + k) if i + k else 1)]
+            for i in range(1, e.n + 1) if i + k >= 0}
+    symbol = [random_poly(rng, e.nvars) for _ in range(e.nvars)] if k == 0 else None
+    return CompatDerivation(k, e, mats, symbol)
+
+
+class TestCompatReference:
+    """`compat_check`, `theta_action` and `compat_compose` on dual-algebra
+    elements equal the bodies that expanded every degree by hand."""
+
+    PROFILES = [(2, 1), (1, 1, 1), (2, 2, 1), (3,), (2, 0, 1), (1, 1, 0, 1)]
+
+    def derivations(self):
+        """(bundle, derivations): random ones on split and perturbed bundles
+        over 0-2 base variables, and fields read through a geometrized chart."""
+        rng = random.Random(97)
+        for profile in self.PROFILES:
+            for base in [(), ("x",), ("x", "y")]:
+                s = split_coalgebra(list(profile), base_names=base)
+                chart = geometrize(s)
+                positives = [to_compat_derivation(rand_field(rng, chart.sig, k), s, chart)
+                             for k in (-2, -1, 0, 0)]
+                for e in (s, perturbed_bundle(rng, s)):
+                    yield e, positives + [random_compat(rng, e, k) for k in (-2, -1, 0, 0, -1)]
+
+    def test_matches_the_expanded_bodies(self, monkeypatch):
+        verdicts, thetas = [], 0
+        for e, ds in self.derivations():
+            for d in ds:
+                verdicts.append(compat_check(d, e))
+                assert verdicts[-1] == reference_compat_check(d, e), (e, d.degree)
+                for i in range(1, -d.degree + 1):
+                    for a in range(e.rank(i)):
+                        got = theta_action((i, a), d, e)
+                        assert got == reference_theta_action((i, a), d, e), (e, i, a)
+                        assert got.symbol is None
+                        thetas += 1
+            for d1 in ds:
+                for d2 in ds[::3]:
+                    for x, y in ((d1, d2), (d2, d1)):
+                        got = fields.compat_compose(x, y, e)
+                        want = reference_compat_compose(x, y, e)
+                        assert got == want and got.matrices.keys() == want.matrices.keys()
+                        assert (got.symbol is None) == (want.symbol is None)
+                        bracket = compat_bracket(x, y, e)
+                        with monkeypatch.context() as m:
+                            m.setattr(fields, "compat_compose", reference_compat_compose)
+                            assert bracket == compat_bracket(x, y, e), (e, x.degree, y.degree)
+        assert True in verdicts and False in verdicts
+        assert thetas > 100
