@@ -3,20 +3,22 @@
 Membership expands the query and the generators over the free coordinate-field
 basis and solves degree by degree over the fraction field; a coefficient
 whose exact division by the pivot determinant fails is reported as
-"nonpolynomial" instead of approximated.  The normal-form pipeline
-flattens positive-degree generators by exact antiderivative substitutions,
-reduces degree-0 generators modulo the flat ones, straightens constant
-symbols by a linear base change, and integrates the remaining connection
-terms through a terminating Picard iteration.  Each of these coordinate
-changes carries its own inverse, built in closed form from the data that
-defines the step and checked two-sided before the step is taken.  Cases
-outside the algebraically solvable scope fail loudly with a precise
-diagnostic.
+"nonpolynomial" instead of approximated.  The normal form runs three stage
+functions on one running state (`_Flattening`): stage A aligns the
+positive-degree generators by a unimodular linear step and flattens them by
+exact antiderivative substitutions, stage B checks that the degree-0
+generators do not depend on the flat coordinates, and stage C straightens
+constant symbols by a linear base change and flattens the connection terms
+by a polynomial frame, found as the Taylor polynomial that solves the
+connection equation exactly.  Each coordinate change carries its own
+inverse, built in closed form from the data that defines the step and
+checked two-sided before the step is taken.  Cases outside the
+algebraically solvable scope fail loudly with a precise diagnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
@@ -282,44 +284,44 @@ class FrobeniusChart:
                 for c in all_coords(self.sig) if c in moved}
 
 
-def _apply_step(state, sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
-                inv_gmap: Dict[GenId, GradedFunction], base: Optional[list] = None,
-                inv_base: Optional[list] = None):
-    """Push one substitution and its inverse through the cumulative maps and
-    all generators.
+class _Flattening:
+    """Running state of the normal form: the cumulative substitution and its
+    inverse, the generators in the current coordinates, and the coordinate
+    each flattened generator has become."""
 
-    The step sends the generators in `gmap` to their images, every other
-    generator to itself, and the base coordinates to `base` (default: to
-    themselves); `inv_gmap` and `inv_base` give its inverse the same way.
-    Each site builds that inverse in closed form from the data of its step,
-    and both composites are checked to be the identity here."""
-    step, inverse = _substitution(sig, gmap, base), _substitution(sig, inv_gmap, inv_base)
-    if not step.after(inverse).is_identity() or not inverse.after(step).is_identity():
-        raise NonPolynomialFlatFrame("substitution inverse verification failed")
-    total_nio, total_oin, gens = state
-    return (step.after(total_nio), total_oin.after(inverse),
-            [transform_field(g, step, inverse) for g in gens])
+    def __init__(self, dist: Distribution):
+        self.sig = dist.sig
+        self.total_nio, self.total_oin = ChartMap.identity(self.sig), ChartMap.identity(self.sig)
+        self.gens = list(dist.generators)
+        self.flat_of: Dict[int, Coord] = {}
 
+    def step(self, gmap: Dict[GenId, GradedFunction], inv_gmap: Dict[GenId, GradedFunction],
+             base: Optional[list] = None, inv_base: Optional[list] = None):
+        """Push one substitution and its inverse through the cumulative maps and
+        all generators.
 
-def _substitution(sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
-                  base: Optional[list]) -> ChartMap:
-    if base is None:
-        base = [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
-    gens = {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()}
-    gens.update(gmap)
-    return ChartMap(sig, sig, base, gens)
+        The step sends the generators in `gmap` to their images, every other
+        generator to itself, and the base coordinates to `base` (default: to
+        themselves); `inv_gmap` and `inv_base` give its inverse the same way.
+        Each caller builds that inverse in closed form from the data of its
+        step, and both composites are checked to be the identity here."""
+        sig, ident = self.sig, ChartMap.identity(self.sig)
+        step, inverse = (ChartMap(sig, sig, b or ident.base, {**ident.gens, **g})
+                         for g, b in ((gmap, base), (inv_gmap, inv_base)))
+        if not step.after(inverse).is_identity() or not inverse.after(step).is_identity():
+            raise NonPolynomialFlatFrame("substitution inverse verification failed")
+        self.total_nio = step.after(self.total_nio)
+        self.total_oin = self.total_oin.after(inverse)
+        self.gens = [transform_field(g, step, inverse) for g in self.gens]
 
-
-def _polynomial_inverse(m: PolyMatrix, degree: int) -> PolyMatrix:
-    inv = poly_inverse(m)
-    if inv is None:
-        raise NonPolynomialFlatFrame(f"degree {degree} linear block has no polynomial inverse")
-    return inv
-
-
-def _linear_gens(sig: GradedSignature, words: list, coeffs: Dict[GenId, list]):
-    """Generator images g -> sum over t of coeffs[g][t] * words[t]."""
-    return {g: GradedFunction(sig, dict(zip(words, row))) for g, row in coeffs.items()}
+    def linear_step(self, words: list, rows: Dict[GenId, int], m: PolyMatrix, degree: int):
+        """The step sending generator g to the words weighted by row rows[g]
+        of m; its inverse reads the same rows of the polynomial inverse of m."""
+        inv = poly_inverse(m)
+        if inv is None:
+            raise NonPolynomialFlatFrame(f"degree {degree} linear block has no polynomial inverse")
+        self.step(*({g: GradedFunction(self.sig, dict(zip(words, a.entries[r])))
+                     for g, r in rows.items()} for a in (m, inv)))
 
 
 def _linear_base(sig: GradedSignature, m: list) -> list:
@@ -389,47 +391,52 @@ def _euclid_pivot(rows: list, col: int, m: int) -> Optional[int]:
 def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
     """Coordinates in which the generators become leading coordinate fields.
 
-    Stage A flattens positive-degree generators degree by degree with
-    antiderivative substitutions; stage B reduces degree-0 generators by the
-    flat fields; stage C straightens constant symbols by a linear base change
-    and flattens the remaining connection action through a terminating Picard
-    iteration, failing with a diagnostic outside that scope."""
+    Stage A flattens positive-degree generators degree by degree: a
+    unimodular alignment, then antiderivative substitutions.  Stage B checks
+    that the degree-0 coefficients do not depend on the flat coordinates.
+    Stage C straightens constant symbols by a linear base change and
+    flattens the remaining connection action by the polynomial frame of
+    `_flat_frame`, failing with a diagnostic outside that scope.  The result
+    is certified two-sided."""
     inv = is_involutive(dist)
     if not inv.involutive:
         raise NotInvolutive("distribution is not closed under brackets",
                             witness=inv.witness, pair=inv.failing_pair)
-    sig = dist.sig
-    nv = sig.m0
-    total_nio, total_oin = ChartMap.identity(sig), ChartMap.identity(sig)
-    gens = list(dist.generators)
-    flat_of: Dict[int, Coord] = {}
-    flat_sets: Dict[int, list] = {}
+    state = _Flattening(dist)
+    _stage_a(state)
+    zero_idx = [i for i, g in enumerate(state.gens) if g.degree == 0]
+    _stage_b(state, zero_idx)
+    if zero_idx:
+        _stage_c(state, zero_idx)
+    return _certify(state, dist)
 
-    # --- stage A: positive degrees, bottom of the tower upward
+
+def _stage_a(state: _Flattening):
+    """Positive degrees, bottom of the tower upward.
+
+    The degree-r generators are aligned with the leading degree-r
+    coordinates and subtracted from every generator of higher degree; then
+    antiderivative substitutions clear the non-flat degree-r components of
+    the generators aligned before, highest degree first."""
+    sig = state.sig
     for r in range(1, sig.n + 1):
-        z_idx = [i for i in range(len(gens)) if gens[i].degree == -r]
-        d_r = len(z_idx)
-        m_r = sig.rank(r)
+        gens = state.gens
+        z_idx = [i for i, g in enumerate(gens) if g.degree == -r]
+        d_r, m_r = len(z_idx), sig.rank(r)
         if d_r:
-            a_rows = []
-            for i in z_idx:
-                row = []
-                for t in range(m_r):
-                    val = gens[i].action(gen_coord((r, t)))
-                    row.append(val.body())
-                a_rows.append(row)
-            # e_(r,t) -> sum_s T[t][s] e_(r,s); T is a product of elementary
-            # row operations with constant pivots, so its inverse is polynomial
-            t_mat = _unimodular_alignment(a_rows, m_r, nv)
+            # e_(r,t) -> sum_s T[t][s] e_(r,s); T is unimodular, so its
+            # inverse is polynomial
+            a_rows = [[gens[i].action(gen_coord((r, t))).body() for t in range(m_r)]
+                      for i in z_idx]
             ids = [(r, t) for t in range(m_r)]
-            step, inverse = (_linear_gens(sig, [(g,) for g in ids], dict(zip(ids, m.entries)))
-                             for m in (t_mat, _polynomial_inverse(t_mat, r)))
-            total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                     sig, step, inverse)
+            state.linear_step([(g,) for g in ids], {g: t for t, g in enumerate(ids)},
+                              _unimodular_alignment(a_rows, m_r, sig.m0), r)
+            gens = state.gens
             for pos, i in enumerate(z_idx):
-                flat_of[i] = gen_coord((r, pos))
-            flat_sets[r] = [gen_coord((r, pos)) for pos in range(d_r)]
-            # subtract the aligned fields from everything of higher degree
+                state.flat_of[i] = gen_coord((r, pos))
+            # an aligned field acts on each flat degree-r coordinate by a
+            # degree-0 function, its body 0 or 1, so this clears those
+            # components from everything of higher degree, degree 0 included
             for i in range(len(gens)):
                 if gens[i].degree <= -r:
                     continue
@@ -437,155 +444,123 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                     coeff = gens[i].action(gen_coord((r, pos)))
                     if not coeff.is_zero():
                         gens[i] = gens[i].sub(gens[zi].scale(coeff))
-        else:
-            flat_sets[r] = []
-        # antiderivative loop: clear the non-flat degree-r components of all
-        # previously aligned generators, highest degree first
         nonflat = [gen_coord((r, t)) for t in range(d_r, m_r)]
         for k in range(r - 1, 0, -1):
-            for i in [i for i in range(len(gens)) if gens[i].degree == -k]:
-                e_s = flat_of[i][1]
+            for i in [i for i, g in enumerate(state.gens) if g.degree == -k]:
+                e_s = state.flat_of[i][1]
                 for c in nonflat:
-                    g_val = gens[i].action(c)
+                    g_val = state.gens[i].action(c)
                     if g_val.is_zero():
                         continue
                     if sig.parity(e_s) and not g_val.derivative_gen(e_s).is_zero():
-                        raise NotInvolutive(
-                            "self-bracket obstruction while flattening",
-                            witness=gens[i], pair=(i, i),
-                        )
+                        raise NotInvolutive("self-bracket obstruction while flattening",
+                                            witness=state.gens[i], pair=(i, i))
                     # G has degree r and is built from e_s (degree k < r), so
                     # it holds no degree-r generator: c -> c + G undoes c -> c - G
                     big_g = graded_antiderivative(g_val, e_s)
                     e_c = GradedFunction.from_gen(sig, c[1])
-                    total_nio, total_oin, gens = _apply_step(
-                        (total_nio, total_oin, gens), sig,
-                        {c[1]: e_c.sub(big_g)}, {c[1]: e_c.add(big_g)})
-    for i in range(len(gens)):
-        if gens[i].degree < 0:
-            expected = VectorField.coordinate_field(sig, flat_of[i])
-            if gens[i] != expected:
-                raise NotInvolutive(
-                    "positive-degree generator failed to flatten",
-                    witness=gens[i], pair=(i, i),
-                )
+                    state.step({c[1]: e_c.sub(big_g)}, {c[1]: e_c.add(big_g)})
+    for i, g in enumerate(state.gens):
+        if g.degree < 0 and g != VectorField.coordinate_field(sig, state.flat_of[i]):
+            raise NotInvolutive("positive-degree generator failed to flatten",
+                                witness=g, pair=(i, i))
 
-    # --- stage B: reduce degree-0 generators by the flat coordinate fields
-    zero_idx = [i for i in range(len(gens)) if gens[i].degree == 0]
-    flat_gen_coords = [c for r in range(1, sig.n + 1) for c in flat_sets[r]]
+
+def _stage_b(state: _Flattening, zero_idx: list):
+    """Degree-0 generators against the flat coordinates.
+
+    Stage A already cleared their components on the flat coordinates, and
+    no later step moves one; involutivity forces their remaining
+    coefficients to be independent of those coordinates too."""
+    flat = list(state.flat_of.values())
     for i in zero_idx:
-        for c in flat_gen_coords:
-            coeff = gens[i].action(c)
-            if not coeff.is_zero():
-                gens[i] = gens[i].sub(VectorField.coordinate_field(sig, c).scale(coeff))
-        # involutivity forces the remaining coefficients away from flat coordinates
-        for c, val in gens[i].actions.items():
-            for fc in flat_gen_coords:
-                if not val.derivative_gen(fc[1]).is_zero():
-                    raise NotInvolutive(
-                        "degree-0 coefficient depends on a flattened coordinate",
-                        witness=gens[i], pair=(i, i),
-                    )
+        for val in state.gens[i].actions.values():
+            if any(not val.derivative_gen(fc[1]).is_zero() for fc in flat):
+                raise NotInvolutive("degree-0 coefficient depends on a flattened coordinate",
+                                    witness=state.gens[i], pair=(i, i))
 
-    # --- stage C: straighten symbols, then integrate the connection
-    d0 = len(zero_idx)
-    if d0:
-        sym = []
-        for i in zero_idx:
-            row = []
-            for alpha in range(nv):
-                p = gens[i].action(base_coord(alpha)).body()
-                if not p.is_constant():
-                    raise NonConstantSymbols(
-                        f"symbol entry {p.to_string(sig.base_names)} is not constant"
-                    )
-                row.append(p.constant_value())
-            sym.append(row)
-        # reducing [sym | I] gives rref = coeffs * sym in its two blocks; the
-        # rows of sym are independent, so these constant combinations of the
-        # generators are the unique ones that realize the reduction
-        red, pivots = rat_rref([row + [Fraction(int(r == s)) for s in range(d0)]
-                                for r, row in enumerate(sym)])
-        if pivots[-1] >= nv:
-            raise HypothesisFailed("degree-0 symbols are dependent over the base")
-        rref = [row[:nv] for row in red]
-        coeffs = [row[nv:] for row in red]
-        new_zero = []
-        for r in range(d0):
-            f = VectorField.zero(sig, 0)
-            for s in range(d0):
-                if coeffs[r][s] != 0:
-                    f = f.add(gens[zero_idx[s]].scale(coeffs[r][s]))
-            new_zero.append(f)
-        for pos, i in enumerate(zero_idx):
-            gens[i] = new_zero[pos]
-        # base change sending the pivot directions to the leading coordinates
-        comp = _complete_to_invertible(rref, pivots, nv)
-        total_nio, total_oin, gens = _apply_step(
-            (total_nio, total_oin, gens), sig, {}, {},
-            _linear_base(sig, rat_inverse(comp)), _linear_base(sig, comp))
-        for pos, i in enumerate(zero_idx):
-            flat_of[i] = base_coord(pos)
-        for i in zero_idx:
-            for j in zero_idx:
-                if i < j and not bracket(gens[i], gens[j]).is_zero():
-                    raise NotInvolutive(
-                        "straightened symbols do not commute",
-                        witness=bracket(gens[i], gens[j]), pair=(i, j),
-                    )
-        # connection flattening on the non-flat generators, degree by degree
-        nonflat_ids = [
-            (r, t) for r in range(1, sig.n + 1)
-            for t in range(len(flat_sets[r]), sig.rank(r))
-        ]
-        for degree in range(1, sig.n + 1):
-            ids = [g for g in nonflat_ids if g[0] == degree]
-            if not ids:
-                continue
-            words = monomials_of_degree(nonflat_ids, degree)
-            windex = {w: t for t, w in enumerate(words)}
-            n_w = len(words)
-            a_mats = []
-            for i in zero_idx:
-                mat = [[Poly.zero(nv) for _ in range(n_w)] for _ in range(n_w)]
-                for bcol, w in enumerate(words):
-                    f = GradedFunction.monomial(sig, w, Poly.one(nv))
-                    img = gens[i].apply(f)
-                    for w2, coeff in img.terms.items():
-                        row = windex.get(w2)
-                        if row is None:
-                            raise NotInvolutive(
-                                "degree-0 action leaves the reduced chart",
-                                witness=gens[i], pair=(i, i),
-                            )
-                        mat[row][bcol] = coeff
-                a_mats.append(PolyMatrix(n_w, n_w, mat, nv))
-            f_total = _flat_frame(a_mats, n_w, d0, nv)
-            # the step fixes the lower-degree generators, so on the degree-d
-            # words it is linear over Q[x]: generator columns from f_total,
-            # identity columns for products; its inverse reads the same
-            # columns of the inverse matrix
-            cols = [windex[(g,)] for g in ids]
-            frame = PolyMatrix.identity(n_w, nv)
-            for row in range(n_w):
-                for col in cols:
-                    frame.entries[row][col] = f_total.entries[row][col]
-            step, inverse = (_linear_gens(sig, words, {g: m.col(col) for g, col in zip(ids, cols)})
-                             for m in (frame, _polynomial_inverse(frame, degree)))
-            total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
-                                                     sig, step, inverse)
-        for i in zero_idx:
-            expected = VectorField.coordinate_field(sig, flat_of[i])
-            if gens[i] != expected:
-                raise NonPolynomialFlatFrame(
-                    "degree-0 generator failed to flatten after integration"
-                )
 
-    flattened = [flat_of[i] for i in range(len(gens))]
-    new_points = [
-        tuple(total_nio.base[b].body_eval(p) for b in range(nv))
-        for p in dist.sample_points
-    ]
+def _stage_c(state: _Flattening, zero_idx: list):
+    """Straighten the constant symbols of the degree-0 generators by a linear
+    base change, then flatten their connection action on the non-flat
+    generators degree by degree, by the frame of `_flat_frame`."""
+    sig, gens = state.sig, state.gens
+    nv, d0 = sig.m0, len(zero_idx)
+    sym = [[gens[i].action(base_coord(a)).body() for a in range(nv)] for i in zero_idx]
+    bad = next((p for row in sym for p in row if not p.is_constant()), None)
+    if bad is not None:
+        raise NonConstantSymbols(f"symbol entry {bad.to_string(sig.base_names)} is not constant")
+    # reducing [sym | I] gives rref = coeffs * sym in its two blocks; the
+    # rows of sym are independent, so these constant combinations of the
+    # generators are the unique ones that realize the reduction
+    red, pivots = rat_rref([[p.constant_value() for p in row]
+                            + [Fraction(int(r == s)) for s in range(d0)]
+                            for r, row in enumerate(sym)])
+    if pivots[-1] >= nv:
+        raise HypothesisFailed("degree-0 symbols are dependent over the base")
+    rref = [row[:nv] for row in red]
+    new_zero = []
+    for row in red:
+        f = VectorField.zero(sig, 0)
+        for s, c in enumerate(row[nv:]):
+            if c != 0:
+                f = f.add(gens[zero_idx[s]].scale(c))
+        new_zero.append(f)
+    for i, f in zip(zero_idx, new_zero):
+        gens[i] = f
+    # base change sending the pivot directions to the leading coordinates
+    comp = _complete_to_invertible(rref, pivots, nv)
+    state.step({}, {}, _linear_base(sig, rat_inverse(comp)), _linear_base(sig, comp))
+    gens = state.gens
+    for pos, i in enumerate(zero_idx):
+        state.flat_of[i] = base_coord(pos)
+    for i in zero_idx:
+        for j in zero_idx:
+            if i < j and not bracket(gens[i], gens[j]).is_zero():
+                raise NotInvolutive("straightened symbols do not commute",
+                                    witness=bracket(gens[i], gens[j]), pair=(i, j))
+    flat = set(state.flat_of.values())
+    nonflat_ids = [g for g in sig.gen_ids() if gen_coord(g) not in flat]
+    for degree in range(1, sig.n + 1):
+        ids = [g for g in nonflat_ids if g[0] == degree]
+        if not ids:
+            continue
+        words = monomials_of_degree(nonflat_ids, degree)
+        windex = {w: t for t, w in enumerate(words)}
+        n_w = len(words)
+        a_mats = []
+        for i in zero_idx:
+            mat = [[Poly.zero(nv) for _ in range(n_w)] for _ in range(n_w)]
+            for bcol, w in enumerate(words):
+                img = state.gens[i].apply(GradedFunction.monomial(sig, w, Poly.one(nv)))
+                for w2, coeff in img.terms.items():
+                    row = windex.get(w2)
+                    if row is None:
+                        raise NotInvolutive("degree-0 action leaves the reduced chart",
+                                            witness=state.gens[i], pair=(i, i))
+                    mat[row][bcol] = coeff
+            a_mats.append(PolyMatrix(n_w, n_w, mat, nv))
+        f_total = _flat_frame(a_mats, n_w, d0, nv)
+        # the step fixes the lower-degree generators, so on the degree-d
+        # words it is linear over Q[x]: each generator goes to its column of
+        # the frame and each product to itself, i.e. to its row of the
+        # transposed frame
+        rows = {g: windex[(g,)] for g in ids}
+        m = PolyMatrix.identity(n_w, nv)
+        for r in rows.values():
+            m.entries[r] = f_total.col(r)
+        state.linear_step(words, rows, m, degree)
+    for i in zero_idx:
+        if state.gens[i] != VectorField.coordinate_field(sig, state.flat_of[i]):
+            raise NonPolynomialFlatFrame("degree-0 generator failed to flatten after integration")
+
+
+def _certify(state: _Flattening, dist: Distribution) -> FrobeniusChart:
+    """The chart of the final state, with its span and inverse checks."""
+    sig, total_nio, total_oin = state.sig, state.total_nio, state.total_oin
+    flattened = [state.flat_of[i] for i in range(len(state.gens))]
+    new_points = [tuple(total_nio.base[b].body_eval(p) for b in range(sig.m0))
+                  for p in dist.sample_points]
     flat_fields = [VectorField.coordinate_field(sig, c) for c in flattened]
     # two-sided span preservation, checked on the original generators pushed
     # through the accumulated substitution (the pipeline recombined its own)
@@ -594,60 +569,61 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
     if flat_fields:
         flat_dist = make_distribution(flat_fields, new_points, sig=sig)
         moved_dist = make_distribution(moved, new_points, sig=sig)
-        for g in moved:
-            if not membership(g, flat_dist).ok:
-                span_ok = False
-        for g in flat_fields:
-            if not membership(g, moved_dist).ok:
-                span_ok = False
-    inverse_ok = (
-        total_nio.after(total_oin).is_identity()
-        and total_oin.after(total_nio).is_identity()
-    )
+        span_ok = (all(membership(g, flat_dist).ok for g in moved)
+                   and all(membership(g, moved_dist).ok for g in flat_fields))
+    inverse_ok = (total_nio.after(total_oin).is_identity()
+                  and total_oin.after(total_nio).is_identity())
     return FrobeniusChart(sig, total_nio, total_oin, flattened, moved,
                           new_points, span_ok, inverse_ok)
 
 
 def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:
     """Invertible matrix whose first columns are the transposed reduced rows."""
-    cols = [list(r) for r in rref_rows]
-    for c in range(nv):
-        if c not in pivots:
-            unit = [Fraction(1) if i == c else Fraction(0) for i in range(nv)]
-            cols.append(unit)
+    cols = [list(r) for r in rref_rows] + [[Fraction(int(i == c)) for i in range(nv)]
+                                           for c in range(nv) if c not in pivots]
     return [[cols[j][i] for j in range(nv)] for i in range(nv)]
 
 
 def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
     """Polynomial solution frame of the commuting connection system.
 
-    Solves one direction at a time by Picard iteration; termination within the
-    iteration cap certifies a polynomial path-ordered exponential, otherwise
-    the frame is not polynomial in the supported sense."""
+    Solves one direction a at a time for the frame F with F = I at x_a = 0
+    and d_a F + A_a F = 0.  The k-th Picard iterate, truncated to
+    x_a-degree k, is the Taylor polynomial of F of that degree, so the first
+    one that solves the equation exactly is F, by uniqueness.  The degree
+    is capped at (4 n_w + 8)(p + 1) for A_a of x_a-degree p, the degree
+    that 4 n_w + 8 untruncated Picard rounds can reach; past it the
+    direction is refused with the cap.  Later directions are gauged by each
+    frame found, and the product is verified against the original
+    connection matrices."""
     ident = PolyMatrix.identity(n_w, nv)
     f_total = ident
     current = list(a_mats)
     for a in range(d0):
+        p = max((e[a] for row in current[a].entries for q in row for e in q.terms), default=0)
+        cap = (4 * n_w + 8) * (p + 1)
         f_a = ident
-        for _ in range(4 * n_w + 8):
-            nxt = ident.sub(current[a].mul(f_a).map_entries(lambda p: p.antiderivative(a)))
-            if nxt == f_a:
+        for k in range(1, cap + 2):
+            prod = current[a].mul(f_a)
+            if f_a.map_entries(lambda q: q.derivative(a)).add(prod).is_zero():
                 break
-            f_a = nxt
+            f_a = ident.sub(prod.map_entries(lambda q: Poly(nv, {
+                e: c for e, c in q.antiderivative(a).terms.items() if e[a] <= k})))
         else:
             raise NonPolynomialFlatFrame(
-                "connection integration did not terminate: flat frame is not polynomial"
+                f"connection integration found no flat frame of degree at most {cap}"
+                f" in base direction {a}"
             )
         f_a_inv = poly_inverse(f_a)
         if f_a_inv is None:
             raise NonPolynomialFlatFrame("gauge frame has no polynomial inverse")
         for b in range(a + 1, d0):
-            d_b = f_a.map_entries(lambda p: p.derivative(b))
+            d_b = f_a.map_entries(lambda q: q.derivative(b))
             current[b] = f_a_inv.mul(d_b.add(current[b].mul(f_a)))
         f_total = f_total.mul(f_a)
     # final verification against the original connection matrices
     for a in range(d0):
-        residual = f_total.map_entries(lambda p: p.derivative(a)).add(a_mats[a].mul(f_total))
+        residual = f_total.map_entries(lambda q: q.derivative(a)).add(a_mats[a].mul(f_total))
         if not residual.is_zero():
             raise NonPolynomialFlatFrame("flat frame verification failed")
     return f_total

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from gradman.coalgebra import (
     CoalgebraBundle,
@@ -12,7 +12,25 @@ from gradman.coalgebra import (
     _variant_pair_columns,
     permute_column,
 )
-from gradman.errors import DegreeMismatch, DegreeOverflow, DvbNotExact, NonPolynomialFlatFrame
+from gradman.distrib import (
+    Distribution,
+    FrobeniusChart,
+    _linear_base,
+    _unimodular_alignment,
+    graded_antiderivative,
+    is_involutive,
+    make_distribution,
+    membership,
+)
+from gradman.errors import (
+    DegreeMismatch,
+    DegreeOverflow,
+    DvbNotExact,
+    HypothesisFailed,
+    NonConstantSymbols,
+    NonPolynomialFlatFrame,
+    NotInvolutive,
+)
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
@@ -23,15 +41,20 @@ from gradman.exactnum import (
     rank_generic,
     rat_inverse,
     rat_rank,
+    rat_rref,
 )
 from gradman.fields import (
     ChartMap,
     CompatDerivation,
+    Coord,
     VectorField,
     _mu_entry,
     all_coords,
     base_coord,
+    bracket,
     gen_coord,
+    linearly_independent,
+    transform_field,
 )
 from gradman.gradedring import (
     GenId,
@@ -353,6 +376,87 @@ def random_flat_coords(rng, sig):
 
 def flat_fields(sig, flats):
     return [VectorField.coordinate_field(sig, c) for c in flats]
+
+
+def flatten_back_corpus(rng, count):
+    """`count` flat distributions pushed through random triangular
+    substitutions, independent at two random points."""
+    done = 0
+    while done < count:
+        rsig = random_signature(rng)
+        flats = random_flat_coords(rng, rsig)
+        if not flats:
+            continue
+        fields = flat_fields(rsig, flats)
+        sub = random_triangular_substitution(rng, rsig)
+        try:
+            inv = invert_chart_map(sub)
+        except Exception:
+            continue
+        moved = [transform_field(f, sub, inv) for f in fields]
+        points = [tuple(Fraction(rng.randint(-1, 1)) for _ in range(rsig.m0)),
+                  tuple(Fraction(rng.randint(-2, 2)) for _ in range(rsig.m0))]
+        if not linearly_independent(moved, points):
+            continue
+        yield make_distribution(moved, points, sig=rsig)
+        done += 1
+
+
+def elementary_frame(rng, n: int, nv: int) -> PolyMatrix:
+    """Det-1 product of one to three elementary matrices I + c x^k E_ij."""
+    f = PolyMatrix.identity(n, nv)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        e = PolyMatrix.identity(n, nv)
+        exps = tuple(rng.randint(0, 2 if a == 0 else 1) for a in range(nv))
+        e.entries[i][j] = Poly(nv, {exps: rng.choice([-2, -1, 1, 2])})
+        f = f.mul(e)
+    return f
+
+
+def connection_field(sig, symbol: list, conn: PolyMatrix, p_action=None) -> VectorField:
+    """Degree-0 field acting on x_a by the constant symbol[a], on e_j by the
+    sum over i of conn[i][j] e_i, and on the degree-2 coordinate by
+    `p_action` when given."""
+    actions = {base_coord(a): GradedFunction.constant(sig, c) for a, c in enumerate(symbol)}
+    for j in range(conn.cols):
+        actions[gen_coord((1, j))] = GradedFunction(
+            sig, {((1, i),): conn.entries[i][j] for i in range(conn.rows)})
+    if p_action is not None:
+        actions[gen_coord((2, 0))] = p_action
+    return VectorField(sig, 0, actions)
+
+
+def stage_c_corpus(rng, count):
+    """Degree-0 fields d/dx_a + A_a with A_a = -(d_a F) F^-1 for a random
+    det-1 elementary product F over one or two base variables, so that the
+    flat frame is polynomial; with two fields, sometimes a constant
+    recombination of them, and sometimes a degree-2 coordinate that one
+    field moves into the odd products.  One case in four perturbs a
+    connection entry, which may break involutivity or give a frame that is
+    not polynomial."""
+    for _ in range(count):
+        nv, n = rng.choice([1, 2]), rng.choice([2, 3])
+        names = [tuple(f"e{t + 1}" for t in range(n))] + ([("p",)] if rng.random() < 0.5 else [])
+        sig = GradedSignature(len(names), [f"x{a + 1}" for a in range(nv)], names)
+        f = elementary_frame(rng, n, nv)
+        finv = poly_inverse(f)
+        d0 = rng.randint(1, nv)
+        conns = [f.map_entries(lambda q: q.derivative(a)).mul(finv).scale(-1) for a in range(d0)]
+        if rng.random() < 0.25:
+            a, i, j = rng.randrange(d0), rng.randrange(n), rng.randrange(n)
+            bump = Poly(nv, {tuple(rng.randint(0, 1) for _ in range(nv)): rng.choice([-1, 1])})
+            conns[a].entries[i][j] = conns[a].entries[i][j].add(bump)
+        p_action = None
+        if sig.n == 2 and d0 == 1:
+            e = [GradedFunction.from_gen(sig, (1, t)) for t in range(2)]
+            p_action = e[0].mul(e[1]).scale(Poly(nv, {(rng.randint(0, 2),) + (0,) * (nv - 1): 1}))
+        fields = [connection_field(sig, [int(b == a) for b in range(nv)], c, p_action)
+                  for a, c in enumerate(conns)]
+        if d0 == 2 and rng.random() < 0.5:
+            fields[0] = fields[0].add(fields[1].scale(rng.choice([-1, 2])))
+        yield make_distribution(fields, [tuple(Fraction(rng.randint(-2, 2)) for _ in range(nv))],
+                                sig=sig)
 
 
 def reference_dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
@@ -733,3 +837,316 @@ def reference_compat_compose(d1: CompatDerivation, d2: CompatDerivation, E) -> C
         sym2 = d2.symbol or []
         symbol = [_apply_symbol(sym1, p) for p in sym2]
     return CompatDerivation(k1 + k2, E, mats, symbol)
+
+
+# --- reference Frobenius normal form --------------------------------------------
+# One function with the stages inline, threading (total_nio, total_oin, gens)
+# through each step, and its flat frame by untruncated Picard iteration; kept
+# verbatim as the oracle of the stage functions in `gradman.distrib`.
+
+
+def _apply_step(state, sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
+                inv_gmap: Dict[GenId, GradedFunction], base: Optional[list] = None,
+                inv_base: Optional[list] = None):
+    """Push one substitution and its inverse through the cumulative maps and
+    all generators.
+
+    The step sends the generators in `gmap` to their images, every other
+    generator to itself, and the base coordinates to `base` (default: to
+    themselves); `inv_gmap` and `inv_base` give its inverse the same way.
+    Each site builds that inverse in closed form from the data of its step,
+    and both composites are checked to be the identity here."""
+    step, inverse = _substitution(sig, gmap, base), _substitution(sig, inv_gmap, inv_base)
+    if not step.after(inverse).is_identity() or not inverse.after(step).is_identity():
+        raise NonPolynomialFlatFrame("substitution inverse verification failed")
+    total_nio, total_oin, gens = state
+    return (step.after(total_nio), total_oin.after(inverse),
+            [transform_field(g, step, inverse) for g in gens])
+
+
+def _substitution(sig: GradedSignature, gmap: Dict[GenId, GradedFunction],
+                  base: Optional[list]) -> ChartMap:
+    if base is None:
+        base = [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
+    gens = {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()}
+    gens.update(gmap)
+    return ChartMap(sig, sig, base, gens)
+
+
+def _polynomial_inverse(m: PolyMatrix, degree: int) -> PolyMatrix:
+    inv = poly_inverse(m)
+    if inv is None:
+        raise NonPolynomialFlatFrame(f"degree {degree} linear block has no polynomial inverse")
+    return inv
+
+
+def _linear_gens(sig: GradedSignature, words: list, coeffs: Dict[GenId, list]):
+    """Generator images g -> sum over t of coeffs[g][t] * words[t]."""
+    return {g: GradedFunction(sig, dict(zip(words, row))) for g, row in coeffs.items()}
+
+
+def reference_frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
+    """Coordinates in which the generators become leading coordinate fields.
+
+    Stage A flattens positive-degree generators degree by degree with
+    antiderivative substitutions; stage B reduces degree-0 generators by the
+    flat fields; stage C straightens constant symbols by a linear base change
+    and flattens the remaining connection action through a terminating Picard
+    iteration, failing with a diagnostic outside that scope."""
+    inv = is_involutive(dist)
+    if not inv.involutive:
+        raise NotInvolutive("distribution is not closed under brackets",
+                            witness=inv.witness, pair=inv.failing_pair)
+    sig = dist.sig
+    nv = sig.m0
+    total_nio, total_oin = ChartMap.identity(sig), ChartMap.identity(sig)
+    gens = list(dist.generators)
+    flat_of: Dict[int, Coord] = {}
+    flat_sets: Dict[int, list] = {}
+
+    # --- stage A: positive degrees, bottom of the tower upward
+    for r in range(1, sig.n + 1):
+        z_idx = [i for i in range(len(gens)) if gens[i].degree == -r]
+        d_r = len(z_idx)
+        m_r = sig.rank(r)
+        if d_r:
+            a_rows = []
+            for i in z_idx:
+                row = []
+                for t in range(m_r):
+                    val = gens[i].action(gen_coord((r, t)))
+                    row.append(val.body())
+                a_rows.append(row)
+            # e_(r,t) -> sum_s T[t][s] e_(r,s); T is a product of elementary
+            # row operations with constant pivots, so its inverse is polynomial
+            t_mat = _unimodular_alignment(a_rows, m_r, nv)
+            ids = [(r, t) for t in range(m_r)]
+            step, inverse = (_linear_gens(sig, [(g,) for g in ids], dict(zip(ids, m.entries)))
+                             for m in (t_mat, _polynomial_inverse(t_mat, r)))
+            total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
+                                                     sig, step, inverse)
+            for pos, i in enumerate(z_idx):
+                flat_of[i] = gen_coord((r, pos))
+            flat_sets[r] = [gen_coord((r, pos)) for pos in range(d_r)]
+            # subtract the aligned fields from everything of higher degree
+            for i in range(len(gens)):
+                if gens[i].degree <= -r:
+                    continue
+                for pos, zi in enumerate(z_idx):
+                    coeff = gens[i].action(gen_coord((r, pos)))
+                    if not coeff.is_zero():
+                        gens[i] = gens[i].sub(gens[zi].scale(coeff))
+        else:
+            flat_sets[r] = []
+        # antiderivative loop: clear the non-flat degree-r components of all
+        # previously aligned generators, highest degree first
+        nonflat = [gen_coord((r, t)) for t in range(d_r, m_r)]
+        for k in range(r - 1, 0, -1):
+            for i in [i for i in range(len(gens)) if gens[i].degree == -k]:
+                e_s = flat_of[i][1]
+                for c in nonflat:
+                    g_val = gens[i].action(c)
+                    if g_val.is_zero():
+                        continue
+                    if sig.parity(e_s) and not g_val.derivative_gen(e_s).is_zero():
+                        raise NotInvolutive(
+                            "self-bracket obstruction while flattening",
+                            witness=gens[i], pair=(i, i),
+                        )
+                    # G has degree r and is built from e_s (degree k < r), so
+                    # it holds no degree-r generator: c -> c + G undoes c -> c - G
+                    big_g = graded_antiderivative(g_val, e_s)
+                    e_c = GradedFunction.from_gen(sig, c[1])
+                    total_nio, total_oin, gens = _apply_step(
+                        (total_nio, total_oin, gens), sig,
+                        {c[1]: e_c.sub(big_g)}, {c[1]: e_c.add(big_g)})
+    for i in range(len(gens)):
+        if gens[i].degree < 0:
+            expected = VectorField.coordinate_field(sig, flat_of[i])
+            if gens[i] != expected:
+                raise NotInvolutive(
+                    "positive-degree generator failed to flatten",
+                    witness=gens[i], pair=(i, i),
+                )
+
+    # --- stage B: reduce degree-0 generators by the flat coordinate fields
+    zero_idx = [i for i in range(len(gens)) if gens[i].degree == 0]
+    flat_gen_coords = [c for r in range(1, sig.n + 1) for c in flat_sets[r]]
+    for i in zero_idx:
+        for c in flat_gen_coords:
+            coeff = gens[i].action(c)
+            if not coeff.is_zero():
+                gens[i] = gens[i].sub(VectorField.coordinate_field(sig, c).scale(coeff))
+        # involutivity forces the remaining coefficients away from flat coordinates
+        for c, val in gens[i].actions.items():
+            for fc in flat_gen_coords:
+                if not val.derivative_gen(fc[1]).is_zero():
+                    raise NotInvolutive(
+                        "degree-0 coefficient depends on a flattened coordinate",
+                        witness=gens[i], pair=(i, i),
+                    )
+
+    # --- stage C: straighten symbols, then integrate the connection
+    d0 = len(zero_idx)
+    if d0:
+        sym = []
+        for i in zero_idx:
+            row = []
+            for alpha in range(nv):
+                p = gens[i].action(base_coord(alpha)).body()
+                if not p.is_constant():
+                    raise NonConstantSymbols(
+                        f"symbol entry {p.to_string(sig.base_names)} is not constant"
+                    )
+                row.append(p.constant_value())
+            sym.append(row)
+        # reducing [sym | I] gives rref = coeffs * sym in its two blocks; the
+        # rows of sym are independent, so these constant combinations of the
+        # generators are the unique ones that realize the reduction
+        red, pivots = rat_rref([row + [Fraction(int(r == s)) for s in range(d0)]
+                                for r, row in enumerate(sym)])
+        if pivots[-1] >= nv:
+            raise HypothesisFailed("degree-0 symbols are dependent over the base")
+        rref = [row[:nv] for row in red]
+        coeffs = [row[nv:] for row in red]
+        new_zero = []
+        for r in range(d0):
+            f = VectorField.zero(sig, 0)
+            for s in range(d0):
+                if coeffs[r][s] != 0:
+                    f = f.add(gens[zero_idx[s]].scale(coeffs[r][s]))
+            new_zero.append(f)
+        for pos, i in enumerate(zero_idx):
+            gens[i] = new_zero[pos]
+        # base change sending the pivot directions to the leading coordinates
+        comp = _complete_to_invertible(rref, pivots, nv)
+        total_nio, total_oin, gens = _apply_step(
+            (total_nio, total_oin, gens), sig, {}, {},
+            _linear_base(sig, rat_inverse(comp)), _linear_base(sig, comp))
+        for pos, i in enumerate(zero_idx):
+            flat_of[i] = base_coord(pos)
+        for i in zero_idx:
+            for j in zero_idx:
+                if i < j and not bracket(gens[i], gens[j]).is_zero():
+                    raise NotInvolutive(
+                        "straightened symbols do not commute",
+                        witness=bracket(gens[i], gens[j]), pair=(i, j),
+                    )
+        # connection flattening on the non-flat generators, degree by degree
+        nonflat_ids = [
+            (r, t) for r in range(1, sig.n + 1)
+            for t in range(len(flat_sets[r]), sig.rank(r))
+        ]
+        for degree in range(1, sig.n + 1):
+            ids = [g for g in nonflat_ids if g[0] == degree]
+            if not ids:
+                continue
+            words = monomials_of_degree(nonflat_ids, degree)
+            windex = {w: t for t, w in enumerate(words)}
+            n_w = len(words)
+            a_mats = []
+            for i in zero_idx:
+                mat = [[Poly.zero(nv) for _ in range(n_w)] for _ in range(n_w)]
+                for bcol, w in enumerate(words):
+                    f = GradedFunction.monomial(sig, w, Poly.one(nv))
+                    img = gens[i].apply(f)
+                    for w2, coeff in img.terms.items():
+                        row = windex.get(w2)
+                        if row is None:
+                            raise NotInvolutive(
+                                "degree-0 action leaves the reduced chart",
+                                witness=gens[i], pair=(i, i),
+                            )
+                        mat[row][bcol] = coeff
+                a_mats.append(PolyMatrix(n_w, n_w, mat, nv))
+            f_total = _flat_frame(a_mats, n_w, d0, nv)
+            # the step fixes the lower-degree generators, so on the degree-d
+            # words it is linear over Q[x]: generator columns from f_total,
+            # identity columns for products; its inverse reads the same
+            # columns of the inverse matrix
+            cols = [windex[(g,)] for g in ids]
+            frame = PolyMatrix.identity(n_w, nv)
+            for row in range(n_w):
+                for col in cols:
+                    frame.entries[row][col] = f_total.entries[row][col]
+            step, inverse = (_linear_gens(sig, words, {g: m.col(col) for g, col in zip(ids, cols)})
+                             for m in (frame, _polynomial_inverse(frame, degree)))
+            total_nio, total_oin, gens = _apply_step((total_nio, total_oin, gens),
+                                                     sig, step, inverse)
+        for i in zero_idx:
+            expected = VectorField.coordinate_field(sig, flat_of[i])
+            if gens[i] != expected:
+                raise NonPolynomialFlatFrame(
+                    "degree-0 generator failed to flatten after integration"
+                )
+
+    flattened = [flat_of[i] for i in range(len(gens))]
+    new_points = [
+        tuple(total_nio.base[b].body_eval(p) for b in range(nv))
+        for p in dist.sample_points
+    ]
+    flat_fields = [VectorField.coordinate_field(sig, c) for c in flattened]
+    # two-sided span preservation, checked on the original generators pushed
+    # through the accumulated substitution (the pipeline recombined its own)
+    moved = [transform_field(g, total_nio, total_oin) for g in dist.generators]
+    span_ok = True
+    if flat_fields:
+        flat_dist = make_distribution(flat_fields, new_points, sig=sig)
+        moved_dist = make_distribution(moved, new_points, sig=sig)
+        for g in moved:
+            if not membership(g, flat_dist).ok:
+                span_ok = False
+        for g in flat_fields:
+            if not membership(g, moved_dist).ok:
+                span_ok = False
+    inverse_ok = (
+        total_nio.after(total_oin).is_identity()
+        and total_oin.after(total_nio).is_identity()
+    )
+    return FrobeniusChart(sig, total_nio, total_oin, flattened, moved,
+                          new_points, span_ok, inverse_ok)
+
+
+def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:
+    """Invertible matrix whose first columns are the transposed reduced rows."""
+    cols = [list(r) for r in rref_rows]
+    for c in range(nv):
+        if c not in pivots:
+            unit = [Fraction(1) if i == c else Fraction(0) for i in range(nv)]
+            cols.append(unit)
+    return [[cols[j][i] for j in range(nv)] for i in range(nv)]
+
+
+def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
+    """Polynomial solution frame of the commuting connection system.
+
+    Solves one direction at a time by Picard iteration; termination within the
+    iteration cap certifies a polynomial path-ordered exponential, otherwise
+    the frame is not polynomial in the supported sense."""
+    ident = PolyMatrix.identity(n_w, nv)
+    f_total = ident
+    current = list(a_mats)
+    for a in range(d0):
+        f_a = ident
+        for _ in range(4 * n_w + 8):
+            nxt = ident.sub(current[a].mul(f_a).map_entries(lambda p: p.antiderivative(a)))
+            if nxt == f_a:
+                break
+            f_a = nxt
+        else:
+            raise NonPolynomialFlatFrame(
+                "connection integration did not terminate: flat frame is not polynomial"
+            )
+        f_a_inv = poly_inverse(f_a)
+        if f_a_inv is None:
+            raise NonPolynomialFlatFrame("gauge frame has no polynomial inverse")
+        for b in range(a + 1, d0):
+            d_b = f_a.map_entries(lambda p: p.derivative(b))
+            current[b] = f_a_inv.mul(d_b.add(current[b].mul(f_a)))
+        f_total = f_total.mul(f_a)
+    # final verification against the original connection matrices
+    for a in range(d0):
+        residual = f_total.map_entries(lambda p: p.derivative(a)).add(a_mats[a].mul(f_total))
+        if not residual.is_zero():
+            raise NonPolynomialFlatFrame("flat frame verification failed")
+    return f_total

@@ -39,9 +39,7 @@ from gradman.fields import (
     gen_coord,
     is_homological,
     homological_witness,
-    linearly_independent,
     tangent_at,
-    transform_field,
 )
 from gradman.geometrize import geometrize, roundtrip
 from gradman.gradedring import (
@@ -52,12 +50,9 @@ from gradman.gradedring import (
 )
 from randchart import (
     SPLIT_CORPUS,
-    flat_fields,
+    flatten_back_corpus,
     invert_chart_map,
     partition_count,
-    random_flat_coords,
-    random_signature,
-    random_triangular_substitution,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -323,31 +318,13 @@ def test_criterion_10_frobenius_stage_a():
     ok = ok and chart.flattened == [gen_coord((1, 0))]
 
     # randomized flatten-backs of triangular perturbations of flat distributions
-    rng = random.Random(777)
-    done = 0
-    while done < 20:
-        rsig = random_signature(rng)
-        flats = random_flat_coords(rng, rsig)
-        if not flats:
-            continue
-        fields = flat_fields(rsig, flats)
-        sub = random_triangular_substitution(rng, rsig)
-        try:
-            inv = invert_chart_map(sub)
-        except Exception:
-            continue
-        moved = [transform_field(f, sub, inv) for f in fields]
-        points = [tuple(Fraction(rng.randint(-1, 1)) for _ in range(rsig.m0)),
-                  tuple(Fraction(rng.randint(-2, 2)) for _ in range(rsig.m0))]
-        if not linearly_independent(moved, points):
-            continue
-        ch = frobenius_normal_form(make_distribution(moved, points, sig=rsig))
+    for dist in flatten_back_corpus(random.Random(777), 20):
+        ch = frobenius_normal_form(dist)
         ref = invert_chart_map(ch.new_in_old)
         if not (ch.span_preserved and ch.inverse_ok):
             ok = False
         if (ch.old_in_new.base, ch.old_in_new.gens) != (ref.base, ref.gens):
             ok = False
-        done += 1
     report(10, "stage A example plus twenty randomized flatten-backs", ok)
 
 

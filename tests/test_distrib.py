@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from gradman.distrib import (
     Distribution,
+    _flat_frame,
     _unimodular_alignment,
     frobenius_normal_form,
     graded_antiderivative,
@@ -32,7 +34,12 @@ from gradman.fields import (
     transform_field,
 )
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
-from randchart import invert_chart_map
+from randchart import (
+    flatten_back_corpus,
+    invert_chart_map,
+    reference_frobenius_normal_form,
+    stage_c_corpus,
+)
 
 R011 = GradedSignature(2, (), [("e",), ("p",)])
 STAGE_A_SIG = GradedSignature(2, (), [("e1", "e2"), ("ph",)])
@@ -554,3 +561,86 @@ class TestUnimodularAlignment:
         x = self.X
         with pytest.raises(NonPolynomialFlatFrame, match=f"^{self.REFUSAL}$"):
             _unimodular_alignment([[x, x.pow(power)]], 2, 1)
+
+
+def pmat(rows, nv):
+    return PolyMatrix(len(rows), len(rows[0]), [list(r) for r in rows], nv)
+
+
+class TestFlatFrame:
+    def test_frame_whose_picard_iterates_never_repeat(self):
+        # A = -F'F^-1 for the det-1 F = [[1, x], [x, 1 + x^2]]: each Picard
+        # iterate has higher degree than the last, yet the Taylor polynomial
+        # of degree 2 is F
+        x, one = Poly.var(1, 0), Poly.one(1)
+        a = pmat([[x, one.neg()], [x.mul(x).sub(one), x.neg()]], 1)
+        assert _flat_frame([a], 2, 1, 1) == pmat([[one, x], [x, one.add(x.mul(x))]], 1)
+
+    def test_two_directions_gauge(self):
+        # the connection of golden/gauge2.gm: the frame of the x direction
+        # is gauged into the connection of the y direction
+        x, y, one, zero = Poly.var(2, 0), Poly.var(2, 1), Poly.one(2), Poly.zero(2)
+        a_x = pmat([[y, one.neg()], [y.mul(y), y.neg()]], 2)
+        a_y = pmat([[zero, zero], [one.neg(), zero]], 2)
+        assert _flat_frame([a_x, a_y], 2, 2, 2) == pmat([[one, x], [y, one.add(x.mul(y))]], 2)
+
+    def test_nilpotent_connection_of_high_degree(self):
+        # F = [[1, 0], [-x^21/21, 1]] has degree 21: the cap grows with the
+        # degree of A, so a frame one Picard round finds is found here too
+        x, one, zero = Poly.var(1, 0), Poly.one(1), Poly.zero(1)
+        a = pmat([[zero, zero], [x.pow(20), zero]], 1)
+        f = pmat([[one, zero], [x.pow(21).scale(Fraction(-1, 21)), one]], 1)
+        assert _flat_frame([a], 2, 1, 1) == f
+
+    def test_exponential_frame_is_refused_at_the_cap(self):
+        # F' + F = 0 with F(0) = 1 gives exp(-x): refused with the cap 12
+        with pytest.raises(NonPolynomialFlatFrame, match="^connection integration found no"
+                           " flat frame of degree at most 12 in base direction 0$"):
+            _flat_frame([pmat([[Poly.one(1)]], 1)], 1, 1, 1)
+
+
+def normal_form_outcome(fn, dist):
+    """The chart's tables, flat coordinates, transformed generators, points
+    and checks, or the refusal's type and message."""
+    try:
+        ch = fn(dist)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (ch.substitution_table(), ch.inverse_table(), ch.flattened,
+            ch.transformed_generators, ch.sample_points, ch.span_preserved, ch.inverse_ok)
+
+
+class TestReferenceNormalForm:
+    """The stage functions against the single-function reference with its
+    untruncated Picard iteration."""
+
+    PICARD = (NonPolynomialFlatFrame,
+              "connection integration did not terminate: flat frame is not polynomial")
+
+    def compare(self, corpus):
+        """Outcomes equal the reference's wherever its Picard iteration
+        terminates; counts of the charts, refusals and Picard refusals seen,
+        and of the Picard refusals that now flatten."""
+        counts = dict.fromkeys(("charts", "refusals", "picard", "rescued"), 0)
+        for dist in corpus:
+            want = normal_form_outcome(reference_frobenius_normal_form, dist)
+            got = normal_form_outcome(frobenius_normal_form, dist)
+            if want == self.PICARD:
+                counts["picard"] += 1
+                counts["rescued"] += len(got) == 7
+                assert len(got) == 7 or got[0] is NonPolynomialFlatFrame, got
+                continue
+            assert got == want
+            counts["charts" if len(want) == 7 else "refusals"] += 1
+        return counts
+
+    def test_flatten_back_corpus(self):
+        corpus = itertools.chain(flatten_back_corpus(random.Random(777), 20),
+                                 flatten_back_corpus(random.Random(424242), 20))
+        assert self.compare(corpus) == {"charts": 40, "refusals": 0, "picard": 0, "rescued": 0}
+
+    def test_stage_c_corpus(self):
+        counts = self.compare(stage_c_corpus(random.Random(1616), 60))
+        assert counts["charts"] >= 40 and counts["refusals"] >= 1
+        assert counts["rescued"] >= 5
+
