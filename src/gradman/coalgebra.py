@@ -311,7 +311,7 @@ class KSpace:
 
     degree: int  # negative
     pair_basis: list
-    vectors: list  # list of Poly coordinate vectors over pair_basis
+    vectors: list  # sparse {pair position: coefficient} dicts; ints on a constant bundle
     contains_image: bool  # every comultiplication column at this degree lies in K
 
     @property
@@ -330,6 +330,19 @@ def _image(diffs: list, vec) -> dict:
     return img
 
 
+def _swap_kernel(pairs: list, index: dict, one) -> list:
+    """Kernel of the length-2 swap s_0 - id as sparse vectors, listed by the
+    later index as its elimination returns them: e_(u,v) + (-1)^(deg u deg v)
+    e_(v,u) for each pair (u, v) whose mirror (v, u) comes earlier, and
+    e_(u,u) for each even diagonal pair, whose two keys coincide."""
+    basis = []
+    for t, (u, v) in enumerate(pairs):
+        s = index[(v, u)]
+        if s < t or s == t and not u[0] & 1:
+            basis.append({s: -one if u[0] & v[0] & 1 else one, t: one})
+    return basis
+
+
 def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     """Constraint space at the given negative degree.
 
@@ -342,13 +355,16 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     generate S_L, so s_a-invariance of R(x) for all a gives
     tau.V_{k,l}(x) = tau.R(x) = R(x) for every variant.  The vectors are
     independent: each kernel vector has the pivot determinant at its own free
-    coordinate and zero at the others.
+    coordinate and zero at the others.  Length 2 has the swap alone, whose
+    kernel `_swap_kernel` writes down, so the loop starts at length 3.
 
     `contains_image` records whether every difference sends every column of
     the comultiplication at this degree to zero, i.e. whether im mu lies in
-    K.  While all differences so far do, the columns lie in the span of the
-    current basis; so a difference that kills the basis kills them too, and
-    an empty basis (the early exit) leaves them zero, as K = 0 requires.
+    K.  The swap is tested on the columns: the entry at (u, v) must be the
+    Koszul sign times the entry at (v, u).  Then, while all differences do,
+    the columns lie in the span of the current basis; so a difference that
+    kills the basis kills them too, and an empty basis (the early exit)
+    leaves them zero, as K = 0 requires.
 
     On a constant bundle the columns come from `integer_view`, scaled by
     lam: every term of a length-L variant is a product of L - 2 entries, so
@@ -357,7 +373,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     and basis vector is then an int, and each constraint matrix goes to
     `rat_kernel`.  The vectors equal those of the Q[x] path: both kernels
     are positive multiples of the standard kernel vectors, and each updated
-    basis vector is made primitive.  They are returned as Polys.
+    basis vector is made primitive and kept as a sparse dict by pair position.
     """
     if not (-(E.n + 1) <= degree <= -2):
         raise ValueError("degree out of range for constraint space")
@@ -371,10 +387,10 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     zero, one = (0, 1) if constant else (Poly.zero(nv), Poly.one(nv))
     index = {p: t for t, p in enumerate(pairs)}
     mu_vecs = [[(index[p], c) for p, c in col.items()] for col in view.mu_columns(d)]
-    contains = True
-    basis = [[one if s == t else zero for s in range(len(pairs))] for t in range(len(pairs))]
-
-    for length in range(2, d + 1):
+    contains = all(col.get((v, u)) == (-c if u[0] & v[0] & 1 else c)
+                   for col in view.mu_columns(d) for (u, v), c in col.items())
+    basis = _swap_kernel(pairs, index, one)
+    for length in range(3, d + 1):
         ref_cols = _variant_pair_columns(view, d, 0, length - 2)
         splits = (_variant_pair_columns(view, d, k, length - 2 - k)
                   for k in range(1, length - 1))
@@ -387,7 +403,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
             for diff, ref in zip(diffs, ref_cols):
                 for T, c in ref.items():
                     accumulate(diff, T, -c)
-            images = [_image(diffs, enumerate(vec)) for vec in basis]
+            images = [_image(diffs, vec.items()) for vec in basis]
             tuples_seen = {}
             for img in images:
                 for t in img:
@@ -409,19 +425,15 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                 kernel = [kv for kv, _ in kernel_basis(PolyMatrix(len(m), len(basis), m, nv))]
             new_basis = []
             for kv in kernel:
-                vec = [zero] * len(pairs)
+                vec: dict = {}
                 for t, coeff in enumerate(kv):
-                    if not coeff:
-                        continue
-                    for s, b in enumerate(basis[t]):
-                        if b:
-                            vec[s] = vec[s] + coeff * b
-                new_basis.append(primitive_vector(vec))
+                    if coeff:
+                        for s, b in basis[t].items():
+                            accumulate(vec, s, coeff * b)
+                new_basis.append(dict(zip(vec, primitive_vector(list(vec.values())))))
             basis = new_basis
         if not basis:
             break
-    if constant:
-        basis = [[Poly.const(nv, c) for c in vec] for vec in basis]
     return KSpace(degree, pairs, basis, contains)
 
 

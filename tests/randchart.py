@@ -586,6 +586,15 @@ def reference_dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
     return CoalgebraBundle(n, base_names, ranks, mu)
 
 
+def dense_vectors(ks: KSpace, nvars: int) -> list:
+    """`KSpace.vectors` as dense Poly lists over the pair basis, the form
+    `compute_K` returned before it kept sparse dicts: an int coefficient
+    becomes `Poly.const(nvars, c)`, and a missing position the zero Poly."""
+    return [[c if isinstance(c, Poly) else Poly.const(nvars, c)
+             for c in (vec.get(t, 0) for t in range(len(ks.pair_basis)))]
+            for vec in ks.vectors]
+
+
 def reference_compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     """Constraint space at the given negative degree, on Polys throughout.
 

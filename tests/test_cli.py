@@ -129,6 +129,16 @@ class TestExitCodes:
         deg = rep["tables"]["degrees"]["-2"]
         assert deg["im_rank"] == 0 and deg["K_rank"] == 1
 
+    def test_admissible_on_many_generators_in_one_degree(self, tmp_path, capsys):
+        # 40 odd generators: 1,600 ordered pairs at degree -2, of which K
+        # keeps the 780 antisymmetric combinations and mu, absent, none
+        doc = tmp_path / "rank40.gm"
+        doc.write_text("coalgebra Z {\n  rank -1 = 40\n  rank -2 = 1\n}\n")
+        code, rep = run_json(capsys, "admissible", str(doc))
+        assert code == 1
+        deg = rep["tables"]["degrees"]["-2"]
+        assert deg["im_rank"] == 0 and deg["K_rank"] == 780
+
     def test_split_iso_unsupported_on_x_dependence(self, capsys):
         code, rep = run_json(capsys, "split-iso", str(GOLDEN / "xdep.gm"))
         assert code == 3 and rep["witnesses"]["unsupported"] == "UnsupportedXDependence"

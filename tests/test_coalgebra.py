@@ -43,6 +43,7 @@ from gradman.exactnum import (
 from randchart import (
     SPLIT_CORPUS,
     conjugate_frames,
+    dense_vectors,
     partition_count,
     reference_compute_K,
     reference_dvb_coalgebra,
@@ -428,7 +429,7 @@ class TestTruncation:
                 ka = compute_K(e, -i)
                 kb = compute_K(t, -i)
                 assert ka.dim == kb.dim
-                both = list(ka.vectors) + list(kb.vectors)
+                both = dense_vectors(ka, 0) + dense_vectors(kb, 0)
                 assert span_rank(both, 0) == ka.dim
 
 
@@ -525,7 +526,7 @@ class TestMorphisms:
                 ks = compute_K(e, -i)
                 m = e.full_mu(i)
                 cols = [m.col(c) for c in range(m.cols)]
-                assert span_rank(cols + list(ks.vectors), 0) == ks.dim
+                assert span_rank(cols + dense_vectors(ks, 0), 0) == ks.dim
 
 
 # --- the constraint space against its definition ---------------------------
@@ -648,7 +649,7 @@ class TestConstraintGenerators:
     def test_matches_all_permutations(self):
         for e in oracle_corpus():
             for i in range(2, e.n + 1):
-                fast = compute_K(e, -i).vectors
+                fast = dense_vectors(compute_K(e, -i), e.nvars)
                 slow = all_permutations_K(e, -i)
                 assert len(fast) == len(slow) == span_rank(fast + slow, e.nvars), (e, i)
 
@@ -670,7 +671,9 @@ class TestConstraintGenerators:
         e = split_coalgebra([1] * 6)
         assert compute_K(e, -6).dim == partition_count([1, 2, 3, 4, 5], 6)
         columns = len(e.tensor_basis(2, 6))
-        for length in range(2, 7):
+        # length 2 has only the swap, whose kernel is the closed-form start
+        assert {L for _, L, _ in calls} == set(range(3, 7))
+        for length in range(3, 7):
             splits = sorted(k for kind, L, k in calls if kind == "split" and L == length)
             swaps = Counter(p for kind, L, p in calls if kind == "swap" and L == length)
             assert splits == list(range(length - 1))  # the reference, then L - 2 splits
@@ -705,11 +708,12 @@ class TestIntegerPath:
             paths[e.is_constant()] += 1
             for i in range(2, e.n + 1):
                 got, want = compute_K(e, -i), reference_compute_K(e, -i)
+                dense = dense_vectors(got, e.nvars)
                 assert got.pair_basis == want.pair_basis, (e, i)
-                assert got.vectors == want.vectors, (e, i)
+                assert dense == want.vectors, (e, i)
                 assert got.contains_image == want.contains_image, (e, i)
                 assert [[(p.nvars, [type(c) for c in p.terms.values()]) for p in v]
-                        for v in got.vectors] == \
+                        for v in dense] == \
                     [[(p.nvars, [type(c) for c in p.terms.values()]) for p in v]
                      for v in want.vectors], (e, i)
         assert paths[True] and paths[False]
@@ -753,6 +757,83 @@ class TestIntegerPath:
         assert lam.denominator == 1 and lam > 1
 
 
+# --- the closed-form start of the constraint space ---------------------------
+
+
+def swap_matrix(pairs, nv):
+    """The length-2 swap s_0 - id as an explicit |pairs| x |pairs| matrix: the
+    column of pair (u, v) is its signed mirror minus itself."""
+    index = {p: t for t, p in enumerate(pairs)}
+    rows = [[Poly.zero(nv)] * len(pairs) for _ in pairs]
+    for t, (u, v) in enumerate(pairs):
+        m = index[(v, u)]
+        rows[m][t] = rows[m][t].add(Poly.const(nv, -1 if u[0] & v[0] & 1 else 1))
+        rows[t][t] = rows[t][t].sub(Poly.one(nv))
+    return PolyMatrix(len(pairs), len(pairs), rows, nv)
+
+
+def symmetry_broken_bundles():
+    """SPLIT_CORPUS bundles, constant and over x, with one off-diagonal entry
+    of their lowest square block (j, j) raised by 1 or by x: the entry at one
+    pair (u, v) changes and the one at its mirror (v, u) does not, so mu is
+    no longer cocommutative at degree -2j."""
+    for profile in SPLIT_CORPUS:
+        for base in ((), ("x",)):
+            e = split_coalgebra(list(profile), base_names=base)
+            j = next((j for j in range(1, e.n // 2 + 1) if e.rank(j) >= 2 and e.rank(2 * j)),
+                     None)
+            if j is None:
+                continue
+            mu = {i: dict(blocks) for i, blocks in e.mu.items()}
+            block = mu[2 * j][(j, j)]
+            entries = [list(row) for row in block.entries]
+            entries[1][0] = entries[1][0].add(Poly.var(1, 0) if base else Poly.one(0))
+            mu[2 * j][(j, j)] = PolyMatrix(block.rows, block.cols, entries, len(base))
+            yield CoalgebraBundle(e.n, e.base_names, dict(e.ranks), mu), 2 * j
+
+
+class TestSwapKernelStart:
+    def test_start_basis_is_the_kernel_of_the_swap(self):
+        for profile in [(2, 2, 2), (0, 3, 0, 1), (1, 1, 1, 1)]:
+            for nv in (0, 1):
+                e = split_coalgebra(list(profile), base_names=("x",) * nv)
+                one, zero = (Poly.one(nv), Poly.zero(nv)) if nv else (1, 0)
+                for d in range(2, e.n + 2):
+                    pairs = e.tensor_basis(2, d)
+                    if not pairs:
+                        continue
+                    index = {p: t for t, p in enumerate(pairs)}
+                    start = [[vec.get(t, zero) for t in range(len(pairs))]
+                             for vec in coalgebra._swap_kernel(pairs, index, one)]
+                    m = swap_matrix(pairs, nv)
+                    if nv:
+                        assert start == [kv for kv, _ in kernel_basis(m)], (profile, d)
+                    else:
+                        assert start == rat_kernel(m.to_rat()), (profile, d)
+
+    def test_non_cocommutative_bundles_match_the_reference(self):
+        paths = Counter()
+        for e, broken in symmetry_broken_bundles():
+            paths[e.is_constant()] += 1
+            assert not check_coalgebra(e).cocommutative
+            for i in range(2, e.n + 1):
+                got, want = compute_K(e, -i), reference_compute_K(e, -i)
+                assert dense_vectors(got, e.nvars) == want.vectors, (e, i)
+                assert got.contains_image == want.contains_image, (e, i)
+            assert not compute_K(e, -broken).contains_image
+        assert paths[True] and paths[False]
+
+    def test_swap_kills_every_start_vector(self):
+        # ranks 1|1: the one pair is the square of the odd frame, so the start
+        # is empty, and only a zero comultiplication lies in K = 0
+        for entry, inside in ((1, False), (0, True)):
+            block = PolyMatrix.from_rat(1, 1, [[Fraction(entry)]], 0)
+            e = CoalgebraBundle(2, (), {1: 1, 2: 1}, {2: {(1, 1): block}})
+            ks, want = compute_K(e, -2), reference_compute_K(e, -2)
+            assert ks.dim == 0 and ks.contains_image is inside
+            assert (ks.vectors, ks.contains_image) == (want.vectors, want.contains_image)
+
+
 # --- the admissibility decision against the union rank ----------------------
 
 
@@ -767,8 +848,9 @@ def union_rank_admissible(e, sample_points):
         m = e.full_mu(i)
         im_rank = rank_generic(m)
         ks = compute_K(e, -i)
-        k_rank = span_rank(ks.vectors, e.nvars)
-        u_rank = span_rank([m.col(c) for c in range(m.cols)] + list(ks.vectors), e.nvars)
+        vecs = dense_vectors(ks, e.nvars)
+        k_rank = span_rank(vecs, e.nvars)
+        u_rank = span_rank([m.col(c) for c in range(m.cols)] + vecs, e.nvars)
         equal = im_rank == k_rank == u_rank
         const = all(rank_at(m, p) == im_rank for p in points)
         per[-i] = AdmissibilityDegree(im_rank, k_rank, equal, const)
@@ -845,7 +927,7 @@ class TestAdmissibilityDecision:
                 ks = compute_K(e, -i)
                 m = e.full_mu(i)
                 cols = [m.col(c) for c in range(m.cols)]
-                inside = span_rank(cols + list(ks.vectors), e.nvars) == ks.dim
+                inside = span_rank(cols + dense_vectors(ks, e.nvars), e.nvars) == ks.dim
                 assert ks.contains_image == inside, (e, i)
 
     def test_degrees_without_pairs_contain_the_zero_image(self):
