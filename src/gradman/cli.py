@@ -54,6 +54,15 @@ from .gradedring import GradedFunction, GradedSignature
 # 0.2 s, so the cap keeps any declaration well under a second.
 MAX_DECLARED_DEGREE = 1000
 
+# Largest count of ordered frame pairs of one degree -i, the sum over
+# j + k = i of rank_j * rank_k.  The comultiplication, the constraint space
+# and the splitting all work over these pairs, and the work grows with the
+# square of the count.  At the cap, in-process on one Xeon core (Python
+# 3.11): `rank -1 = 500`, `rank -2 = 1` takes 0.71 s on `geometrize` and
+# 0.71 s on `admissible`; `rank -1 = 350`, `rank -2 = 350`, `rank -3 = 1`
+# (245,000 pairs at degree -3) takes 2.7 s on `admissible`.
+MAX_DEGREE_PAIRS = 250_000
+
 # --- tokenizer -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -158,7 +167,7 @@ class Document:
     dists: dict
     morphisms: dict
 
-    def bundle(self, name: str, max_degree: Optional[int] = None) -> CoalgebraBundle:
+    def bundle(self, name: str) -> CoalgebraBundle:
         decl = self.coalgebras[name]
         n = max(decl.ranks) if decl.ranks else 0
         ranks = {i: decl.ranks.get(i, 0) for i in range(1, n + 1)}
@@ -351,7 +360,7 @@ class Parser:
     # --- declaration parsers ------------------------------------------------
 
     def parse_coalgebra(self):
-        self.expect("id", "coalgebra")
+        tok = self.expect("id", "coalgebra")
         name = self.expect("id").text
         self.expect("sym", "{")
         ranks = {}
@@ -388,6 +397,15 @@ class Parser:
             if i > n:
                 raise ParseError(f"mu {-i} of {name!r} lies below its lowest rank degree {-n}",
                                  key.line, key.col)
+        pairs: Dict[int, int] = {}
+        for j, rj in ranks.items():
+            for k, rk in ranks.items():
+                if j + k <= n:
+                    pairs[j + k] = pairs.get(j + k, 0) + rj * rk
+        for i in sorted(pairs):
+            if pairs[i] > MAX_DEGREE_PAIRS:
+                raise ParseError(f"coalgebra {name!r} has more than the cap of {MAX_DEGREE_PAIRS} "
+                                 f"ordered frame pairs at degree {-i}", tok.line, tok.col)
         return name, ranks, mu
 
     def parse_vf(self):
@@ -1013,18 +1031,12 @@ COMMANDS = {
 
 
 def run(subcommand: str, doc: Document, **flags) -> Report:
-    """Programmatic dispatch with the same semantics as the command line."""
+    """Programmatic dispatch with the same semantics as the command line: the
+    options take the command line's defaults, then `flags`."""
     if subcommand not in COMMANDS:
         raise ParseError(f"unknown subcommand {subcommand!r}")
-    ns = argparse.Namespace(
-        name=flags.get("name"),
-        fields=flags.get("fields"),
-        field=flags.get("field"),
-        expr=flags.get("expr"),
-        sample_points=flags.get("sample_points"),
-        max_degree=flags.get("max_degree"),
-        format=flags.get("format", "text"),
-    )
+    ns = ARG_PARSER.parse_args([subcommand, ""])
+    vars(ns).update(flags)
     return COMMANDS[subcommand](doc, ns)
 
 

@@ -4,10 +4,12 @@ A bundle stores one trivialized fiber space per negative degree plus the
 comultiplication components in block form: for each total degree only the
 blocks (j, k) with j <= k are kept, the others being forced by
 cocommutativity.  `CoalgebraBundle.mu_columns` expands the blocks once per
-degree into sparse columns over the full ordered pair basis; every check
-(cocommutativity, coassociativity, the coherence constraint space,
-admissibility) reads that one expanded form, and so do morphisms, which
-push its pair columns through phi (x) phi.
+degree into sparse columns over the ordered pair basis, and every check
+reads that one expanded form: cocommutativity, coassociativity and the
+coherence constraint space on the columns, morphisms by pushing them
+through phi (x) phi, and the rank and pivot questions of admissibility and
+the splitting on `CoalgebraBundle.mu_matrix`, the same columns as a matrix
+over the pairs they reach.
 
 The column helpers are written on `+`, unary `-`, `*` and truth values, so
 `compute_K` runs them on ints over a constant bundle's `integer_view` and on
@@ -35,12 +37,12 @@ from .exactnum import (
     rat_kernel,
     rat_pivots,
     rat_rank,
-    rat_rref,
 )
 from .gradedring import (
     GradedFunction,
     GradedSignature,
     braiding_sign,
+    dim_symmetric_component,
     koszul_merge,
     monomials_of_degree,
 )
@@ -167,14 +169,16 @@ class CoalgebraBundle:
             self._integer_view = view
         return self._integer_view
 
-    def full_mu(self, i: int) -> PolyMatrix:
-        """Comultiplication at degree -i as a matrix over the full ordered pair basis."""
-        index = {p: r for r, p in enumerate(self.tensor_basis(2, i))}
-        out = PolyMatrix.zero(len(index), self.rank(i), self.nvars)
-        for c, col in enumerate(self.mu_columns(i)):
-            for p, e in col.items():
-                out.entries[index[p]][c] = e
-        return out
+    def mu_matrix(self, i: int) -> PolyMatrix:
+        """Comultiplication at degree -i as a matrix over the ordered pairs
+        that occur in some column, in tensor-basis order (the lex order of the
+        pairs).  The pairs left out are zero rows, which change no rank and
+        no pivot column.
+        """
+        cols = self.mu_columns(i)
+        zero = Poly.zero(self.nvars)
+        rows = [[col.get(p, zero) for col in cols] for p in sorted({p for col in cols for p in col})]
+        return PolyMatrix(len(rows), len(cols), rows, self.nvars)
 
     def power_columns(self, e: Elem, k: int) -> dict:
         """Sparse column of the k-fold comultiplication iterate on one frame element.
@@ -477,7 +481,7 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     ok = True
     for i in range(2, E.n + 1):
         ks = compute_K(E, -i)
-        m = E.full_mu(i)
+        m = E.mu_matrix(i)
         point_ranks = [rank_at(m, p) for p in points]
         if ks.contains_image and max(point_ranks) == ks.dim:
             im_rank = ks.dim
@@ -730,19 +734,25 @@ def split_morphism_from_linear(linear: Dict[Elem, dict], S: CoalgebraBundle,
 def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:
     """Isomorphism from an admissible bundle onto the split model on its kernels.
 
-    Works degree by degree: the kernel of the comultiplication maps to the new
-    generators, a pivot-column complement maps to the unique decomposable
-    preimage of its comultiplication image.  The standard kernel vector of a
-    free column f of the comultiplication is 1 at f and 0 at the other free
-    columns, and every pivot column is 0 at all free columns; so in
-    kernel (+) complement the coordinate along that vector is the entry at f,
-    and the rows onto the new generators are unit rows at the free columns.
-    Per degree the images of all columns are the comultiplication columns
-    pushed through the lower-degree map tensor itself, and their preimages
-    come from one RREF of [decomposable block of the split comultiplication |
-    images]; a pivot in the right-hand part means an image leaves that
-    block's span.  Requires fiberwise-constant comultiplication;
-    pass `at_point` to work in a single fiber otherwise.
+    The split model has one generator per kernel direction of the
+    comultiplication, so its ranks are the dimensions of the free
+    graded-commutative algebra on the kernel counts.  They are compared with
+    the bundle's first; the model is built only below the first mismatch,
+    which is refused after the degrees below it, so the refusals keep their
+    order.  Then, per degree: the standard kernel vector of a free column f
+    is 1 at f and 0 at the other free columns, and every pivot column is 0
+    at all free columns, so the rows onto the new generators are unit rows
+    at the free columns.  The rows onto the decomposable words hold the
+    preimage of each column pushed through the lower-degree map tensor
+    itself.  The split comultiplication only selects and signs: each ordered
+    pair of split words lies in the column of one word, its Koszul merge,
+    with sign +-1; so a coefficient is the pushed entry at one representative
+    pair times its sign, and one sparse product checks that the coefficients
+    give the pushed column back, else the image leaves the constraint space.
+    The unit rows make the map block triangular: it is invertible exactly
+    when the decomposable rows are on the pivot columns.  Requires
+    fiberwise-constant comultiplication; pass `at_point` to work in a single
+    fiber otherwise.
     """
     if not E.is_constant():
         if at_point is None:
@@ -757,55 +767,44 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         }
         E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
 
-    mu_pivots = {i: rat_pivots(E.full_mu(i).to_rat()) for i in range(1, E.n + 1)}
-    S = split_coalgebra([E.rank(i) - len(mu_pivots[i]) for i in range(1, E.n + 1)],
-                        E.base_names)
+    counts, mu_pivots, mismatch = [], [], None
+    for i in range(1, E.n + 1):
+        mu_pivots.append(rat_pivots(E.mu_matrix(i).to_rat()))
+        counts.append(E.rank(i) - len(mu_pivots[-1]))
+        rs = dim_symmetric_component([d for d, k in enumerate(counts, 1) for _ in range(k)], i)
+        if rs != E.rank(i):
+            mismatch = NotAdmissible(
+                f"rank mismatch at degree {-i}: bundle rank {E.rank(i)}, split model rank {rs}"
+            )
+            counts.pop()
+            break
+    S = split_coalgebra(counts, E.base_names)
 
     matrices: Dict[int, PolyMatrix] = {}
-    nv = E.nvars
-    for i in range(1, E.n + 1):
+    for i in range(1, S.n + 1):
         r = E.rank(i)
-        rs = S.rank(i)
-        if i == 1:
-            matrices[1] = PolyMatrix.identity(r, nv)
-            continue
-        mons = S.split.monomials[i]
-        singleton_pos = {}
-        decomp_pos = []
-        for t, w in enumerate(mons):
-            if len(w) == 1 and w[0][0] == i:
-                singleton_pos[w[0][1]] = t
-            else:
-                decomp_pos.append(t)
-        if rs != r:
-            raise NotAdmissible(
-                f"rank mismatch at degree {-i}: bundle rank {r}, split model rank {rs}"
-            )
-        free = [c for c in range(r) if c not in mu_pivots[i]]
-
-        # every column solves at once when no pivot lies right of the
-        # decomposable block; the RREF rows then hold the solutions, free
-        # variables at zero
+        pivots = mu_pivots[i - 1]
+        free = [c for c in range(r) if c not in pivots]
+        words = S.split.monomials[i]
+        decomp = [t for t, w in enumerate(words) if len(w) > 1]
+        s_cols = S.mu_columns(i)
+        reps = [(t, *next(iter(s_cols[t].items()))) for t in decomp]
+        mat = [[0] * r for _ in range(r)]
+        for t, f in zip((t for t, w in enumerate(words) if len(w) == 1), free):
+            mat[t][f] = 1
         phi = CoalgebraMorphism(E, S, matrices)
-        cols = ([S.mu_columns(i)[t] for t in decomp_pos]
-                + [push_column(phi, col) for col in E.mu_columns(i)])
-        index = {p: t for t, p in enumerate(S.tensor_basis(2, i))}
-        rows = [[Fraction(0)] * len(cols) for _ in index]
-        for c, col in enumerate(cols):
-            for p, q in col.items():
-                rows[index[p]][c] = q.constant_value()
-        ndec = len(decomp_pos)
-        red, pivots = rat_rref(rows)
-        if pivots and pivots[-1] >= ndec:
-            raise NotAdmissible(
-                f"comultiplication image leaves the constraint space at degree {-i}"
-            )
-        mat = [[Fraction(0)] * r for _ in range(rs)]
-        for t, f in enumerate(free):
-            mat[singleton_pos[t]][f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            mat[decomp_pos[p]] = row[ndec:]
-        if rat_rank(mat) < rs:
+        for c, col in enumerate(E.mu_columns(i)):
+            pushed = push_column(phi, col)
+            preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
+            if _image(s_cols, preimage) != pushed:
+                raise NotAdmissible(
+                    f"comultiplication image leaves the constraint space at degree {-i}"
+                )
+            for t, q in preimage:
+                mat[t][c] = q.constant_value()
+        if pivots and rat_rank([[mat[t][c] for c in pivots] for t in decomp]) < len(pivots):
             raise NotAdmissible(f"splitting map is singular at degree {-i}")
-        matrices[i] = PolyMatrix.from_rat(rs, r, mat, nv)
+        matrices[i] = PolyMatrix.from_rat(r, r, mat, E.nvars)
+    if mismatch is not None:
+        raise mismatch
     return CoalgebraMorphism(E, S, matrices)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .coalgebra import CoalgebraBundle, CoalgebraMorphism, split_from_gens, splitting_iso
-from .errors import DegreeOverflow, NotAdmissible
+from .errors import DegreeOverflow
 from .exactnum import Poly, rat_inverse
 from .gradedring import GradedFunction, GradedSignature
 
@@ -35,12 +35,11 @@ class ChartAlgebra:
 
     def __init__(self, bundle: CoalgebraBundle, iso: CoalgebraMorphism,
                  sig: GradedSignature, embeddings: Dict[int, list],
-                 decomp_mats: Dict[int, list], rewrite_rules: Dict[int, list]):
+                 rewrite_rules: Dict[int, list]):
         self.bundle = bundle
         self.iso = iso
         self.sig = sig
         self.embeddings = embeddings
-        self.decomp_mats = decomp_mats
         self.rewrite_rules = rewrite_rules
 
     @property
@@ -59,14 +58,8 @@ class ChartAlgebra:
         """Chart function of a dual-frame covector in degree i."""
         out = GradedFunction.zero(self.sig)
         for a, c in enumerate(covector):
-            if isinstance(c, Poly):
-                if c.is_zero():
-                    continue
+            if c:
                 out = out.add(self.embeddings[i][a].scale(c))
-            else:
-                if c == 0:
-                    continue
-                out = out.add(self.embeddings[i][a].scale(Fraction(c)))
         return out
 
     def decompose(self, f: GradedFunction, degree: int) -> list:
@@ -80,13 +73,14 @@ class ChartAlgebra:
         vec = [Poly.zero(self.sig.m0) for _ in words]
         for w, c in f.terms.items():
             vec[windex[w]] = c
-        mat = self.decomp_mats[degree]
+        # row mon of the splitting holds the frame coordinates of chart monomial mon
+        phi = self.iso.matrix(degree).to_rat()
         out = []
-        for row in mat:
+        for a in range(len(words)):
             acc = Poly.zero(self.sig.m0)
-            for coeff, p in zip(row, vec):
-                if coeff != 0 and not p.is_zero():
-                    acc = acc.add(p.scale(coeff))
+            for row, p in zip(phi, vec):
+                if row[a] != 0 and not p.is_zero():
+                    acc = acc.add(p.scale(row[a]))
             out.append(acc)
         return out
 
@@ -104,17 +98,11 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
     sig = GradedSignature(n, E.base_names, gen_names, max_degree=max_degree)
 
     embeddings: Dict[int, list] = {}
-    decomp_mats: Dict[int, list] = {}
     rewrite_rules: Dict[int, list] = {}
     for i in range(1, n + 1):
         r = E.rank(i)
-        phi = iso.matrix(i)
-        if not phi.is_constant():
-            raise NotAdmissible("geometrization needs a constant splitting")
-        phi_rat = phi.to_rat()
-        inv = rat_inverse(phi_rat) if r else []
-        # decomposition matrix: frame coordinates of each chart monomial
-        m_decomp = [[phi_rat[mon][a] for mon in range(r)] for a in range(r)] if r else []
+        phi_rat = iso.matrix(i).to_rat()
+        inv = rat_inverse(phi_rat)
         words = S.split.monomials[i]
         funcs = []
         for a in range(r):
@@ -125,16 +113,15 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
                     f = f.add(GradedFunction.monomial(sig, w, Poly.const(sig.m0, c)))
             funcs.append(f)
         embeddings[i] = funcs
-        decomp_mats[i] = m_decomp
         rules = []
         for mon, w in enumerate(words):
             if len(w) == 1 and w[0][0] == i:
                 continue
-            covector = list(phi_rat[mon]) if r else []
+            covector = list(phi_rat[mon])
             nf = GradedFunction.monomial(sig, w, Poly.one(sig.m0))
             rules.append(RewriteRule(i, covector, w, nf))
         rewrite_rules[i] = rules
-    return ChartAlgebra(E, iso, sig, embeddings, decomp_mats, rewrite_rules)
+    return ChartAlgebra(E, iso, sig, embeddings, rewrite_rules)
 
 
 def reduce_product(chart: ChartAlgebra, factors: Sequence[Tuple[int, int]],

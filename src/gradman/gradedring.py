@@ -159,8 +159,7 @@ def normalize(sig: GradedSignature, gens: Iterable[GenId]):
     return koszul_sort(word)
 
 
-def monomials_of_degree(gens: Sequence[GenId], degree: int,
-                        parity=lambda g: g[0] & 1) -> list:
+def monomials_of_degree(gens: Sequence[GenId], degree: int) -> list:
     """All canonical generator words of the given total degree, in lex order.
 
     Odd generators appear at most once; even generators may repeat.
@@ -177,7 +176,7 @@ def monomials_of_degree(gens: Sequence[GenId], degree: int,
             d = g[0]
             if d > remaining:
                 continue
-            nxt = t + 1 if parity(g) else t
+            nxt = t + 1 if d & 1 else t
             acc.append(g)
             rec(nxt, remaining - d, acc)
             acc.pop()

@@ -11,6 +11,8 @@ from gradman.coalgebra import (
     _image,
     _variant_pair_columns,
     permute_column,
+    push_column,
+    split_coalgebra,
 )
 from gradman.distrib import (
     Distribution,
@@ -29,7 +31,9 @@ from gradman.errors import (
     HypothesisFailed,
     NonConstantSymbols,
     NonPolynomialFlatFrame,
+    NotAdmissible,
     NotInvolutive,
+    UnsupportedXDependence,
 )
 from gradman.exactnum import (
     Poly,
@@ -40,6 +44,7 @@ from gradman.exactnum import (
     primitive_vector,
     rank_generic,
     rat_inverse,
+    rat_pivots,
     rat_rank,
     rat_rref,
 )
@@ -337,7 +342,7 @@ def conjugate_frames(rng, e):
     mu = {}
     for i in range(2, n + 1):
         pairs = e.tensor_basis(2, i)
-        full = e.full_mu(i).to_rat()
+        full = full_mu(e, i).to_rat()
         p_inv = rat_inverse(ps[i]) if ps[i] else []
         pindex = {p: t for t, p in enumerate(pairs)}
         tsq = [[Fraction(0)] * len(pairs) for _ in range(len(pairs))]
@@ -685,6 +690,94 @@ def tensor_square(self: CoalgebraMorphism, i: int) -> PolyMatrix:
                 r = t_index[((j, ap), (k, bp))]
                 out.entries[r][cidx] = out.entries[r][cidx].add(e1.mul(e2))
     return out
+
+
+def full_mu(E: CoalgebraBundle, i: int) -> PolyMatrix:
+    """Comultiplication at degree -i as a matrix over the full ordered pair basis.
+
+    The former `CoalgebraBundle.full_mu`, a dense |pairs| x rank matrix,
+    kept as the reference for `CoalgebraBundle.mu_matrix`, which drops the
+    zero rows, and for the dense products of the `tensor_square` tests.
+    """
+    index = {p: r for r, p in enumerate(E.tensor_basis(2, i))}
+    out = PolyMatrix.zero(len(index), E.rank(i), E.nvars)
+    for c, col in enumerate(E.mu_columns(i)):
+        for p, e in col.items():
+            out.entries[index[p]][c] = e
+    return out
+
+
+def reference_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:
+    """`coalgebra.splitting_iso` as it was before it read the split
+    comultiplication as a signed selection: the whole split model built
+    first, and one RREF per degree of [decomposable block of the split
+    comultiplication | pushed columns] over every ordered pair.
+    """
+    if not E.is_constant():
+        if at_point is None:
+            raise UnsupportedXDependence(
+                "splitting needs constant comultiplication entries; "
+                "supply a base point for a fiberwise splitting"
+            )
+        const_mu = {
+            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+                for bk, m in blocks.items()}
+            for i, blocks in E.mu.items()
+        }
+        E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
+
+    mu_pivots = {i: rat_pivots(full_mu(E, i).to_rat()) for i in range(1, E.n + 1)}
+    S = split_coalgebra([E.rank(i) - len(mu_pivots[i]) for i in range(1, E.n + 1)],
+                        E.base_names)
+
+    matrices: Dict[int, PolyMatrix] = {}
+    nv = E.nvars
+    for i in range(1, E.n + 1):
+        r = E.rank(i)
+        rs = S.rank(i)
+        if i == 1:
+            matrices[1] = PolyMatrix.identity(r, nv)
+            continue
+        mons = S.split.monomials[i]
+        singleton_pos = {}
+        decomp_pos = []
+        for t, w in enumerate(mons):
+            if len(w) == 1 and w[0][0] == i:
+                singleton_pos[w[0][1]] = t
+            else:
+                decomp_pos.append(t)
+        if rs != r:
+            raise NotAdmissible(
+                f"rank mismatch at degree {-i}: bundle rank {r}, split model rank {rs}"
+            )
+        free = [c for c in range(r) if c not in mu_pivots[i]]
+
+        # every column solves at once when no pivot lies right of the
+        # decomposable block; the RREF rows then hold the solutions, free
+        # variables at zero
+        phi = CoalgebraMorphism(E, S, matrices)
+        cols = ([S.mu_columns(i)[t] for t in decomp_pos]
+                + [push_column(phi, col) for col in E.mu_columns(i)])
+        index = {p: t for t, p in enumerate(S.tensor_basis(2, i))}
+        rows = [[Fraction(0)] * len(cols) for _ in index]
+        for c, col in enumerate(cols):
+            for p, q in col.items():
+                rows[index[p]][c] = q.constant_value()
+        ndec = len(decomp_pos)
+        red, pivots = rat_rref(rows)
+        if pivots and pivots[-1] >= ndec:
+            raise NotAdmissible(
+                f"comultiplication image leaves the constraint space at degree {-i}"
+            )
+        mat = [[Fraction(0)] * r for _ in range(rs)]
+        for t, f in enumerate(free):
+            mat[singleton_pos[t]][f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            mat[decomp_pos[p]] = row[ndec:]
+        if rat_rank(mat) < rs:
+            raise NotAdmissible(f"splitting map is singular at degree {-i}")
+        matrices[i] = PolyMatrix.from_rat(rs, r, mat, nv)
+    return CoalgebraMorphism(E, S, matrices)
 
 
 # --- frame derivations expanded by hand ---------------------------------------

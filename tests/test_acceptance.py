@@ -51,6 +51,7 @@ from gradman.gradedring import (
 from randchart import (
     SPLIT_CORPUS,
     flatten_back_corpus,
+    full_mu,
     invert_chart_map,
     partition_count,
 )
@@ -272,7 +273,7 @@ def test_criterion_07_compatible_derivation_dimension():
                         for c in range(e.rank(n))
                     ])
         compat_dim = e.rank(n) - (rat_rank(rows) if rows else 0)
-        kernel_dim = e.rank(n) - rank_generic(e.full_mu(n))
+        kernel_dim = e.rank(n) - rank_generic(full_mu(e, n))
         if not (ansatz_dim == compat_dim == kernel_dim):
             ok = False
     report(7, "degree -n fields biject with the top comultiplication kernel", ok)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from gradman import coalgebra
 from gradman.cli import COMMANDS, main, parse_document, pretty_print, run as run_command
 from gradman.errors import ParseError
 
@@ -129,7 +130,7 @@ class TestExitCodes:
         deg = rep["tables"]["degrees"]["-2"]
         assert deg["im_rank"] == 0 and deg["K_rank"] == 1
 
-    def test_admissible_on_many_generators_in_one_degree(self, tmp_path, capsys):
+    def test_admissible_on_many_generators_in_one_degree(self, tmp_path, capsys, monkeypatch):
         # 40 odd generators: 1,600 ordered pairs at degree -2, of which K
         # keeps the 780 antisymmetric combinations and mu, absent, none
         doc = tmp_path / "rank40.gm"
@@ -138,6 +139,21 @@ class TestExitCodes:
         assert code == 1
         deg = rep["tables"]["degrees"]["-2"]
         assert deg["im_rank"] == 0 and deg["K_rank"] == 780
+        # the splitting compares the split model's ranks first: 1 + C(40, 2)
+        # words at degree -2, so it builds the model through degree -1 only
+        built = []
+        split = coalgebra.split_coalgebra
+        monkeypatch.setattr(coalgebra, "split_coalgebra",
+                            lambda ranks, *a: built.append(len(ranks)) or split(ranks, *a))
+        for cmd in ("geometrize", "split-iso", "roundtrip"):
+            code, rep = run_json(capsys, cmd, str(doc))
+            assert code == 1 and rep["witnesses"]["error"] == \
+                "rank mismatch at degree -2: bundle rank 1, split model rank 781"
+        assert built == [1, 1, 1]
+
+    def test_ordered_pairs_at_the_cap_parse(self):
+        doc = parse_document("coalgebra C {\n rank -1 = 500\n rank -2 = 1\n}\n")
+        assert doc.coalgebras["C"].ranks == {1: 500, 2: 1}
 
     def test_split_iso_unsupported_on_x_dependence(self, capsys):
         code, rep = run_json(capsys, "split-iso", str(GOLDEN / "xdep.gm"))
@@ -286,6 +302,11 @@ class TestExitCodes:
             "admissible",
             "coalgebra C {\n rank -400000 = 1\n}\n",
             "rank degree -400000 is below the cap -1000 (line 2, col 2)"),
+        "ordered pairs of one degree above the cap": (
+            "admissible",
+            "coalgebra C {\n rank -1 = 501\n rank -2 = 1\n}\n",
+            "coalgebra 'C' has more than the cap of 250000 ordered frame pairs at degree -2"
+            " (line 1, col 1)"),
         "coordinate degree above the declared-degree cap": (
             "frobenius",
             "coord e : 1001\nvf X : -1001 { d/de = 1 }\ndist D = X\n",

@@ -36,6 +36,7 @@ from gradman.exactnum import (
     rank_generic,
     rat_inverse,
     rat_kernel,
+    rat_pivots,
     rat_rank,
     rat_rref,
     rat_solve,
@@ -44,9 +45,11 @@ from randchart import (
     SPLIT_CORPUS,
     conjugate_frames,
     dense_vectors,
+    full_mu,
     partition_count,
     reference_compute_K,
     reference_dvb_coalgebra,
+    reference_splitting_iso,
     span_rank,
     tensor_square,
 )
@@ -203,7 +206,7 @@ class TestExpandedForm:
         assert e.mu_columns(3) == [{(u, v): const(5), (v, u): const(5)}]
         assert e.mu_columns(4) == [{(u, w): const(7), (v, v): const(2), (w, u): const(-7)}]
         pairs = e.tensor_basis(2, 4)
-        assert e.full_mu(4).col(0) == [e.mu_columns(4)[0].get(p, Poly.zero(0)) for p in pairs]
+        assert full_mu(e, 4).col(0) == [e.mu_columns(4)[0].get(p, Poly.zero(0)) for p in pairs]
 
 
 class TestPermuteColumn:
@@ -524,7 +527,7 @@ class TestMorphisms:
             e = split_coalgebra(profile)
             for i in range(2, len(profile) + 1):
                 ks = compute_K(e, -i)
-                m = e.full_mu(i)
+                m = full_mu(e, i)
                 cols = [m.col(c) for c in range(m.cols)]
                 assert span_rank(cols + dense_vectors(ks, 0), 0) == ks.dim
 
@@ -579,7 +582,7 @@ def transport_frames(e, frames):
         mu[i] = {}
         if not e.rank(i):
             continue
-        full = tensor_square(phi, i).mul(e.full_mu(i)).mul(poly_inverse(frames[i]))
+        full = tensor_square(phi, i).mul(full_mu(e, i)).mul(poly_inverse(frames[i]))
         index = {p: r for r, p in enumerate(e.tensor_basis(2, i))}
         for j in range(1, i // 2 + 1):
             k = i - j
@@ -845,7 +848,7 @@ def union_rank_admissible(e, sample_points):
     per = {}
     ok = True
     for i in range(2, e.n + 1):
-        m = e.full_mu(i)
+        m = full_mu(e, i)
         im_rank = rank_generic(m)
         ks = compute_K(e, -i)
         vecs = dense_vectors(ks, e.nvars)
@@ -925,7 +928,7 @@ class TestAdmissibilityDecision:
         for e, _ in admissibility_corpus():
             for i in range(2, e.n + 1):
                 ks = compute_K(e, -i)
-                m = e.full_mu(i)
+                m = full_mu(e, i)
                 cols = [m.col(c) for c in range(m.cols)]
                 inside = span_rank(cols + dense_vectors(ks, e.nvars), e.nvars) == ks.dim
                 assert ks.contains_image == inside, (e, i)
@@ -1002,7 +1005,7 @@ def per_column_splitting_iso(E, at_point=None):
             i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
                 for bk, m in blocks.items()}
             for i, blocks in E.mu.items()})
-    mu_rat = {i: E.full_mu(i).to_rat() for i in range(1, E.n + 1)}
+    mu_rat = {i: full_mu(E, i).to_rat() for i in range(1, E.n + 1)}
     kernels = {i: rat_kernel(m, cols=E.rank(i)) for i, m in mu_rat.items()}
     S = split_coalgebra([len(kernels[i]) for i in range(1, E.n + 1)], E.base_names)
     matrices = {1: PolyMatrix.identity(E.rank(1), E.nvars)}
@@ -1034,7 +1037,7 @@ def per_column_splitting_iso(E, at_point=None):
         except ValueError:
             raise NotAdmissible(f"kernel and pivot complement overlap at degree {-i}")
         proj = inv[:d_i]
-        smu = S.full_mu(i).to_rat()
+        smu = full_mu(S, i).to_rat()
         decomp_cols = [[row[c] for c in decomp_pos] for row in smu]
         tsq = tensor_square(CoalgebraMorphism(E, S, matrices), i).to_rat()
         cols_out = []
@@ -1135,6 +1138,79 @@ class TestSplittingIsoOracle:
             "comultiplication image leaves the constraint space"], messages
 
 
+def two_refusals_bundle():
+    """Ranks 2|1|1: the degree -2 column is symmetric where the split one is
+    antisymmetric, so its image leaves the constraint space there, and the
+    nonzero degree -3 column leaves no kernel, a rank mismatch one degree
+    lower.  The degree -2 refusal must come first."""
+    one = lambda rows: PolyMatrix.from_rat(len(rows), 1, [[Fraction(v)] for v in rows], 0)
+    return CoalgebraBundle(3, (), {1: 2, 2: 1, 3: 1},
+                           {2: {(1, 1): one([0, 1, 1, 0])}, 3: {(1, 2): one([1, 0])}})
+
+
+def splitting_reference_corpus():
+    """(bundle, splitting point, sample points): split profiles and their
+    frame conjugates, zeroed top columns and refusals, and x-dependent
+    bundles split at a fiber."""
+    rng = random.Random(21)
+    for profile in SPLIT_CORPUS:
+        s = split_coalgebra(list(profile))
+        yield s, None, ORIGIN
+        yield conjugate_frames(rng, s), None, ORIGIN
+    for profile in [(3, 3), (2, 2, 1), (1, 1, 1, 1), (2, 1, 0, 1), (2, 2, 2)]:
+        yield rank_dropped(rng, profile), None, ORIGIN
+    for profile in [(2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1)]:
+        yield random_constant_bundle(rng, profile), None, ORIGIN
+    yield zero_mu_bundle(), None, ORIGIN
+    yield two_refusals_bundle(), None, ORIGIN
+    for profile, base in [((2, 1), ("x",)), ((1, 1, 1), ("x",)), ((2, 1, 1), ("x", "y")),
+                          ((2, 2, 1), ("x",)), ((1, 1, 1, 1), ("x", "y"))]:
+        s = split_coalgebra(list(profile), base_names=base)
+        frames = {i: unit_triangular_frame(rng, s.rank(i), len(base))
+                  for i in range(1, s.n + 1)}
+        e = transport_frames(s, frames)
+        for point in X_POINTS[len(base)]:
+            yield e, point, X_POINTS[len(base)]
+    for profile in [(2, 1), (1, 1, 1), (2, 2, 1)]:
+        # rank drops at x = 1 only
+        e = scaled_bundle(split_coalgebra(list(profile), base_names=("x",)),
+                          Poly.var(1, 0).sub(Poly.one(1)))
+        for point in X_POINTS[1] + [[Fraction(1)]]:
+            yield e, point, X_POINTS[1] + [[Fraction(1)]]
+
+
+class TestSparseSplittingRead:
+    def test_matches_the_rref_reference(self):
+        messages = Counter()
+        for e, at, _ in splitting_reference_corpus():
+            fast = splitting_outcome(splitting_iso, e, at)
+            assert fast == splitting_outcome(reference_splitting_iso, e, at), (e, at)
+            messages[fast.split(" at degree")[0] if isinstance(fast, str) else "ok"] += 1
+        assert messages["ok"] and messages["rank mismatch"] and messages[
+            "comultiplication image leaves the constraint space"], messages
+
+    def test_refusals_keep_their_order(self):
+        with pytest.raises(NotAdmissible, match="leaves the constraint space at degree -2"):
+            splitting_iso(two_refusals_bundle())
+
+    def test_mu_matrix_is_the_dense_view_without_zero_rows(self):
+        for e, _, points in splitting_reference_corpus():
+            for i in range(1, e.n + 1):
+                m, dense = e.mu_matrix(i), full_mu(e, i)
+                assert m.entries == [row for row in dense.entries
+                                     if not all(p.is_zero() for p in row)], (e, i)
+                assert rank_generic(m) == rank_generic(dense), (e, i)
+                for point in points:
+                    assert rank_at(m, point) == rank_at(dense, point), (e, i, point)
+                    assert rat_pivots(m.eval_at(point)) == rat_pivots(dense.eval_at(point))
+
+    def test_no_declared_mu_gives_no_rows(self):
+        e = CoalgebraBundle(2, (), {1: 40, 2: 1}, {})
+        m = e.mu_matrix(2)
+        assert (m.rows, m.cols) == (0, 1)
+        assert rank_generic(m) == 0 and rank_at(m, ()) == 0
+
+
 def fraction_built(e):
     """e rebuilt through the public Poly constructor from Fraction
     coefficients, each zero entry spelled as an explicit Fraction(0)."""
@@ -1190,7 +1266,7 @@ class TestFractionBuiltBundles:
 def dense_morphism_check(phi, E, F):
     """morphism_check by dense products: mu_F phi against the tensor square
     of phi times mu_E, per degree."""
-    return all(F.full_mu(i).mul(phi.matrix(i)) == tensor_square(phi, i).mul(E.full_mu(i))
+    return all(full_mu(F, i).mul(phi.matrix(i)) == tensor_square(phi, i).mul(full_mu(E, i))
                for i in range(2, E.n + 1))
 
 
@@ -1245,7 +1321,7 @@ class TestPushColumn:
         for phi, e in self.morphisms():
             nonsquare += any(m.rows != m.cols for m in phi.matrices.values())
             for i in range(2, e.n + 1):
-                dense = tensor_square(phi, i).mul(e.full_mu(i))
+                dense = tensor_square(phi, i).mul(full_mu(e, i))
                 pairs = phi.target.tensor_basis(2, i)
                 for c, col in enumerate(e.mu_columns(i)):
                     want = {pairs[r]: row[c] for r, row in enumerate(dense.entries) if row[c]}

@@ -22,7 +22,7 @@ from gradman.geometrize import (
     roundtrip,
 )
 from gradman.gradedring import GradedFunction
-from randchart import partition_count
+from randchart import full_mu, partition_count
 
 
 CORPUS = [
@@ -91,7 +91,7 @@ class TestReduce:
                 for j in range(i, n + 1):
                     if i + j > n:
                         continue
-                    m = e.full_mu(i + j)
+                    m = full_mu(e, i + j)
                     pairs = e.tensor_basis(2, i + j)
                     pair_index = {p: r for r, p in enumerate(pairs)}
                     for a in range(e.rank(i)):
