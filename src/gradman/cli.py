@@ -60,7 +60,10 @@ MAX_DECLARED_DEGREE = 1000
 # square of the count.  At the cap, in-process on one Xeon core (Python
 # 3.11): `rank -1 = 500`, `rank -2 = 1` takes 0.71 s on `geometrize` and
 # 0.71 s on `admissible`; `rank -1 = 350`, `rank -2 = 350`, `rank -3 = 1`
-# (245,000 pairs at degree -3) takes 2.7 s on `admissible`.
+# (245,000 pairs at degree -3) takes 2.7 s on `admissible`.  It also caps
+# rank_i ** 2, the entries of the dense rank_i x rank_i splitting of degree
+# -i: `rank -1 = 500` alone takes 1.0 s on `geometrize` and 2.0 s on
+# `roundtrip`.
 MAX_DEGREE_PAIRS = 250_000
 
 # --- tokenizer -----------------------------------------------------------------
@@ -71,13 +74,17 @@ _TOKEN_RE = re.compile(
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<arrow>->)
-  | (?P<sym>[{}\[\](),;:=+\-*^@/])
+  | (?P<sep>;)
+  | (?P<sym>[{}\[\](),:=+\-*^@/])
   | (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
     """,
     re.VERBOSE,
 )
+
+# a rational entry of a flag: -p or -p/q, the literal grammar of a document
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass
@@ -98,6 +105,14 @@ def read_int(text: str, line: Optional[int] = None, col: Optional[int] = None) -
                          f"{sys.get_int_max_str_digits()} digits", line, col) from None
 
 
+def read_rational(text: str) -> Optional[tuple]:
+    """(p, q) of a flag entry `-p` or `-p/q` (q = 1 for `-p`), each read by
+    `read_int`; None for any other text.  A zero q is returned for the
+    caller to refuse."""
+    m = _RATIONAL_RE.fullmatch(text.strip())
+    return m and (read_int(m[1]), read_int(m[2] or "1"))
+
+
 def tokenize(source: str) -> list:
     tokens = []
     line, col = 1, 1
@@ -112,17 +127,61 @@ def tokenize(source: str) -> list:
             tokens.append(Token("sep", "\n", line, col))
             line += 1
             col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
         else:
-            if kind == "sym" and text == ";":
-                tokens.append(Token("sep", ";", line, col))
-            else:
+            if kind not in ("ws", "comment"):
                 tokens.append(Token(kind, text, line, col))
             col += len(text)
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+class Cursor:
+    """A read position in a token list that ends in an `eof` token: a whole
+    document, or the slice of one expression."""
+
+    def __init__(self, tokens: list):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        """The next token.  Only an expression runs into its `eof` this way,
+        so that is a ParseError at the expression's last token."""
+        t = self.tokens[self.pos]
+        if t.kind == "eof":
+            last = self.tokens[self.pos - 1]
+            raise ParseError(f"unexpected end of expression after {last.text!r}",
+                             last.line, last.col)
+        self.pos += 1
+        return t
+
+    def at(self, text: str) -> bool:
+        """Whether the next token is the symbol `text`; no token of another
+        kind has a symbol's text."""
+        return self.tokens[self.pos].text == text
+
+    def accept(self, text: str) -> bool:
+        """Read the symbol `text` if it is next."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+        t = self.peek()
+        if t.kind != kind or (text is not None and t.text != text):
+            want = text if text is not None else kind
+            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
+                             t.line, t.col)
+        self.pos += 1
+        return t
+
+    def expect_int(self) -> int:
+        t = self.expect("int")
+        return read_int(t.text, t.line, t.col)
 
 
 # --- declarations ----------------------------------------------------------------
@@ -198,13 +257,11 @@ class Document:
             if g not in self.vfs:
                 raise ParseError(f"unknown vector field {g!r} in dist {name!r}")
             gens.append(self._field(g))
-        points = [tuple(map(Fraction, p)) for p in decl.points]
-        for p in points:
+        for p in decl.points:
             if len(p) != self.sig.m0:
                 raise ParseError(f"a point of dist {name!r} has {len(p)} coordinates, "
                                  f"the chart has {self.sig.m0} base coordinates")
-        if extra_points:
-            points += [tuple(map(Fraction, p)) for p in extra_points]
+        points = decl.points + (extra_points or [])
         if not points:
             points = [tuple(Fraction(0) for _ in range(self.sig.m0))]
         try:
@@ -237,35 +294,19 @@ def rows_expected_blocks(ranks: dict, i: int) -> list:
 # --- parser ---------------------------------------------------------------------
 
 
-class Parser:
+class Parser(Cursor):
     def __init__(self, source: str, max_degree: Optional[int] = None):
-        self.tokens = tokenize(source)
-        self.pos = 0
+        super().__init__(tokenize(source))
         self.max_degree = max_degree
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}",
-                             t.line, t.col)
-        return self.advance()
-
-    def expect_int(self) -> int:
-        t = self.expect("int")
-        return read_int(t.text, t.line, t.col)
 
     def skip_seps(self):
         while self.peek().kind == "sep":
-            self.advance()
+            self.pos += 1
+
+    def closes_block(self) -> bool:
+        """Skip separators, then read the `}` that closes a block if it is next."""
+        self.skip_seps()
+        return self.accept("}")
 
     def parse(self) -> Document:
         base: list = []
@@ -309,29 +350,25 @@ class Parser:
             sig = GradedSignature(n, tuple(base), gen_names, max_degree=self.max_degree)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        nv = len(base)
         doc = Document(tuple(base), tuple(coords), sig, {}, {}, {}, {})
         for name, ranks, mu_raw in raw["coalgebra"]:
-            mu = {i: [[self._expr_to_poly(e, sig) for e in row] for row in m]
+            mu = {i: [[_expr_to_poly(e, sig) for e in row] for row in m]
                   for i, m in mu_raw.items()}
             doc.coalgebras[name] = CoalgebraDecl(name, ranks, mu)
         for name, degree, entries in raw["vf"]:
             actions = []
             for cname, expr_tokens, etok in entries:
-                f = self._expr_to_function(expr_tokens, sig)
+                f = ExprEval(expr_tokens, sig).parse()
                 cd = 0 if cname in sig.base_names else (
                     sig.gen_by_name(cname)[0] if cname in [nm for nm, _ in coords] else None
                 )
                 if cd is None:
                     raise ParseError(f"unknown coordinate {cname!r}", etok.line, etok.col)
+                # a nonzero action has degree >= 0, so this also refuses want < 0
                 want = cd + degree
                 if not f.is_zero() and not f.is_homogeneous(want):
                     raise ParseError(
                         f"action on {cname} must have degree {want}", etok.line, etok.col
-                    )
-                if want < 0 and not f.is_zero():
-                    raise ParseError(
-                        f"action on {cname} lands in negative degree", etok.line, etok.col
                     )
                 actions.append((cname, f))
             doc.vfs[name] = VfDecl(name, degree, actions)
@@ -352,7 +389,7 @@ class Parser:
                 if len(m) != rows or any(len(row) != cols for row in m):
                     raise ParseError(f"deg {-i} of morphism {name!r} must be {rows}x{cols}",
                                      tok.line, tok.col)
-            mats = {i: [[self._expr_to_poly(e, sig) for e in row] for row in m]
+            mats = {i: [[_expr_to_poly(e, sig) for e in row] for row in m]
                     for i, m in mats_raw.items()}
             doc.morphisms[name] = MorphismDecl(name, src, tgt, mats)
         return doc
@@ -366,12 +403,7 @@ class Parser:
         ranks = {}
         mu = {}
         mu_keys = {}
-        while True:
-            self.skip_seps()
-            t = self.peek()
-            if t.kind == "sym" and t.text == "}":
-                self.advance()
-                break
+        while not self.closes_block():
             key = self.expect("id")
             if key.text == "rank":
                 deg = self.parse_signed_int()
@@ -406,6 +438,12 @@ class Parser:
             if pairs[i] > MAX_DEGREE_PAIRS:
                 raise ParseError(f"coalgebra {name!r} has more than the cap of {MAX_DEGREE_PAIRS} "
                                  f"ordered frame pairs at degree {-i}", tok.line, tok.col)
+        for i in sorted(ranks):
+            r = ranks[i]
+            if r * r > MAX_DEGREE_PAIRS:
+                raise ParseError(f"coalgebra {name!r} has rank {r} at degree {-i}: its {r} x {r} "
+                                 f"splitting exceeds the cap of {MAX_DEGREE_PAIRS} entries",
+                                 tok.line, tok.col)
         return name, ranks, mu
 
     def parse_vf(self):
@@ -415,17 +453,10 @@ class Parser:
         degree = self.parse_signed_int()
         self.expect("sym", "{")
         entries = []
-        while True:
-            self.skip_seps()
-            t = self.peek()
-            if t.kind == "sym" and t.text == "}":
-                self.advance()
-                break
+        while not self.closes_block():
             dd = self.expect("dd")
-            cname = dd.text[3:]
             self.expect("sym", "=")
-            expr_tokens = self.collect_expr_tokens()
-            entries.append((cname, expr_tokens, dd))
+            entries.append((dd.text[3:], self.collect_expr_tokens(), dd))
         return name, degree, entries
 
     def parse_dist(self):
@@ -433,14 +464,12 @@ class Parser:
         name = self.expect("id").text
         self.expect("sym", "=")
         gens = [self.expect("id").text]
-        while self.peek().kind == "sym" and self.peek().text == ",":
-            self.advance()
+        while self.accept(","):
             gens.append(self.expect("id").text)
         points = []
-        if self.peek().kind == "sym" and self.peek().text == "@":
-            self.advance()
+        if self.accept("@"):
             self.expect("id", "points")
-            while self.peek().kind == "sym" and self.peek().text == "(":
+            while self.at("("):
                 points.append(self.parse_point())
         return name, gens, points
 
@@ -453,16 +482,11 @@ class Parser:
         tgt = self.expect("id").text
         self.expect("sym", "{")
         mats = {}
-        while True:
-            self.skip_seps()
-            t = self.peek()
-            if t.kind == "sym" and t.text == "}":
-                self.advance()
-                break
-            self.expect("id", "deg")
+        while not self.closes_block():
+            key = self.expect("id", "deg")
             deg = self.parse_signed_int()
             if deg >= 0:
-                raise ParseError("morphism degree must be negative", t.line, t.col)
+                raise ParseError("morphism degree must be negative", key.line, key.col)
             self.expect("sym", "=")
             mats[-deg] = self.parse_matrix()
         return name, src, tgt, mats, tok
@@ -470,34 +494,26 @@ class Parser:
     def parse_point(self):
         self.expect("sym", "(")
         vals = []
-        while not (self.peek().kind == "sym" and self.peek().text == ")"):
+        while not self.at(")"):
             vals.append(self.parse_rational())
-            if self.peek().kind == "sym" and self.peek().text == ",":
-                self.advance()
+            self.accept(",")
         self.expect("sym", ")")
         return tuple(vals)
 
     def parse_rational(self) -> Fraction:
-        neg = False
-        if self.peek().kind == "sym" and self.peek().text == "-":
-            self.advance()
-            neg = True
+        neg = self.accept("-")
         num = self.expect_int()
         den = 1
-        if self.peek().kind == "sym" and self.peek().text == "/":
-            self.advance()
-            den_tok = self.expect("int")
-            den = read_int(den_tok.text, den_tok.line, den_tok.col)
+        if self.accept("/"):
+            den_tok = self.peek()
+            den = self.expect_int()
             if den == 0:
                 raise ParseError("division by zero", den_tok.line, den_tok.col)
         v = Fraction(num, den)
         return -v if neg else v
 
     def parse_signed_int(self) -> int:
-        neg = False
-        if self.peek().kind == "sym" and self.peek().text == "-":
-            self.advance()
-            neg = True
+        neg = self.accept("-")
         v = self.expect_int()
         return -v if neg else v
 
@@ -505,11 +521,10 @@ class Parser:
         self.expect("sym", "[")
         rows = []
         self.skip_seps()
-        while not (self.peek().kind == "sym" and self.peek().text == "]"):
+        while not self.at("]"):
             rows.append(self.parse_row())
             self.skip_seps()
-            if self.peek().kind == "sym" and self.peek().text == ",":
-                self.advance()
+            if self.accept(","):
                 self.skip_seps()
         self.expect("sym", "]")
         return rows
@@ -517,97 +532,67 @@ class Parser:
     def parse_row(self):
         self.expect("sym", "[")
         row = []
-        while not (self.peek().kind == "sym" and self.peek().text == "]"):
-            row.append(self.collect_expr_tokens(stop={",", "]"}))
-            if self.peek().kind == "sym" and self.peek().text == ",":
-                self.advance()
+        while not self.at("]"):
+            row.append(self.collect_expr_tokens(stop=(",", "]")))
+            self.accept(",")
         self.expect("sym", "]")
         return row
 
-    def collect_expr_tokens(self, stop: Optional[set] = None):
-        """Grab the token slice of one expression (up to separator or stop symbol)."""
-        out = []
+    def collect_expr_tokens(self, stop: tuple = ()) -> list:
+        """The token slice of one expression, ended by an `eof` token.  It
+        stops at `}`, at the end of the input, and outside brackets at a
+        separator, an unmatched closing bracket or a stop symbol."""
+        start = self.pos
         depth = 0
-        stop = stop or set()
         while True:
             t = self.peek()
-            if t.kind == "eof":
+            if t.kind == "eof" or t.text == "}" or depth == 0 and t.kind == "sep":
                 break
-            if t.kind == "sep" and depth == 0:
-                break
-            if t.kind == "sym" and t.text in "([":
+            if t.text in ("(", "["):
                 depth += 1
-            if t.kind == "sym" and t.text in ")]":
+            elif t.text in (")", "]"):
                 if depth == 0:
                     break
                 depth -= 1
-            if depth == 0 and t.kind == "sym" and t.text in stop:
+            if depth == 0 and t.text in stop:
                 break
-            if t.kind == "sym" and t.text == "}":
-                break
-            out.append(self.advance())
-        if not out:
-            t = self.peek()
+            self.pos += 1
+        if self.pos == start:
             raise ParseError("empty expression", t.line, t.col)
-        return out
-
-    # --- expression evaluation ------------------------------------------------
-
-    def _expr_to_function(self, tokens: list, sig: GradedSignature) -> GradedFunction:
-        ev = ExprEval(tokens, sig)
-        f = ev.parse_expr()
-        ev.expect_end()
-        return f
-
-    def _expr_to_poly(self, tokens: list, sig: GradedSignature) -> Poly:
-        f = self._expr_to_function(tokens, sig)
-        if f.terms and set(f.terms) != {()}:
-            t0 = tokens[0]
-            raise ParseError("matrix entries must have degree 0", t0.line, t0.col)
-        return f.body()
+        return self.tokens[start:self.pos] + [Token("eof", "", t.line, t.col)]
 
 
-class ExprEval:
-    """Recursive-descent evaluator over a token slice."""
+def _expr_to_poly(tokens: list, sig: GradedSignature) -> Poly:
+    f = ExprEval(tokens, sig).parse()
+    if f.terms and set(f.terms) != {()}:
+        t0 = tokens[0]
+        raise ParseError("matrix entries must have degree 0", t0.line, t0.col)
+    return f.body()
+
+
+class ExprEval(Cursor):
+    """Recursive-descent evaluator over the token slice of one expression."""
 
     def __init__(self, tokens: list, sig: GradedSignature):
-        self.tokens = tokens
-        self.pos = 0
+        super().__init__(tokens)
         self.sig = sig
         # largest product of nested exponents expanded in the factor being parsed
         self.power = 1
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> Token:
+    def parse(self) -> GradedFunction:
+        """The value of the whole slice."""
+        f = self.parse_expr()
         t = self.peek()
-        if t is None:
-            last = self.tokens[-1]
-            raise ParseError(f"unexpected end of expression after {last.text!r}",
-                             last.line, last.col)
-        self.pos += 1
-        return t
-
-    def expect_end(self):
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"unexpected token {t.text!r} in expression",
-                             t.line, t.col)
+        if t.kind != "eof":
+            raise ParseError(f"unexpected token {t.text!r} in expression", t.line, t.col)
+        return f
 
     def parse_expr(self) -> GradedFunction:
-        t = self.peek()
-        neg = False
-        if t and t.kind == "sym" and t.text == "-":
-            self.advance()
-            neg = True
+        neg = self.accept("-")
         f = self.parse_term()
         if neg:
             f = f.neg()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != "sym" or t.text not in "+-":
-                break
+        while self.at("+") or self.at("-"):
             op = self.advance().text
             g = self.parse_term()
             f = f.add(g) if op == "+" else f.sub(g)
@@ -615,11 +600,7 @@ class ExprEval:
 
     def parse_term(self) -> GradedFunction:
         f = self.parse_factor()
-        while True:
-            t = self.peek()
-            if t is None or t.kind != "sym" or t.text != "*":
-                break
-            self.advance()
+        while self.accept("*"):
             f = f.mul(self.parse_factor())
         return f
 
@@ -636,9 +617,7 @@ class ExprEval:
         outer, self.power = self.power, 1
         a = self.peek()
         f = self.parse_atom()
-        t = self.peek()
-        if t is not None and t.kind == "sym" and t.text == "^":
-            self.advance()
+        if self.accept("^"):
             e = self.advance()
             if e.kind != "int":
                 raise ParseError("exponent must be a non-negative integer",
@@ -663,9 +642,7 @@ class ExprEval:
         t = self.advance()
         if t.kind == "int":
             num = read_int(t.text, t.line, t.col)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "sym" and nxt.text == "/":
-                self.advance()
+            if self.accept("/"):
                 den_tok = self.advance()
                 if den_tok.kind != "int":
                     raise ParseError("expected denominator", den_tok.line, den_tok.col)
@@ -682,14 +659,12 @@ class ExprEval:
             except GradmanError:
                 raise ParseError(f"unknown name {t.text!r}", t.line, t.col) from None
             return GradedFunction.from_gen(self.sig, g)
-        if t.kind == "sym" and t.text == "(":
+        if t.text == "(":
             f = self.parse_expr()
-            close = self.peek()
-            if close is None or close.kind != "sym" or close.text != ")":
+            if not self.accept(")"):
                 raise ParseError("expected ')'", t.line, t.col)
-            self.advance()
             return f
-        if t.kind == "sym" and t.text == "-":
+        if t.text == "-":
             return self.parse_atom().neg()
         raise ParseError(f"unexpected token {t.text!r} in expression", t.line, t.col)
 
@@ -800,25 +775,49 @@ def _pick(doc_map: dict, name: Optional[str], kind: str) -> str:
 
 
 def _sample_points(doc: Document, flag: Optional[str]) -> list:
+    """The points of --sample-points: `;`-separated, each a parenthesized,
+    `,`-separated list of entries `-p` or `-p/q`."""
     if not flag:
         return [tuple(Fraction(0) for _ in range(doc.sig.m0))]
     points = []
     for part in flag.split(";"):
         part = part.strip().strip("()")
-        try:
-            vals = [Fraction(v.strip()) for v in part.split(",") if v.strip()] if part else []
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"sample point ({part}) has an entry that is not a rational") from None
+        vals = [read_rational(v) for v in part.split(",") if v.strip()] if part else []
+        if not all(v and v[1] for v in vals):
+            raise ParseError(f"sample point ({part}) has an entry that is not a rational")
         if len(vals) != doc.sig.m0:
             raise ParseError(f"sample point ({part}) has {len(vals)} coordinates, "
                              f"the chart has {doc.sig.m0} base coordinates")
-        points.append(tuple(vals))
+        points.append(tuple(Fraction(*v) for v in vals))
     return points
 
 
-def cmd_check_coalgebra(doc: Document, args) -> Report:
+def _bundle(doc: Document, args) -> tuple:
+    """The coalgebra that --name picks and its bundle."""
     name = _pick(doc.coalgebras, args.name, "coalgebra")
-    e = doc.bundle(name)
+    return name, doc.bundle(name)
+
+
+def _distribution(doc: Document, args):
+    """The dist that --name picks, with the points of --sample-points added."""
+    name = _pick(doc.dists, args.name, "dist")
+    extra = _sample_points(doc, args.sample_points) if args.sample_points else None
+    return doc.distribution(name, extra_points=extra)
+
+
+def _flag_fields(doc: Document, names: list, usage: str) -> list:
+    """The declared vector fields `names` of a --field or --fields flag; no
+    names is the usage error."""
+    if not names:
+        raise ParseError(usage)
+    for n in names:
+        if n not in doc.vfs:
+            raise ParseError(f"unknown vector field {n!r}")
+    return [doc._field(n) for n in names]
+
+
+def cmd_check_coalgebra(doc: Document, args) -> Report:
+    _, e = _bundle(doc, args)
     rep = check_coalgebra(e)
     witnesses = {}
     if rep.witnesses:
@@ -832,8 +831,7 @@ def cmd_check_coalgebra(doc: Document, args) -> Report:
 
 
 def cmd_admissible(doc: Document, args) -> Report:
-    name = _pick(doc.coalgebras, args.name, "coalgebra")
-    e = doc.bundle(name)
+    _, e = _bundle(doc, args)
     points = _sample_points(doc, args.sample_points)
     rep = check_admissible(e, points)
     table = {
@@ -848,8 +846,7 @@ def cmd_admissible(doc: Document, args) -> Report:
 
 
 def cmd_split_iso(doc: Document, args) -> Report:
-    name = _pick(doc.coalgebras, args.name, "coalgebra")
-    e = doc.bundle(name)
+    _, e = _bundle(doc, args)
     iso = splitting_iso(e)
     ok = morphism_check(iso, e, iso.target)
     tables = {
@@ -867,8 +864,7 @@ def cmd_split_iso(doc: Document, args) -> Report:
 
 
 def cmd_geometrize(doc: Document, args) -> Report:
-    name = _pick(doc.coalgebras, args.name, "coalgebra")
-    e = doc.bundle(name)
+    name, e = _bundle(doc, args)
     chart = geometrize(e, max_degree=args.max_degree)
     sig_table = {
         "base": list(chart.sig.base_names),
@@ -891,15 +887,14 @@ def cmd_geometrize(doc: Document, args) -> Report:
 def cmd_reduce(doc: Document, args) -> Report:
     if not args.expr:
         raise ParseError("reduce requires --expr")
-    name = _pick(doc.coalgebras, args.name, "coalgebra")
-    e = doc.bundle(name)
+    name, e = _bundle(doc, args)
     chart = geometrize(e, max_degree=args.max_degree)
-    coeff, factors = _parse_frame_expr(args.expr, name, e, doc)
+    coeff, factors = _parse_frame_expr(args.expr, name, e)
     f = reduce_product(chart, factors, coeff)
     return Report("reduce", True, 0, {}, {"normal_form": f.to_string()})
 
 
-def _parse_frame_expr(text: str, name: str, e: CoalgebraBundle, doc: Document):
+def _parse_frame_expr(text: str, name: str, e: CoalgebraBundle):
     coeff = Fraction(1)
     factors = []
     for raw in text.split("*"):
@@ -913,36 +908,28 @@ def _parse_frame_expr(text: str, name: str, e: CoalgebraBundle, doc: Document):
                 raise ParseError(f"frame element {part!r} out of range")
             factors.append((i, a - 1))
             continue
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", part)
-        if m:
-            den = read_int(m.group(2) or "1")
-            if den == 0:
+        value = read_rational(part)
+        if value:
+            if not value[1]:
                 raise ParseError(f"division by zero in factor {part!r}")
-            coeff *= Fraction(read_int(m.group(1)), den)
+            coeff *= Fraction(*value)
             continue
         raise ParseError(f"cannot read factor {part!r}: use {name}_<deg>_<index> or a rational")
     return coeff, factors
 
 
 def cmd_bracket(doc: Document, args) -> Report:
-    if not args.fields or len(args.fields.split(",")) != 2:
-        raise ParseError("bracket requires --fields X,Y")
-    n1, n2 = [s.strip() for s in args.fields.split(",")]
-    for n in (n1, n2):
-        if n not in doc.vfs:
-            raise ParseError(f"unknown vector field {n!r}")
-    b = bracket(doc._field(n1), doc._field(n2))
+    names = args.fields.split(",") if args.fields else []
+    x, y = _flag_fields(doc, [n.strip() for n in names] if len(names) == 2 else [],
+                        "bracket requires --fields X,Y")
+    b = bracket(x, y)
     return Report("bracket", True, 0, {},
                   {"bracket": _field_table(b) or {"zero": "0"},
                    "degree": b.degree})
 
 
 def cmd_tangent(doc: Document, args) -> Report:
-    if not args.field:
-        raise ParseError("tangent requires --field")
-    if args.field not in doc.vfs:
-        raise ParseError(f"unknown vector field {args.field!r}")
-    x = doc._field(args.field)
+    x, = _flag_fields(doc, [args.field] if args.field else [], "tangent requires --field")
     points = _sample_points(doc, args.sample_points)
     table = {}
     for p in points:
@@ -954,11 +941,7 @@ def cmd_tangent(doc: Document, args) -> Report:
 
 
 def cmd_qsquare(doc: Document, args) -> Report:
-    if not args.field:
-        raise ParseError("qsquare requires --field")
-    if args.field not in doc.vfs:
-        raise ParseError(f"unknown vector field {args.field!r}")
-    q = doc._field(args.field)
+    q, = _flag_fields(doc, [args.field] if args.field else [], "qsquare requires --field")
     ok = is_homological(q)
     witnesses = {}
     if not ok:
@@ -967,9 +950,7 @@ def cmd_qsquare(doc: Document, args) -> Report:
 
 
 def cmd_involutive(doc: Document, args) -> Report:
-    name = _pick(doc.dists, args.name, "dist")
-    extra = _sample_points(doc, args.sample_points) if args.sample_points else None
-    d = doc.distribution(name, extra_points=extra)
+    d = _distribution(doc, args)
     rep = is_involutive(d)
     witnesses = {}
     if not rep.involutive:
@@ -982,9 +963,7 @@ def cmd_involutive(doc: Document, args) -> Report:
 
 
 def cmd_frobenius(doc: Document, args) -> Report:
-    name = _pick(doc.dists, args.name, "dist")
-    extra = _sample_points(doc, args.sample_points) if args.sample_points else None
-    d = doc.distribution(name, extra_points=extra)
+    d = _distribution(doc, args)
     chart = frobenius_normal_form(d)
     ok = chart.span_preserved and chart.inverse_ok
     tables = {
@@ -998,8 +977,7 @@ def cmd_frobenius(doc: Document, args) -> Report:
 
 
 def cmd_roundtrip(doc: Document, args) -> Report:
-    name = _pick(doc.coalgebras, args.name, "coalgebra")
-    e = doc.bundle(name)
+    _, e = _bundle(doc, args)
     f, phi = roundtrip(e)
     ok = morphism_check(phi, e, f)
     try:

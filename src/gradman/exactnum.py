@@ -489,9 +489,13 @@ def _eliminate(a: list, ops, ncols: Optional[int] = None, reduce: bool = True):
     Every other row r becomes (pivot * row_r - row_r[c] * pivot_row) divided
     by the previous pivot.  By Sylvester's identity every entry is then a
     minor of the input, so each division is exact and entry degrees stay
-    within the Cramer bound.  With `reduce` the rows above the pivot are
-    cleared too and `a` ends as det * RREF, det being the last pivot;
-    without it only the rows below are, which is enough for the rank.
+    within the Cramer bound.  A row whose entry in column c is zero, under a
+    pivot equal to the previous one, would become (pivot * row_r) / pivot =
+    row_r exactly, so it is left as it is; eliminating an identity updates
+    no row.
+    With `reduce` the rows above the pivot are cleared too and `a` ends as
+    det * RREF, det being the last pivot; without it only the rows below
+    are, which is enough for the rank.
 
     Returns (pivot columns, perm, det), where row r of `a` came from input
     row perm[r].
@@ -516,9 +520,9 @@ def _eliminate(a: list, ops, ncols: Optional[int] = None, reduce: bool = True):
         prow = a[rank]
         p = prow[c]
         for r in range(0 if reduce else rank + 1, rows):
-            if r == rank:
-                continue
             f = a[r][c]
+            if r == rank or is_zero(f) and p == det:
+                continue
             row = [sub(mul(v, p), mul(f, w)) for v, w in zip(a[r], prow)]
             a[r] = [div(v, det) for v in row] if rank else row
         pivots.append(c)
@@ -561,7 +565,8 @@ def _to_poly(v, nvars: int) -> Poly:
 def _quotient(v, det, nvars: int) -> Optional[Poly]:
     """v / det as a Poly, or None when the quotient is not a polynomial."""
     if isinstance(v, int):
-        return Poly.const(nvars, Fraction(v, det))
+        q, rem = divmod(v, det)
+        return Poly.const(nvars, Fraction(v, det) if rem else q)
     return v.div_exact(det)
 
 

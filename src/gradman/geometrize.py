@@ -104,11 +104,13 @@ def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
         phi_rat = iso.matrix(i).to_rat()
         inv = rat_inverse(phi_rat)
         words = S.split.monomials[i]
+        # frame element a embeds as row a of the inverse splitting: the rows
+        # of the splitting hold the frame coordinates of the chart monomials
         funcs = []
         for a in range(r):
             f = GradedFunction.zero(sig)
             for mon, w in enumerate(words):
-                c = inv[mon][a]
+                c = inv[a][mon]
                 if c != 0:
                     f = f.add(GradedFunction.monomial(sig, w, Poly.const(sig.m0, c)))
             funcs.append(f)

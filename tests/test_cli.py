@@ -77,7 +77,7 @@ class TestParser:
 class TestRoundTrip:
     @pytest.mark.parametrize("name", [
         "ex2dis.gm", "vftang.gm", "frobA.gm", "wedge22.gm",
-        "zeromu.gm", "xdep.gm", "qsquare.gm", "nonconst.gm",
+        "zeromu.gm", "xdep.gm", "qsquare.gm", "nonconst.gm", "nonsplit.gm",
     ])
     def test_parse_pretty_parse_identity(self, name):
         source = (GOLDEN / name).read_text()
@@ -154,6 +154,9 @@ class TestExitCodes:
     def test_ordered_pairs_at_the_cap_parse(self):
         doc = parse_document("coalgebra C {\n rank -1 = 500\n rank -2 = 1\n}\n")
         assert doc.coalgebras["C"].ranks == {1: 500, 2: 1}
+        # a 500 x 500 splitting is at the cap
+        doc = parse_document("coalgebra C {\n rank -1 = 500\n}\n")
+        assert doc.coalgebras["C"].ranks == {1: 500}
 
     def test_split_iso_unsupported_on_x_dependence(self, capsys):
         code, rep = run_json(capsys, "split-iso", str(GOLDEN / "xdep.gm"))
@@ -232,7 +235,8 @@ class TestExitCodes:
         ["admissible", "xdep.gm"],
         ["involutive", "nonconst.gm"],
     ])
-    @pytest.mark.parametrize("points", ["(1,2,3)", "(0);(1,2)", "()", "(a)", "(1/0)"])
+    @pytest.mark.parametrize("points", ["(1,2,3)", "(0);(1,2)", "()", "(a)", "(1/0)",
+                                        "(1.5)", "(1e3)", "(1e99999999)"])
     def test_malformed_sample_points(self, capsys, argv, points):
         # each chart has one base coordinate
         code, rep = run_json(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:],
@@ -307,6 +311,11 @@ class TestExitCodes:
             "coalgebra C {\n rank -1 = 501\n rank -2 = 1\n}\n",
             "coalgebra 'C' has more than the cap of 250000 ordered frame pairs at degree -2"
             " (line 1, col 1)"),
+        "rank of one degree above the cap": (
+            "split-iso",
+            "coalgebra C {\n rank -1 = 501\n}\n",
+            "coalgebra 'C' has rank 501 at degree -1: its 501 x 501 splitting exceeds the cap"
+            " of 250000 entries (line 1, col 1)"),
         "coordinate degree above the declared-degree cap": (
             "frobenius",
             "coord e : 1001\nvf X : -1001 { d/de = 1 }\ndist D = X\n",
@@ -323,6 +332,51 @@ class TestExitCodes:
             "involutive",
             f"base x\ncoord e : 1\nvf A : -1 {{ d/de = 1 }}\ndist D = A @ points (1/{LONG})\n",
             f"{TOO_LONG} (line 4, col 24)"),
+        "coordinate degree below 1": (
+            "roundtrip", "coord e : 0\n",
+            "coordinate degree must be >= 1 (line 1, col 1)"),
+        "duplicate coordinate name": (
+            "roundtrip", "coord e : 1\ncoord e : 2\n",
+            "duplicate coordinate name 'e'"),
+        "non-negative rank degree": (
+            "admissible", "coalgebra C {\n rank 1 = 2\n}\n",
+            "rank degree must be negative (line 2, col 2)"),
+        "mu degree above -2": (
+            "check-coalgebra", "coalgebra C {\n rank -1 = 2\n mu -1 = [[0]]\n}\n",
+            "mu degree must be <= -2 (line 3, col 2)"),
+        "unknown coalgebra entry": (
+            "check-coalgebra", "coalgebra C {\n rank -1 = 2\n size -1 = 2\n}\n",
+            "unknown coalgebra entry 'size' (line 3, col 2)"),
+        "non-negative morphism degree": (
+            "roundtrip",
+            "coalgebra C {\n rank -1 = 1\n}\nmorphism F : C -> C { deg 1 = [[1]] }\n",
+            "morphism degree must be negative (line 4, col 23)"),
+        "matrix entry of positive degree": (
+            "check-coalgebra",
+            "coord e : 1\ncoalgebra C {\n rank -1 = 2\n rank -2 = 1\n"
+            " mu -2 = [[0], [e], [0], [0]]\n}\n",
+            "matrix entries must have degree 0 (line 5, col 17)"),
+        "non-integer exponent": (
+            "roundtrip", "base x\ncoord e : 1\nvf X : 0 { d/dx = x^x }\n",
+            "exponent must be a non-negative integer (line 3, col 21)"),
+        "missing denominator": (
+            "roundtrip", "base x\ncoord e : 1\nvf X : 0 { d/dx = 1/x }\n",
+            "expected denominator (line 3, col 21)"),
+        "unclosed parenthesis": (
+            "roundtrip", "base x\ncoord e : 1\nvf X : 0 { d/dx = (1 + x x) }\n",
+            "expected ')' (line 3, col 19)"),
+        "token after a whole expression": (
+            "roundtrip", "base x\ncoord e : 1\nvf X : 0 { d/dx = x x }\n",
+            "unexpected token 'x' in expression (line 3, col 21)"),
+        "token where a factor starts": (
+            "roundtrip", "base x\ncoord e : 1\nvf X : 0 { d/dx = * x }\n",
+            "unexpected token '*' in expression (line 3, col 19)"),
+        "unknown vector field in a dist": (
+            "involutive", "coord e : 1\nvf A : -1 { d/de = 1 }\ndist D = A, Z\n",
+            "unknown vector field 'Z' in dist 'D'"),
+        "action below degree 0": (
+            "roundtrip", "coord e : 1\nvf X : -2 { d/de = 1 }\n",
+            "action on e must have degree -1 (line 2, col 13)"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -334,6 +388,41 @@ class TestExitCodes:
         assert code == 2 and message in rep["witnesses"]["error"]
         with pytest.raises(ParseError):
             run_command(cmd, parse_document(source))
+
+    FLAG_REFUSALS = [
+        (["bracket", "vftang.gm", "--fields", "X,Z"], "unknown vector field 'Z'"),
+        (["qsquare", "qsquare.gm", "--field", "Z"], "unknown vector field 'Z'"),
+        (["tangent", "vftang.gm", "--field", "Z"], "unknown vector field 'Z'"),
+        (["bracket", "vftang.gm", "--fields", "X"], "bracket requires --fields X,Y"),
+        (["qsquare", "qsquare.gm"], "qsquare requires --field"),
+        (["tangent", "vftang.gm"], "tangent requires --field"),
+        (["reduce", "wedge22.gm", "--expr", "E_1_1 * "], "empty factor in --expr"),
+        (["reduce", "wedge22.gm", "--expr", "E_3_1"], "frame element 'E_3_1' out of range"),
+        (["reduce", "wedge22.gm", "--expr", "F_1_1"],
+         "cannot read factor 'F_1_1': use E_<deg>_<index> or a rational"),
+        (["reduce", "wedge22.gm"], "reduce requires --expr"),
+        (["involutive", "nonconst.gm", "--sample-points", "(-1)"],
+         "dist 'D': generators have dependent tangent vectors at a sample point"),
+        (["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(1/0)"],
+         "sample point (1/0) has an entry that is not a rational"),
+        (["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(1,2)"],
+         "sample point (1,2) has 2 coordinates, the chart has 1 base coordinates"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", FLAG_REFUSALS)
+    def test_flag_refusal(self, capsys, argv, message):
+        code, rep = run_json(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:])
+        assert code == 2 and rep["witnesses"]["error"] == message
+
+    def test_sample_points_grammar(self, capsys):
+        # each entry is -p or -p/q, with spaces around entries and points
+        code, rep = run_json(capsys, "tangent", str(GOLDEN / "vftang.gm"), "--field", "Y",
+                             "--sample-points", " (0) ; (-4/6 );(3)")
+        assert code == 0 and sorted(rep["tables"]["tangents"]) == ["(-2/3)", "(0)", "(3)"]
+        # extra points reach the distribution of `involutive`
+        code, rep = run_json(capsys, "involutive", str(GOLDEN / "nonconst.gm"),
+                             "--sample-points", "(2);(-1/2)")
+        assert code == 0 and rep["tables"] == {"ranks": "1|0"}
 
     def test_malformed_reduce_expression(self, capsys):
         wedge = str(GOLDEN / "wedge22.gm")
@@ -446,6 +535,8 @@ class TestExitCodes:
         rep = run_command("involutive", doc, name="DD")
         assert rep.exit_code == 0 and rep.verdict
         json.loads(rep.to_json())  # serializable
+        with pytest.raises(ParseError, match="unknown subcommand 'nope'"):
+            run_command("nope", doc)
 
 
 # --- report snapshot ------------------------------------------------------------
@@ -456,6 +547,8 @@ EXTRA_ARGVS = [
     ["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(0);(3)"],
     ["reduce", "wedge22.gm", "--expr", "E_2_1"],
     ["reduce", "wedge22.gm", "--expr", "1/2 * E_1_2 * E_1_1"],
+    ["reduce", "nonsplit.gm", "--expr", "N_2_1"],
+    ["reduce", "nonsplit.gm", "--expr", "-1/2 * N_2_2"],
 ]
 
 

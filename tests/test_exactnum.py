@@ -404,6 +404,24 @@ class TestFractionField:
         sol, bad = poly_solve(m, [Poly.one(1)])
         assert sol is None and bad == 0
 
+    def test_poly_solve_leaves_rows_with_a_zero_pivot_entry(self, monkeypatch):
+        # unit upper-triangular with x above the diagonal: every pivot and
+        # every previous pivot is 1, so a row with a zero entry in the pivot
+        # column stays as it is; only the k rows above pivot k are updated,
+        # each by 2 products per entry of the n + 1 columns
+        n = 5
+        x, one, zero = Poly.var(1, 0), Poly.one(1), Poly.zero(1)
+        m = PolyMatrix(n, n, [[one if c == r else x if c > r else zero for c in range(n)]
+                              for r in range(n)], 1)
+        b = [Poly.const(1, r + 1) for r in range(n)]
+        calls = []
+        mul = Poly.mul
+        monkeypatch.setattr(Poly, "mul", lambda p, q: calls.append(1) or mul(p, q))
+        sol, bad = poly_solve(m, b)
+        monkeypatch.undo()
+        assert bad is None and m.mul(PolyMatrix(n, 1, [[v] for v in sol], 1)).col(0) == b
+        assert len(calls) == 2 * (n + 1) * n * (n - 1) // 2
+
     def test_poly_inverse(self):
         x = Poly.var(1, 0)
         m = PolyMatrix(2, 2, [[Poly.one(1), x], [Poly.zero(1), Poly.one(1)]], 1)

@@ -29,6 +29,7 @@ from gradman.fields import (
 from gradman.geometrize import geometrize
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
 from randchart import (
+    conjugate_frames,
     full_after,
     full_is_identity,
     full_substitute,
@@ -421,7 +422,10 @@ class TestMovedCoordinates:
 class TestCompatDerivations:
     def test_to_compat_passes_check_on_corpus(self):
         rng = random.Random(83)
-        for e in [split_coalgebra([2, 1]), wedge_coalgebra(2, 2)]:
+        # the frame-conjugated bundles have non-identity splittings
+        conjugated = [conjugate_frames(random.Random(seed), split_coalgebra(list(profile)))
+                      for seed, profile in enumerate([(2, 1), (2, 2, 1), (1, 1, 1)])]
+        for e in [split_coalgebra([2, 1]), wedge_coalgebra(2, 2)] + conjugated:
             chart = geometrize(e)
             for _ in range(8):
                 k = rng.choice([-2, -1, 0])

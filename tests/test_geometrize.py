@@ -13,7 +13,7 @@ from gradman.coalgebra import (
     wedge_coalgebra,
 )
 from gradman.errors import DegreeOverflow, NotAdmissible
-from gradman.exactnum import PolyMatrix
+from gradman.exactnum import Poly, PolyMatrix
 from gradman.geometrize import (
     compose_pullbacks,
     functor_on_morphism,
@@ -22,7 +22,7 @@ from gradman.geometrize import (
     roundtrip,
 )
 from gradman.gradedring import GradedFunction
-from randchart import full_mu, partition_count
+from randchart import conjugate_frames, full_mu, partition_count
 
 
 CORPUS = [
@@ -33,6 +33,12 @@ CORPUS = [
     wedge_coalgebra(3, 3),
     dvb_coalgebra(2, 2, 0, 4, PolyMatrix.identity(4, 0), 2),
 ]
+
+# split bundles under random frame changes: their splittings are not
+# identities, so an embedded frame element reads a row of the inverse
+# splitting that differs from its column
+CONJUGATED = [conjugate_frames(random.Random(seed), split_coalgebra(list(profile)))
+              for seed, profile in enumerate([(2, 1), (2, 2, 1), (1, 1, 1), (3, 1, 1)])]
 
 
 class TestGeometrize:
@@ -84,7 +90,7 @@ class TestReduce:
     def test_products_respect_the_ideal(self):
         # multiplying two embedded frame elements equals embedding their
         # dual-product expansion: the defining relations of the quotient
-        for e in CORPUS:
+        for e in CORPUS + CONJUGATED:
             chart = geometrize(e)
             n = e.n
             for i in range(1, n + 1):
@@ -113,6 +119,14 @@ class TestReduce:
         f = reduce_product(chart, [(2, 0), (1, 2)])
         g = chart.decompose(f, 3)
         assert chart.embed_covector(3, g) == f
+        # decomposing an embedded frame element gives back its unit covector
+        for e in CONJUGATED:
+            chart = geometrize(e)
+            for i in range(1, e.n + 1):
+                for a, f in enumerate(chart.embeddings[i]):
+                    g = chart.decompose(f, i)
+                    assert g == [Poly.const(0, int(b == a)) for b in range(e.rank(i))]
+                    assert chart.embed_covector(i, g) == f
 
     def test_degree_overflow(self):
         chart = geometrize(wedge_coalgebra(2, 2), max_degree=3)
