@@ -279,9 +279,8 @@ class FrobeniusChart:
         return self._table(self.old_in_new)
 
     def _table(self, cmap: ChartMap) -> dict:
-        moved = cmap.moved()
         return {coord_name(self.sig, c): cmap.image(c).to_string()
-                for c in all_coords(self.sig) if c in moved}
+                for c in all_coords(self.sig) if not cmap.fixes(c)}
 
 
 class _Flattening:
@@ -304,10 +303,15 @@ class _Flattening:
         generator to itself, and the base coordinates to `base` (default: to
         themselves); `inv_gmap` and `inv_base` give its inverse the same way.
         Each caller builds that inverse in closed form from the data of its
-        step, and both composites are checked to be the identity here."""
+        step, and both composites are checked to be the identity here.  A
+        step that, with its inverse, fixes every coordinate (an alignment of
+        generators already aligned, a frame equal to I) changes nothing and
+        is skipped."""
         sig, ident = self.sig, ChartMap.identity(self.sig)
         step, inverse = (ChartMap(sig, sig, b or ident.base, {**ident.gens, **g})
                          for g, b in ((gmap, base), (inv_gmap, inv_base)))
+        if step.is_identity() and inverse.is_identity():
+            return
         if not step.after(inverse).is_identity() or not inverse.after(step).is_identity():
             raise NonPolynomialFlatFrame("substitution inverse verification failed")
         self.total_nio = step.after(self.total_nio)

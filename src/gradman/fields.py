@@ -246,7 +246,10 @@ def restrict_truncation(x: VectorField, r: int) -> VectorField:
 
 
 class ChartMap:
-    """Coordinate substitution: images of every coordinate on a target chart."""
+    """Coordinate substitution: images of every coordinate on a target chart.
+
+    Callers may assign into `.base` and `.gens` after construction, so
+    whether a coordinate is fixed is read from them at each `fixes` call."""
 
     def __init__(self, source: GradedSignature, target: GradedSignature,
                  base: Sequence[GradedFunction], gens: Dict[GenId, GradedFunction]):
@@ -272,42 +275,37 @@ class ChartMap:
     def image(self, c: Coord) -> GradedFunction:
         return self.base[c[1]] if c[0] == "x" else self.gens[c[1]]
 
-    def moved(self) -> set:
-        """Source coordinates whose image is missing or is not the coordinate
-        itself; all of them when the map changes charts.  Read at each call,
-        since callers may assign into `.base` and `.gens`."""
-        sig = self.source
-        same, one = sig == self.target, Poly.one(sig.m0)
-        out = {base_coord(a) for a, f in enumerate(self.base)
-               if not same or f.terms != {(): Poly.var(sig.m0, a)}}
-        out.update(gen_coord(g) for g in sig.gen_ids()
-                   if not same or g not in self.gens or self.gens[g].terms != {(g,): one})
-        return out
+    def fixes(self, c: Coord) -> bool:
+        """Whether the image of source coordinate c is c itself.  A map that
+        changes charts fixes none of its images; a generator with no image
+        is not fixed, and a base coordinate past the end of `.base` is."""
+        same, nv = self.source == self.target, self.source.m0
+        if c[0] == "x":
+            return c[1] >= len(self.base) or (
+                same and self.base[c[1]].terms == {(): Poly.var(nv, c[1])})
+        f = self.gens.get(c[1])
+        return same and f is not None and f.terms == {(c[1],): Poly.one(nv)}
 
-    def _rewrite(self, f: GradedFunction, moved: set) -> GradedFunction:
-        """`apply_to(f)` given `moved()`: a function on the target chart that
-        involves no moved coordinate is its own image."""
+    def apply_to(self, f: GradedFunction) -> GradedFunction:
+        """f rewritten in the target coordinates: f itself when it lives on
+        the target chart and the map fixes every coordinate it involves."""
         used = {gen_coord(g) for w in f.terms for g in w}
         used.update(base_coord(a) for c in f.terms.values() for exps in c.terms
                     for a, e in enumerate(exps) if e)
-        if f.sig == self.target and moved.isdisjoint(used):
+        if f.sig == self.target and all(self.fixes(c) for c in used):
             return f
         return f.substitute(self.target, self.base, self.gens)
-
-    def apply_to(self, f: GradedFunction) -> GradedFunction:
-        return self._rewrite(f, self.moved())
 
     def after(self, inner: "ChartMap") -> "ChartMap":
         """Composite substitution: first rewrite through self, then through inner.
 
-        A coordinate that self fixes takes inner's image; only the moved
+        A coordinate that self fixes takes inner's image; only the other
         images go through inner."""
         if inner.source != self.target:
             raise SignatureMismatch("substitutions do not compose")
-        mine, theirs = self.moved(), inner.moved()
 
         def image(c, f):
-            return inner._rewrite(f, theirs) if c in mine else inner.image(c)
+            return inner.image(c) if self.fixes(c) else inner.apply_to(f)
 
         return ChartMap(
             self.source, inner.target,
@@ -317,8 +315,8 @@ class ChartMap:
 
     def is_identity(self) -> bool:
         sig = self.source
-        return (not self.moved() and len(self.base) == sig.m0
-                and self.gens.keys() == set(sig.gen_ids()))
+        return (len(self.base) == sig.m0 and self.gens.keys() == set(sig.gen_ids())
+                and all(self.fixes(c) for c in all_coords(sig)))
 
 
 def transform_field(x: VectorField, new_in_old: ChartMap, old_in_new: ChartMap) -> VectorField:
@@ -327,14 +325,15 @@ def transform_field(x: VectorField, new_in_old: ChartMap, old_in_new: ChartMap) 
     `new_in_old` expresses each new coordinate as a function of the old ones,
     `old_in_new` the converse; the new action on a coordinate is the old field
     applied to its defining function, rewritten in new coordinates.  On a
-    coordinate that `new_in_old` fixes, that is the old action itself.
+    coordinate that `new_in_old` fixes, that is the old action itself, and
+    `old_in_new.apply_to` leaves an action alone when `old_in_new` fixes
+    every coordinate it involves.
     """
-    moved, back = new_in_old.moved(), old_in_new.moved()
     actions = {}
     for c in all_coords(new_in_old.source):
-        val = x.apply(new_in_old.image(c)) if c in moved else x.action(c)
+        val = x.action(c) if new_in_old.fixes(c) else x.apply(new_in_old.image(c))
         if not val.is_zero():
-            actions[c] = old_in_new._rewrite(val, back)
+            actions[c] = old_in_new.apply_to(val)
     return VectorField(old_in_new.target, x.degree, actions)
 
 

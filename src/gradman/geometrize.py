@@ -85,10 +85,9 @@ class ChartAlgebra:
         return out
 
 
-def geometrize(E: CoalgebraBundle, at_point: Optional[Sequence] = None,
-               max_degree: Optional[int] = None) -> ChartAlgebra:
+def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlgebra:
     """Chart algebra of an admissible bundle with a pinned splitting choice."""
-    iso = splitting_iso(E, at_point=at_point)
+    iso = splitting_iso(E)
     S = iso.target
     n = E.n
     counts = {i: 0 for i in range(1, n + 1)}

@@ -236,7 +236,7 @@ class TestExitCodes:
         ["involutive", "nonconst.gm"],
     ])
     @pytest.mark.parametrize("points", ["(1,2,3)", "(0);(1,2)", "()", "(a)", "(1/0)",
-                                        "(1.5)", "(1e3)", "(1e99999999)"])
+                                        "(1.5)", "(1e3)", "(1e99999999)", "((2", "2"])
     def test_malformed_sample_points(self, capsys, argv, points):
         # each chart has one base coordinate
         code, rep = run_json(capsys, argv[0], str(GOLDEN / argv[1]), *argv[2:],
@@ -407,6 +407,12 @@ class TestExitCodes:
          "sample point (1/0) has an entry that is not a rational"),
         (["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(1,2)"],
          "sample point (1,2) has 2 coordinates, the chart has 1 base coordinates"),
+        (["tangent", "vftang.gm", "--field", "Y", "--sample-points", "((2"],
+         "sample point '((2' is not one parenthesized list"),
+        (["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(2);((2))"],
+         "sample point '((2))' is not one parenthesized list"),
+        (["reduce", "wedge22.gm", "--expr", "E_\u0661_\u0662"],
+         "cannot read factor 'E_\u0661_\u0662': use E_<deg>_<index> or a rational"),
     ]
 
     @pytest.mark.parametrize("argv, message", FLAG_REFUSALS)
@@ -423,6 +429,10 @@ class TestExitCodes:
         code, rep = run_json(capsys, "involutive", str(GOLDEN / "nonconst.gm"),
                              "--sample-points", "(2);(-1/2)")
         assert code == 0 and rep["tables"] == {"ranks": "1|0"}
+        # the one point of a chart with no base coordinates
+        code, rep = run_json(capsys, "involutive", str(GOLDEN / "frobA.gm"),
+                             "--sample-points", "()")
+        assert code == 0 and rep["tables"] == {"ranks": "0|1|0"}
 
     def test_malformed_reduce_expression(self, capsys):
         wedge = str(GOLDEN / "wedge22.gm")

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from gradman import distrib
 from gradman.distrib import (
     Distribution,
+    _Flattening,
     _flat_frame,
     _unimodular_alignment,
     frobenius_normal_form,
@@ -644,3 +646,28 @@ class TestReferenceNormalForm:
         assert counts["charts"] >= 40 and counts["refusals"] >= 1
         assert counts["rescued"] >= 5
 
+
+class TestIdentityStep:
+    def test_identity_step_transports_nothing(self, monkeypatch):
+        sig = GradedSignature(1, ("x1", "x2"), [("e1", "e2")])
+        dist = make_distribution([dd(sig, "x1"), dd(sig, "e1")], [[0, 0]])
+        want = normal_form_outcome(reference_frobenius_normal_form, dist)
+        calls = []
+
+        def spy(x, new_in_old, old_in_new):
+            calls.append(x)
+            return transform_field(x, new_in_old, old_in_new)
+
+        monkeypatch.setattr(distrib, "transform_field", spy)
+        state = _Flattening(dist)
+        e1, e2 = gen(sig, "e1"), gen(sig, "e2")
+        state.step({(1, 0): e1}, {(1, 0): e1})
+        assert calls == [] and state.gens == dist.generators
+        assert state.total_nio.is_identity() and state.total_oin.is_identity()
+        state.step({(1, 0): e1.add(e2)}, {(1, 0): e1.sub(e2)})
+        assert len(calls) == len(dist.generators)
+        # the alignment, the base change and the frame of this normal form
+        # are all I, so only the span check transports the generators
+        calls.clear()
+        assert normal_form_outcome(frobenius_normal_form, dist) == want
+        assert len(calls) == len(dist.generators)

@@ -333,6 +333,11 @@ def same_map(a, b):
             and a.base == b.base and a.gens == b.gens)
 
 
+def moved_coords(m):
+    """The source coordinates that m does not fix, in chart order."""
+    return [c for c in all_coords(m.source) if not m.fixes(c)]
+
+
 def shear_identity(rng, sig):
     """An identity map edited in place, one coordinate shifted by terms free
     of it: a base shift x_b + c*x_b2 + k, or a generator shift g + sum of
@@ -358,7 +363,15 @@ class TestMovedCoordinates:
     """Composition, application and field transport skip the coordinates a
     map fixes; each must equal the full substitution."""
 
+    def check_fixes(self, m):
+        """A coordinate is fixed exactly when its image is the identity's."""
+        ident = ChartMap.identity(m.source)
+        for c in all_coords(m.source):
+            assert m.fixes(c) == (m.image(c) == ident.image(c)), c
+
     def check_against_full(self, rng, sig, a, b):
+        self.check_fixes(a)
+        self.check_fixes(b)
         assert a.is_identity() == full_is_identity(a)
         assert same_map(a.after(b), full_after(a, b))
         assert same_map(b.after(a), full_after(b, a))
@@ -371,7 +384,7 @@ class TestMovedCoordinates:
                 assert a.apply_to(f) == full_substitute(a, f)
 
     def test_identity_edited_after_construction(self):
-        # the moved set is read at use time, so edits into .base and .gens of
+        # fixed coordinates are read at use time, so edits into .base and .gens of
         # an identity map (queried once before the edit) are seen
         rng = random.Random(1404)
         moved = 0
@@ -395,11 +408,11 @@ class TestMovedCoordinates:
         m = ChartMap.identity(sig)
         e1 = gen(sig, "e1")
         m.gens[(1, 0)] = e1.add(gen(sig, "e2"))
-        assert m.moved() == {gen_coord((1, 0))} and not m.is_identity()
+        assert moved_coords(m) == [gen_coord((1, 0))] and not m.is_identity()
         m.gens[(1, 0)] = e1
-        assert not m.moved() and m.is_identity()
+        assert not moved_coords(m) and m.is_identity()
         del m.gens[(3, 0)]
-        assert m.moved() == {gen_coord((3, 0))} and not m.is_identity()
+        assert moved_coords(m) == [gen_coord((3, 0))] and not m.is_identity()
 
     def test_map_between_charts_moves_every_coordinate(self):
         # same shape, other names: the images live on another chart, so even
@@ -407,7 +420,8 @@ class TestMovedCoordinates:
         other = GradedSignature(3, ("y",), [("f1", "f2"), ("u",), ("v",)])
         m = ChartMap(SIG, other, [GradedFunction.base_var(other, 0)],
                      {g: GradedFunction.from_gen(other, g) for g in SIG.gen_ids()})
-        assert m.moved() == set(all_coords(SIG))
+        assert moved_coords(m) == all_coords(SIG)
+        self.check_fixes(m)
         assert not m.is_identity() and not full_is_identity(m)
         for f in (GradedFunction.constant(SIG, 3), GradedFunction.zero(SIG),
                   gen(SIG, "e1").mul(gen(SIG, "p"))):
@@ -415,6 +429,7 @@ class TestMovedCoordinates:
             assert m.apply_to(f).sig == other
         back = ChartMap(other, SIG, [GradedFunction.base_var(SIG, 0)],
                         {g: GradedFunction.from_gen(SIG, g) for g in SIG.gen_ids()})
+        self.check_fixes(back)
         assert same_map(m.after(back), full_after(m, back))
         assert m.after(back).is_identity()
 
