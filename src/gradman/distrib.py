@@ -3,16 +3,16 @@
 Membership expands the query and the generators over the free coordinate-field
 basis and solves degree by degree over the fraction field; a coefficient
 whose exact division by the pivot determinant fails is reported as
-"nonpolynomial" instead of approximated.  The normal form runs three stage
+"nonpolynomial" instead of approximated.  The normal form runs two stage
 functions on one running state (`_Flattening`): stage A aligns the
 positive-degree generators by a unimodular linear step and flattens them by
-exact antiderivative substitutions, stage B checks that the degree-0
-generators do not depend on the flat coordinates, and stage C straightens
-constant symbols by a linear base change and flattens the connection terms
-by a polynomial frame, found as the Taylor polynomial that solves the
-connection equation exactly.  Each coordinate change carries its own
-inverse, built in closed form from the data that defines the step and
-checked two-sided before the step is taken.  Cases outside the
+exact antiderivative substitutions, and stage C straightens constant
+symbols by a linear base change and flattens the connection terms by a
+polynomial frame, found as the Taylor polynomial that solves the connection
+equation exactly.  Involutivity makes a stage B, and any check within the
+stages, unneeded (see `_stage_a`).  Each coordinate change carries its own
+inverse, built in closed form and checked two-sided before the step is
+taken; the span check reads the action table.  Cases outside the
 algebraically solvable scope fail loudly with a precise diagnostic.
 """
 
@@ -396,12 +396,11 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
     """Coordinates in which the generators become leading coordinate fields.
 
     Stage A flattens positive-degree generators degree by degree: a
-    unimodular alignment, then antiderivative substitutions.  Stage B checks
-    that the degree-0 coefficients do not depend on the flat coordinates.
-    Stage C straightens constant symbols by a linear base change and
-    flattens the remaining connection action by the polynomial frame of
-    `_flat_frame`, failing with a diagnostic outside that scope.  The result
-    is certified two-sided."""
+    unimodular alignment, then antiderivative substitutions.  Stage C
+    straightens constant symbols by a linear base change and flattens the
+    remaining connection action by the polynomial frame of `_flat_frame`,
+    failing with a diagnostic outside that scope.  Both rely on the
+    involutivity checked first; the result is certified two-sided."""
     inv = is_involutive(dist)
     if not inv.involutive:
         raise NotInvolutive("distribution is not closed under brackets",
@@ -409,7 +408,6 @@ def frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
     state = _Flattening(dist)
     _stage_a(state)
     zero_idx = [i for i, g in enumerate(state.gens) if g.degree == 0]
-    _stage_b(state, zero_idx)
     if zero_idx:
         _stage_c(state, zero_idx)
     return _certify(state, dist)
@@ -421,7 +419,23 @@ def _stage_a(state: _Flattening):
     The degree-r generators are aligned with the leading degree-r
     coordinates and subtracted from every generator of higher degree; then
     antiderivative substitutions clear the non-flat degree-r components of
-    the generators aligned before, highest degree first."""
+    the generators aligned before, highest degree first.
+
+    No step needs a check: the span D of the generators stays closed under
+    brackets through recombination and coordinate change.  Entering degree
+    r, each generator of degree -k, k < r, acts below degree r as the
+    coordinate field of its flat coordinate.  A field of D of negative
+    degree is a sum of f_i times positive-degree generators, and acts on
+    the flat coordinate of one of degree above -r by its f_i.  So (*) if it
+    acts by 0 on the flat coordinates below degree r, it does on each
+    non-flat degree-r coordinate c, as the aligned degree -r ones do.
+    Brackets of generators of degree above -r act by 0 below degree r:
+    - for an odd X with flat e, [X, X](c) = 2 d/de X(c) = 0 by (*), and the
+      odd antiderivative applies;
+    - for Y cleared after X, [X, Y](c) = d/de Y(c) = 0, so X(c) stays 0,
+      and at the top each positive-degree generator is its coordinate field;
+    - (stage B) for V of degree 0 and a flat e, [d/de, V] acts by 0 on the
+      flat coordinates, so it is 0, and the coefficients of V lack e."""
     sig = state.sig
     for r in range(1, sig.n + 1):
         gens = state.gens
@@ -456,38 +470,26 @@ def _stage_a(state: _Flattening):
                     g_val = state.gens[i].action(c)
                     if g_val.is_zero():
                         continue
-                    if sig.parity(e_s) and not g_val.derivative_gen(e_s).is_zero():
-                        raise NotInvolutive("self-bracket obstruction while flattening",
-                                            witness=state.gens[i], pair=(i, i))
                     # G has degree r and is built from e_s (degree k < r), so
                     # it holds no degree-r generator: c -> c + G undoes c -> c - G
                     big_g = graded_antiderivative(g_val, e_s)
                     e_c = GradedFunction.from_gen(sig, c[1])
                     state.step({c[1]: e_c.sub(big_g)}, {c[1]: e_c.add(big_g)})
-    for i, g in enumerate(state.gens):
-        if g.degree < 0 and g != VectorField.coordinate_field(sig, state.flat_of[i]):
-            raise NotInvolutive("positive-degree generator failed to flatten",
-                                witness=g, pair=(i, i))
-
-
-def _stage_b(state: _Flattening, zero_idx: list):
-    """Degree-0 generators against the flat coordinates.
-
-    Stage A already cleared their components on the flat coordinates, and
-    no later step moves one; involutivity forces their remaining
-    coefficients to be independent of those coordinates too."""
-    flat = list(state.flat_of.values())
-    for i in zero_idx:
-        for val in state.gens[i].actions.values():
-            if any(not val.derivative_gen(fc[1]).is_zero() for fc in flat):
-                raise NotInvolutive("degree-0 coefficient depends on a flattened coordinate",
-                                    witness=state.gens[i], pair=(i, i))
 
 
 def _stage_c(state: _Flattening, zero_idx: list):
     """Straighten the constant symbols of the degree-0 generators by a linear
     base change, then flatten their connection action on the non-flat
-    generators degree by degree, by the frame of `_flat_frame`."""
+    generators degree by degree, by the frame of `_flat_frame`.
+
+    No step needs a check either.  Straightened, V_a acts on x_b by 1 if
+    a = b, else 0, and by 0 on the flat generator coordinates (stage A), so:
+    - [V_a, V_b] acts by 0 on every flat coordinate, x_a included, on which
+      a degree-0 field of D acts by its coefficients: it is 0;
+    - V_a has coefficients free of the flat coordinates (stage B), so it
+      maps non-flat words to non-flat words of the same degree;
+    - for the new c' = sum_t F[t][c] w_t, V_a(c') is the sum over s of
+      (d_a F + A_a F)[s][c] w_s, 0 by `_flat_frame`: V_a ends as d/dx_a."""
     sig, gens = state.sig, state.gens
     nv, d0 = sig.m0, len(zero_idx)
     sym = [[gens[i].action(base_coord(a)).body() for a in range(nv)] for i in zero_idx]
@@ -515,14 +517,8 @@ def _stage_c(state: _Flattening, zero_idx: list):
     # base change sending the pivot directions to the leading coordinates
     comp = _complete_to_invertible(rref, pivots, nv)
     state.step({}, {}, _linear_base(sig, rat_inverse(comp)), _linear_base(sig, comp))
-    gens = state.gens
     for pos, i in enumerate(zero_idx):
         state.flat_of[i] = base_coord(pos)
-    for i in zero_idx:
-        for j in zero_idx:
-            if i < j and not bracket(gens[i], gens[j]).is_zero():
-                raise NotInvolutive("straightened symbols do not commute",
-                                    witness=bracket(gens[i], gens[j]), pair=(i, j))
     flat = set(state.flat_of.values())
     nonflat_ids = [g for g in sig.gen_ids() if gen_coord(g) not in flat]
     for degree in range(1, sig.n + 1):
@@ -538,11 +534,7 @@ def _stage_c(state: _Flattening, zero_idx: list):
             for bcol, w in enumerate(words):
                 img = state.gens[i].apply(GradedFunction.monomial(sig, w, Poly.one(nv)))
                 for w2, coeff in img.terms.items():
-                    row = windex.get(w2)
-                    if row is None:
-                        raise NotInvolutive("degree-0 action leaves the reduced chart",
-                                            witness=state.gens[i], pair=(i, i))
-                    mat[row][bcol] = coeff
+                    mat[windex[w2]][bcol] = coeff
             a_mats.append(PolyMatrix(n_w, n_w, mat, nv))
         f_total = _flat_frame(a_mats, n_w, d0, nv)
         # the step fixes the lower-degree generators, so on the degree-d
@@ -554,31 +546,34 @@ def _stage_c(state: _Flattening, zero_idx: list):
         for r in rows.values():
             m.entries[r] = f_total.col(r)
         state.linear_step(words, rows, m, degree)
-    for i in zero_idx:
-        if state.gens[i] != VectorField.coordinate_field(sig, state.flat_of[i]):
-            raise NonPolynomialFlatFrame("degree-0 generator failed to flatten after integration")
 
 
 def _certify(state: _Flattening, dist: Distribution) -> FrobeniusChart:
-    """The chart of the final state, with its span and inverse checks."""
+    """The chart of the final state, with its span and inverse checks; the
+    span is checked on the original generators, pushed through."""
     sig, total_nio, total_oin = state.sig, state.total_nio, state.total_oin
     flattened = [state.flat_of[i] for i in range(len(state.gens))]
     new_points = [tuple(total_nio.base[b].body_eval(p) for b in range(sig.m0))
                   for p in dist.sample_points]
-    flat_fields = [VectorField.coordinate_field(sig, c) for c in flattened]
-    # two-sided span preservation, checked on the original generators pushed
-    # through the accumulated substitution (the pipeline recombined its own)
     moved = [transform_field(g, total_nio, total_oin) for g in dist.generators]
-    span_ok = True
-    if flat_fields:
-        flat_dist = make_distribution(flat_fields, new_points, sig=sig)
-        moved_dist = make_distribution(moved, new_points, sig=sig)
-        span_ok = (all(membership(g, flat_dist).ok for g in moved)
-                   and all(membership(g, moved_dist).ok for g in flat_fields))
     inverse_ok = (total_nio.after(total_oin).is_identity()
                   and total_oin.after(total_nio).is_identity())
-    return FrobeniusChart(sig, total_nio, total_oin, flattened, moved,
-                          new_points, span_ok, inverse_ok)
+    return FrobeniusChart(sig, total_nio, total_oin, flattened, moved, new_points,
+                          _spans_coordinate_fields(sig, moved, flattened), inverse_ok)
+
+
+def _spans_coordinate_fields(sig: GradedSignature, fields: list, coords: list) -> bool:
+    """Whether the fields span the module of the coordinate fields of
+    `coords`, coordinate i of the degree of field i: each acts by 0 outside
+    `coords`, and M[i][j] = fields[i](coords[j]), block-triangular by
+    degree, has diagonal blocks (over Q[x]) with polynomial inverses."""
+    if not all(set(f.actions) <= set(coords) for f in fields):
+        return False
+    blocks = [[i for i, f in enumerate(fields) if f.degree == d]
+              for d in {f.degree for f in fields}]
+    return all(poly_inverse(PolyMatrix(len(b), len(b), [
+        [fields[i].action(coords[j]).body() for j in b] for i in b], sig.m0)) is not None
+        for b in blocks)
 
 
 def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:

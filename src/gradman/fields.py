@@ -279,12 +279,15 @@ class ChartMap:
         """Whether the image of source coordinate c is c itself.  A map that
         changes charts fixes none of its images; a generator with no image
         is not fixed, and a base coordinate past the end of `.base` is."""
-        same, nv = self.source == self.target, self.source.m0
-        if c[0] == "x":
-            return c[1] >= len(self.base) or (
-                same and self.base[c[1]].terms == {(): Poly.var(nv, c[1])})
-        f = self.gens.get(c[1])
-        return same and f is not None and f.terms == {(c[1],): Poly.one(nv)}
+        if c[0] == "x" and c[1] >= len(self.base):
+            return True
+        f = self.base[c[1]] if c[0] == "x" else self.gens.get(c[1])
+        if self.source != self.target or f is None or len(f.terms) != 1:
+            return False
+        (word, p), = f.terms.items()
+        (exps, coeff), = p.terms.items() if len(p.terms) == 1 else [((), 0)]
+        return coeff == 1 and (word == () and sum(exps) == exps[c[1]] == 1 if c[0] == "x"
+                               else word == (c[1],) and not any(exps))
 
     def apply_to(self, f: GradedFunction) -> GradedFunction:
         """f rewritten in the target coordinates: f itself when it lives on

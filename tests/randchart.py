@@ -1,9 +1,12 @@
 """Shared randomized corpus builders for the higher-level tests."""
 
 import itertools
+import pathlib
+import sys
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
+import gradman
 from gradman.coalgebra import (
     CoalgebraBundle,
     CoalgebraMorphism,
@@ -1209,6 +1212,21 @@ def reference_frobenius_normal_form(dist: Distribution) -> FrobeniusChart:
                           new_points, span_ok, inverse_ok)
 
 
+def reference_span_preserved(sig: GradedSignature, moved: list, flattened: list,
+                             new_points: list) -> bool:
+    """The span check of the Frobenius certificate as two `membership`
+    halves, kept verbatim as the oracle of the check that reads the action
+    table.  Raises where `make_distribution` refuses the moved fields."""
+    flat_fields = [VectorField.coordinate_field(sig, c) for c in flattened]
+    span_ok = True
+    if flat_fields:
+        flat_dist = make_distribution(flat_fields, new_points, sig=sig)
+        moved_dist = make_distribution(moved, new_points, sig=sig)
+        span_ok = (all(membership(g, flat_dist).ok for g in moved)
+                   and all(membership(g, moved_dist).ok for g in flat_fields))
+    return span_ok
+
+
 def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:
     """Invertible matrix whose first columns are the transposed reduced rows."""
     cols = [list(r) for r in rref_rows]
@@ -1252,3 +1270,24 @@ def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
         if not residual.is_zero():
             raise NonPolynomialFlatFrame("flat frame verification failed")
     return f_total
+
+
+# --- the benchmark's Frobenius pool ---------------------------------------------
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+def frobenius_flatten_pool(seed: int):
+    """(kind, distribution) for each case of the benchmark's
+    `frobenius-flatten` pool at `seed` that has a distribution, that is
+    every kind but "homological".  Reads `bench/workloads.py` and changes
+    nothing there."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["frobenius-flatten"]
+    for spec in workload.make_pool(seed, gradman):
+        if spec["kind"] != "homological":
+            sig, fields, _ = workload.build(spec, gradman)
+            yield spec["kind"], make_distribution(fields, spec["points"], sig=sig)

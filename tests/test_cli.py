@@ -118,6 +118,17 @@ class TestExitCodes:
         assert code == 3
         assert rep["witnesses"]["unsupported"] == "NonConstantSymbols"
 
+    def test_frobenius_degree_cap_below_the_top_degree(self, tmp_path, capsys):
+        # the span check reads the action table, so it builds no membership
+        # system whose coefficient degree could pass the cap of 1
+        doc = tmp_path / "cap.gm"
+        doc.write_text("chart\nbase x\ncoord p : 2\nvf Y : 0 {\n  d/dx = 1\n}\n"
+                       "vf P : -2 {\n  d/dp = 1\n}\ndist D = Y, P @ points (0)\n")
+        code, rep = run_json(capsys, "frobenius", str(doc), "--max-degree", "1")
+        assert code == 0, rep["witnesses"]
+        assert rep["tables"]["flattened"] == ["x", "p"]
+        assert rep["tables"]["checks"] == {"span_preserved": True, "inverse_ok": True}
+
     def test_check_coalgebra_and_admissible(self, capsys):
         code, _ = run(capsys, "check-coalgebra", str(GOLDEN / "wedge22.gm"))
         assert code == 0

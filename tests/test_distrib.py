@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from gradman.distrib import (
     Distribution,
     _Flattening,
     _flat_frame,
+    _spans_coordinate_fields,
     _unimodular_alignment,
     frobenius_normal_form,
     graded_antiderivative,
@@ -31,6 +33,7 @@ from gradman.fields import (
     all_coords,
     base_coord,
     bracket,
+    coord_degree,
     gen_coord,
     linearly_independent,
     transform_field,
@@ -38,8 +41,10 @@ from gradman.fields import (
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
 from randchart import (
     flatten_back_corpus,
+    frobenius_flatten_pool,
     invert_chart_map,
     reference_frobenius_normal_form,
+    reference_span_preserved,
     stage_c_corpus,
 )
 
@@ -645,6 +650,60 @@ class TestReferenceNormalForm:
         counts = self.compare(stage_c_corpus(random.Random(1616), 60))
         assert counts["charts"] >= 40 and counts["refusals"] >= 1
         assert counts["rescued"] >= 5
+
+    def test_benchmark_pool(self):
+        # the non-homological `frobenius-flatten` cases at the benchmark's
+        # default seed: flat ones flatten, obstructed ones fail the
+        # involutivity check and non-constant symbols are refused in stage C
+        counts = self.compare(dist for _, dist in frobenius_flatten_pool(13))
+        assert counts == {"charts": 72, "refusals": 48, "picard": 0, "rescued": 0}
+
+
+class TestSpanCheck:
+    """The certificate's span check, read off the action table, against the
+    two `membership` halves it replaced."""
+
+    @staticmethod
+    def perturbations(chart, k):
+        """(name, expected verdict, fields) for four perturbations of the
+        chart's field k: a scale by x^2 + 1, which leaves a block whose
+        determinant is not a unit; x times a non-flat coordinate field of
+        the same degree, added; a constant scale; and x times another field
+        of the same degree, added.  Each keeps the fields independent at the
+        chart's points, so the reference can build its distributions."""
+        sig, moved, flat = chart.sig, chart.transformed_generators, chart.flattened
+        x = GradedFunction.base_var(sig, 0)
+        g = moved[k]
+
+        def swap(f):
+            return moved[:k] + [f] + moved[k + 1:]
+
+        yield "x^2 + 1", False, swap(g.scale(x.mul(x).add(GradedFunction.one(sig))))
+        off = [c for c in all_coords(sig) if coord_degree(c) == -g.degree and c not in flat]
+        if off:
+            yield "off the span", False, swap(
+                g.add(VectorField.coordinate_field(sig, off[0]).scale(x)))
+        yield "constant", True, swap(g.scale(-3))
+        same = [h for j, h in enumerate(moved) if j != k and h.degree == g.degree]
+        if same:
+            yield "same degree", True, swap(g.add(same[0].scale(x)))
+
+    def test_agrees_with_membership_on_the_benchmark_pool(self):
+        seen = collections.Counter()
+        for kind, dist in frobenius_flatten_pool(13):
+            if kind != "flat":
+                continue
+            chart = frobenius_normal_form(dist)
+            cases = [("own", True, chart.transformed_generators)]
+            for k in range(len(chart.flattened)):
+                cases += self.perturbations(chart, k)
+            for name, want, fields in cases:
+                got = _spans_coordinate_fields(chart.sig, fields, chart.flattened)
+                assert got == want == reference_span_preserved(
+                    chart.sig, fields, chart.flattened, chart.sample_points), name
+                seen[name] += 1
+        assert seen == {"own": 72, "x^2 + 1": 180, "off the span": 120,
+                        "constant": 180, "same degree": 24}
 
 
 class TestIdentityStep:

@@ -414,6 +414,21 @@ class TestMovedCoordinates:
         del m.gens[(3, 0)]
         assert moved_coords(m) == [gen_coord((3, 0))] and not m.is_identity()
 
+    def test_one_term_images_next_to_the_identity(self):
+        # each image has one term and differs from the identity's in the
+        # base exponents, the word or the coefficient alone
+        sig = GradedSignature(1, ("x", "y"), [("e1", "e2")])
+        x, y = (GradedFunction.base_var(sig, a) for a in range(2))
+        e1 = gen(sig, "e1")
+        for c, image in [(base_coord(0), x.mul(y)), (base_coord(0), y),
+                         (base_coord(0), x.scale(2)), (gen_coord((1, 0)), e1.mul(x)),
+                         (gen_coord((1, 0)), gen(sig, "e2")),
+                         (gen_coord((1, 0)), e1.scale(-1))]:
+            m = ChartMap.identity(sig)
+            (m.base if c[0] == "x" else m.gens)[c[1]] = image
+            assert moved_coords(m) == [c]
+            self.check_fixes(m)
+
     def test_map_between_charts_moves_every_coordinate(self):
         # same shape, other names: the images live on another chart, so even
         # a constant image is rewritten onto it
