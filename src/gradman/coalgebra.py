@@ -8,12 +8,12 @@ degree into sparse columns over the ordered pair basis, and every check
 reads that one expanded form: cocommutativity, coassociativity and the
 coherence constraint space on the columns, morphisms by pushing them
 through phi (x) phi, and the rank and pivot questions of admissibility and
-the splitting on `CoalgebraBundle.mu_matrix`, the same columns as a matrix
-over the pairs they reach.
+the splitting on `CoalgebraBundle.mu_rows`, the same columns as rows over
+the pairs they reach.
 
 The column helpers are written on `+`, unary `-`, `*` and truth values, so
-`compute_K` runs them on ints over a constant bundle's `integer_view` and on
-Polys otherwise.
+each reader runs them on the ints of a constant bundle's `integer_view` (and
+constant morphism matrices as plain numbers) and on Polys otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .exactnum import (
     PolyMatrix,
     accumulate,
     kernel_basis,
-    poly_inverse,
     primitive_vector,
     rank_at,
     rank_generic,
@@ -150,9 +149,9 @@ class CoalgebraBundle:
 
         The view shares the ranks and tensor bases.  Its `mu_columns` hold
         lam times the value of each entry, lam being the least common
-        denominator of all entries, so every term of its k-fold
+        denominator of all entries (kept as `lam`), so every term of its k-fold
         `power_columns` iterate is an int, lam^k times the bundle's.  Built
-        once and kept; `compute_K` reads it.
+        once and kept; every reader of a constant bundle's mu reads it.
         """
         if self._integer_view is None:
             z = (0,) * self.nvars
@@ -165,20 +164,24 @@ class CoalgebraBundle:
                 i: [{p: c.numerator * (lam // c.denominator) for p, c in col} for col in cs]
                 for i, cs in cols.items()
             }
-            view._one = 1
+            view._one, view.lam = 1, lam
             self._integer_view = view
         return self._integer_view
 
-    def mu_matrix(self, i: int) -> PolyMatrix:
-        """Comultiplication at degree -i as a matrix over the ordered pairs
-        that occur in some column, in tensor-basis order (the lex order of the
-        pairs).  The pairs left out are zero rows, which change no rank and
-        no pivot column.
+    def mu_rows(self, i: int) -> list:
+        """Comultiplication at degree -i as rows over the ordered pairs that
+        occur in some column, in tensor-basis order (the lex order of the
+        pairs): Polys, or ints on an `integer_view`.  The pairs left out are
+        zero rows, which change no rank and no pivot column.
         """
         cols = self.mu_columns(i)
-        zero = Poly.zero(self.nvars)
-        rows = [[col.get(p, zero) for col in cols] for p in sorted({p for col in cols for p in col})]
-        return PolyMatrix(len(rows), len(cols), rows, self.nvars)
+        zero = Poly.zero(self.nvars) if isinstance(self._one, Poly) else 0
+        return [[col.get(p, zero) for col in cols] for p in sorted({p for col in cols for p in col})]
+
+    def mu_matrix(self, i: int) -> PolyMatrix:
+        """`mu_rows` as a PolyMatrix."""
+        rows = self.mu_rows(i)
+        return PolyMatrix(len(rows), self.rank(i), rows, self.nvars)
 
     def power_columns(self, e: Elem, k: int) -> dict:
         """Sparse column of the k-fold comultiplication iterate on one frame element.
@@ -244,13 +247,14 @@ def permute_column(col: dict, perm: Sequence[int]) -> dict:
     return out
 
 
-def push_column(phi: "CoalgebraMorphism", col: dict) -> dict:
+def push_column(phi, col: dict) -> dict:
     """Push a sparse pair column through phi (x) phi: the pair ((j, a), (k, b))
-    goes to each ((j, a'), (k, b')) times phi_j[a'][a] phi_k[b'][b], no sign."""
+    goes to each ((j, a'), (k, b')) times phi_j[a'][a] phi_k[b'][b], no sign;
+    `phi[j]` holds the rows of phi_j (a morphism, or a dict of number rows)."""
     out: dict = {}
     for ((j, a), (k, b)), c in col.items():
-        mk = phi.matrix(k).entries
-        for ap, row in enumerate(phi.matrix(j).entries):
+        mk = phi[k]
+        for ap, row in enumerate(phi[j]):
             if row[a]:
                 ca = c * row[a]
                 for bp, row_k in enumerate(mk):
@@ -289,7 +293,10 @@ class CoalgebraReport:
 
 
 def check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
-    """Verify cocommutativity and coassociativity as exact matrix identities."""
+    """Verify cocommutativity and coassociativity as exact matrix identities,
+    on the `integer_view` of a constant bundle: both sides of the two scale by
+    lam and lam^2, so the verdicts and witnesses are the bundle's."""
+    E = E.integer_view() if E.is_constant() else E
     cocom = True
     coass = True
     witnesses = []
@@ -472,21 +479,26 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     - otherwise rank M is the generic rank over the fraction field.
 
     The constant-rank flag compares rank M with the rank at every supplied
-    sample point.
+    sample point, which for a constant M is the rank of its `integer_view`.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
         raise ValueError("at least one sample point is required")
+    if any(len(p) != E.nvars for p in points):
+        raise ValueError("point has wrong length")
     per = {}
     ok = True
     for i in range(2, E.n + 1):
         ks = compute_K(E, -i)
-        m = E.mu_matrix(i)
-        point_ranks = [rank_at(m, p) for p in points]
+        if E.is_constant():
+            point_ranks = [rat_rank(E.integer_view().mu_rows(i))] * len(points)
+        else:
+            m = E.mu_matrix(i)
+            point_ranks = [rank_at(m, p) for p in points]
         if ks.contains_image and max(point_ranks) == ks.dim:
             im_rank = ks.dim
         else:
-            im_rank = rank_generic(m)
+            im_rank = rank_generic(E.mu_matrix(i))
         equal = ks.contains_image and im_rank == ks.dim
         const = all(r == im_rank for r in point_ranks)
         per[-i] = AdmissibilityDegree(im_rank, ks.dim, equal, const)
@@ -635,6 +647,9 @@ class CoalgebraMorphism:
                                    self.source.nvars)
         return m
 
+    def __getitem__(self, i: int) -> list:
+        return self.matrix(i).entries
+
     def compose(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
         """self o other (other applied first)."""
         if other.target is not self.source and other.target != self.source:
@@ -643,21 +658,6 @@ class CoalgebraMorphism:
         for i in range(1, self.target.n + 1):
             mats[i] = self.matrix(i).mul(other.matrix(i))
         return CoalgebraMorphism(other.source, self.target, mats)
-
-    def inverse(self) -> "CoalgebraMorphism":
-        mats = {}
-        for i in range(1, self.source.n + 1):
-            m = self.matrix(i)
-            if m.rows != m.cols:
-                raise ValueError("non-square morphism is not invertible")
-            if m.rows == 0:
-                mats[i] = m
-                continue
-            inv = poly_inverse(m)
-            if inv is None:
-                raise ValueError("morphism has no polynomial inverse")
-            mats[i] = inv
-        return CoalgebraMorphism(self.target, self.source, mats)
 
     def is_identity_shaped(self) -> bool:
         return all(
@@ -668,20 +668,34 @@ class CoalgebraMorphism:
 
 def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
                    F: CoalgebraBundle) -> bool:
-    """Exact check of mu_F phi = (phi (x) phi) mu_E, per degree on sparse columns."""
+    """Exact check of mu_F phi = (phi (x) phi) mu_E, per degree on sparse columns.
+
+    On constant data it reads the integer views, lam_E and lam_F times the
+    bundles', and phi's entries once as numbers times t = lam_F / lam_E: the
+    left side carries t lam_F and the right, quadratic in phi, t^2 lam_E, the
+    same factor, so it compares lam_E lhs with lam_F rhs.
+    """
     if E.n != F.n:
         return False
-    for i in range(1, E.n + 1):
-        m = phi.matrix(i)
-        if (m.rows, m.cols) != (F.rank(i), E.rank(i)):
-            raise ValueError("morphism matrices have incompatible shapes")
+    mats = {i: phi.matrix(i) for i in range(1, E.n + 1)}
+    if any((m.rows, m.cols) != (F.rank(i), E.rank(i)) for i, m in mats.items()):
+        raise ValueError("morphism matrices have incompatible shapes")
+    rows = {i: m.entries for i, m in mats.items()}
+    if E.is_constant() and F.is_constant() and all(m.is_constant() for m in mats.values()):
+        E, F = E.integer_view(), F.integer_view()
+        t = 1 if E.lam == F.lam else Fraction(F.lam, E.lam)
+        rows = {i: _numbers(m, t) for i, m in mats.items()}
     for i in range(2, E.n + 1):
-        m = phi.matrix(i).entries
         for c, col in enumerate(E.mu_columns(i)):
-            lhs = _image(F.mu_columns(i), ((b, row[c]) for b, row in enumerate(m)))
-            if lhs != push_column(phi, col):
+            lhs = _image(F.mu_columns(i), ((b, row[c]) for b, row in enumerate(rows[i])))
+            if lhs != push_column(rows, col):
                 return False
     return True
+
+
+def _numbers(m: PolyMatrix, t=1) -> list:
+    """Entry rows of a constant matrix as plain numbers times t."""
+    return [[p.terms.get((0,) * m.nvars, 0) * t for p in row] for row in m.entries]
 
 
 def split_morphism_from_linear(linear: Dict[Elem, dict], S: CoalgebraBundle,
@@ -753,6 +767,10 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
     when the decomposable rows are on the pivot columns.  Requires
     fiberwise-constant comultiplication; pass `at_point` to work in a single
     fiber otherwise.
+
+    It runs on the ints of the `integer_view` and of the split model's (+-1):
+    lam moves no pivot and scales the columns pushed through the number rows
+    of the lower degrees, and their preimages, so each q is stored as q / lam.
     """
     if not E.is_constant():
         if at_point is None:
@@ -767,9 +785,10 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
         }
         E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
 
+    V = E.integer_view()
     counts, mu_pivots, mismatch = [], [], None
     for i in range(1, E.n + 1):
-        mu_pivots.append(rat_pivots(E.mu_matrix(i).to_rat()))
+        mu_pivots.append(rat_pivots(V.mu_rows(i)))
         counts.append(E.rank(i) - len(mu_pivots[-1]))
         rs = dim_symmetric_component([d for d, k in enumerate(counts, 1) for _ in range(k)], i)
         if rs != E.rank(i):
@@ -781,30 +800,31 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
     S = split_coalgebra(counts, E.base_names)
 
     matrices: Dict[int, PolyMatrix] = {}
+    rows: Dict[int, list] = {}
     for i in range(1, S.n + 1):
         r = E.rank(i)
         pivots = mu_pivots[i - 1]
         free = [c for c in range(r) if c not in pivots]
         words = S.split.monomials[i]
         decomp = [t for t, w in enumerate(words) if len(w) > 1]
-        s_cols = S.mu_columns(i)
+        s_cols = S.integer_view().mu_columns(i)
         reps = [(t, *next(iter(s_cols[t].items()))) for t in decomp]
         mat = [[0] * r for _ in range(r)]
         for t, f in zip((t for t, w in enumerate(words) if len(w) == 1), free):
             mat[t][f] = 1
-        phi = CoalgebraMorphism(E, S, matrices)
-        for c, col in enumerate(E.mu_columns(i)):
-            pushed = push_column(phi, col)
+        for c, col in enumerate(V.mu_columns(i)):
+            pushed = push_column(rows, col)
             preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
             if _image(s_cols, preimage) != pushed:
                 raise NotAdmissible(
                     f"comultiplication image leaves the constraint space at degree {-i}"
                 )
             for t, q in preimage:
-                mat[t][c] = q.constant_value()
+                mat[t][c] = Fraction(q, V.lam)
         if pivots and rat_rank([[mat[t][c] for c in pivots] for t in decomp]) < len(pivots):
             raise NotAdmissible(f"splitting map is singular at degree {-i}")
         matrices[i] = PolyMatrix.from_rat(r, r, mat, E.nvars)
+        rows[i] = _numbers(matrices[i])
     if mismatch is not None:
         raise mismatch
     return CoalgebraMorphism(E, S, matrices)

@@ -10,9 +10,11 @@ import gradman
 from gradman.coalgebra import (
     CoalgebraBundle,
     CoalgebraMorphism,
+    CoalgebraReport,
     KSpace,
     _image,
     _variant_pair_columns,
+    apply_mu,
     permute_column,
     push_column,
     split_coalgebra,
@@ -70,6 +72,7 @@ from gradman.gradedring import (
     GradedFunction,
     GradedSignature,
     _gf,
+    dim_symmetric_component,
     koszul_sort,
     monomials_of_degree,
     normalize,
@@ -781,6 +784,133 @@ def reference_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = N
             raise NotAdmissible(f"splitting map is singular at degree {-i}")
         matrices[i] = PolyMatrix.from_rat(rs, r, mat, nv)
     return CoalgebraMorphism(E, S, matrices)
+
+
+# --- the comultiplication readers on Polys ----------------------------------
+#
+# The readers as they were before constant bundles ran on integer views,
+# kept verbatim as oracles for the integer path.
+
+
+def poly_check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
+    """`coalgebra.check_coalgebra` as it was before constant bundles were
+    read on their integer view: every column and product on Polys."""
+    cocom = True
+    coass = True
+    witnesses = []
+    for i in range(2, E.n + 1):
+        cols = E.mu_columns(i)
+        swap = (1, 0)
+        for c, col in enumerate(cols):
+            if permute_column(col, swap) != col:
+                cocom = False
+                witnesses.append(("cocommutativity", -i, c))
+                break
+    for i in range(3, E.n + 1):
+        for c, col in enumerate(E.mu_columns(i)):
+            if apply_mu(E, col, 1) != apply_mu(E, col, 0):
+                coass = False
+                witnesses.append(("coassociativity", -i, c))
+    return CoalgebraReport(cocom, coass, witnesses)
+
+
+def poly_morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
+                        F: CoalgebraBundle) -> bool:
+    """`coalgebra.morphism_check` as it was before constant data was read
+    as numbers on the integer views: every product on Polys."""
+    if E.n != F.n:
+        return False
+    for i in range(1, E.n + 1):
+        m = phi.matrix(i)
+        if (m.rows, m.cols) != (F.rank(i), E.rank(i)):
+            raise ValueError("morphism matrices have incompatible shapes")
+    for i in range(2, E.n + 1):
+        m = phi.matrix(i).entries
+        for c, col in enumerate(E.mu_columns(i)):
+            lhs = _image(F.mu_columns(i), ((b, row[c]) for b, row in enumerate(m)))
+            if lhs != push_column(phi, col):
+                return False
+    return True
+
+
+def poly_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:
+    """`coalgebra.splitting_iso` as it was before it ran on the integer
+    views: pivots of the Fraction matrix, columns pushed through the Poly
+    matrices of the degrees already built, and each coefficient read as
+    the constant value of a Poly."""
+    if not E.is_constant():
+        if at_point is None:
+            raise UnsupportedXDependence(
+                "splitting needs constant comultiplication entries; "
+                "supply a base point for a fiberwise splitting"
+            )
+        const_mu = {
+            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+                for bk, m in blocks.items()}
+            for i, blocks in E.mu.items()
+        }
+        E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
+
+    counts, mu_pivots, mismatch = [], [], None
+    for i in range(1, E.n + 1):
+        mu_pivots.append(rat_pivots(E.mu_matrix(i).to_rat()))
+        counts.append(E.rank(i) - len(mu_pivots[-1]))
+        rs = dim_symmetric_component([d for d, k in enumerate(counts, 1) for _ in range(k)], i)
+        if rs != E.rank(i):
+            mismatch = NotAdmissible(
+                f"rank mismatch at degree {-i}: bundle rank {E.rank(i)}, split model rank {rs}"
+            )
+            counts.pop()
+            break
+    S = split_coalgebra(counts, E.base_names)
+
+    matrices: Dict[int, PolyMatrix] = {}
+    for i in range(1, S.n + 1):
+        r = E.rank(i)
+        pivots = mu_pivots[i - 1]
+        free = [c for c in range(r) if c not in pivots]
+        words = S.split.monomials[i]
+        decomp = [t for t, w in enumerate(words) if len(w) > 1]
+        s_cols = S.mu_columns(i)
+        reps = [(t, *next(iter(s_cols[t].items()))) for t in decomp]
+        mat = [[0] * r for _ in range(r)]
+        for t, f in zip((t for t, w in enumerate(words) if len(w) == 1), free):
+            mat[t][f] = 1
+        phi = CoalgebraMorphism(E, S, matrices)
+        for c, col in enumerate(E.mu_columns(i)):
+            pushed = push_column(phi, col)
+            preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
+            if _image(s_cols, preimage) != pushed:
+                raise NotAdmissible(
+                    f"comultiplication image leaves the constraint space at degree {-i}"
+                )
+            for t, q in preimage:
+                mat[t][c] = q.constant_value()
+        if pivots and rat_rank([[mat[t][c] for c in pivots] for t in decomp]) < len(pivots):
+            raise NotAdmissible(f"splitting map is singular at degree {-i}")
+        matrices[i] = PolyMatrix.from_rat(r, r, mat, E.nvars)
+    if mismatch is not None:
+        raise mismatch
+    return CoalgebraMorphism(E, S, matrices)
+
+
+def morphism_inverse(self: CoalgebraMorphism) -> CoalgebraMorphism:
+    """The former `CoalgebraMorphism.inverse`: the inverse morphism, each
+    matrix inverted over Q[x]; raises ValueError when some matrix is not
+    square or has no polynomial inverse."""
+    mats = {}
+    for i in range(1, self.source.n + 1):
+        m = self.matrix(i)
+        if m.rows != m.cols:
+            raise ValueError("non-square morphism is not invertible")
+        if m.rows == 0:
+            mats[i] = m
+            continue
+        inv = poly_inverse(m)
+        if inv is None:
+            raise ValueError("morphism has no polynomial inverse")
+        mats[i] = inv
+    return CoalgebraMorphism(self.target, self.source, mats)
 
 
 # --- frame derivations expanded by hand ---------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -46,7 +47,11 @@ from randchart import (
     conjugate_frames,
     dense_vectors,
     full_mu,
+    morphism_inverse,
     partition_count,
+    poly_check_coalgebra,
+    poly_morphism_check,
+    poly_splitting_iso,
     reference_compute_K,
     reference_dvb_coalgebra,
     reference_splitting_iso,
@@ -464,7 +469,7 @@ class TestSplittingIso:
         e = dvb_coalgebra(2, 2, 0, 4, PolyMatrix.identity(4, 0), 2)
         iso = splitting_iso(e)
         assert morphism_check(iso, e, iso.target)
-        comp = iso.inverse().compose(iso)
+        comp = morphism_inverse(iso).compose(iso)
         assert comp.is_identity_shaped()
 
     def test_rejects_non_admissible(self):
@@ -1360,3 +1365,160 @@ class TestPushColumn:
                             broken += 1
             assert broken, e
         assert constant[True] and constant[False]
+
+
+# --- the readers on the integer view against their Poly paths ----------------
+
+
+def fraction_block_bundle(rng, profile):
+    """Ranks from `profile`, every block entry a random rational with
+    denominator up to 3: in general not a coalgebra, and lam > 1."""
+    ranks = {i + 1: r for i, r in enumerate(profile)}
+    mu = {}
+    for i in range(2, len(profile) + 1):
+        mu[i] = {}
+        for j in range(1, i // 2 + 1):
+            rows = ranks[j] * ranks[i - j]
+            if rows and ranks[i]:
+                mu[i][(j, i - j)] = PolyMatrix.from_rat(rows, ranks[i], [
+                    [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ranks[i])]
+                    for _ in range(rows)], 0)
+    return CoalgebraBundle(len(profile), (), ranks, mu)
+
+
+def non_coassociative(rng, profile):
+    """A conjugated split bundle with one entry of a top-degree block (j, k),
+    j < k, moved by 1/2: the mirrored pairs follow the stored block, so it
+    stays cocommutative, but in general it is no longer coassociative."""
+    e = conjugate_frames(rng, split_coalgebra(list(profile)))
+    mu = {i: dict(blocks) for i, blocks in e.mu.items()}
+    jk = rng.choice([jk for jk in mu[e.n] if jk[0] < jk[1]])
+    m = mu[e.n][jk]
+    rows = [list(row) for row in m.entries]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[r][c] = rows[r][c].add(Poly.const(0, Fraction(1, 2)))
+    mu[e.n][jk] = PolyMatrix(m.rows, m.cols, rows, 0)
+    return CoalgebraBundle(e.n, (), dict(e.ranks), mu)
+
+
+def rational_frames(rng, e):
+    """One invertible constant matrix per degree, with rational entries."""
+    frames = {}
+    for i in range(1, e.n + 1):
+        r = e.rank(i)
+        while True:
+            m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(r)]
+                 for _ in range(r)]
+            if rat_rank(m) == r:
+                break
+        frames[i] = PolyMatrix.from_rat(r, r, m, 0)
+    return frames
+
+
+class TestIntegerViewReaders:
+    """`check_coalgebra`, `splitting_iso` and `morphism_check` read constant
+    bundles on their integer views; the Poly-path bodies they had before pin
+    every output."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def bundles():
+        # built once for the three tests: the readers only fill the caches
+        rng = random.Random(31)
+        out = []
+        for profile in SPLIT_CORPUS:
+            s = split_coalgebra(list(profile))
+            out += [s, conjugate_frames(rng, s)]
+        for profile in [(2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 1, 1)]:
+            out.append(fraction_block_bundle(rng, profile))
+        for profile in [(3, 3), (2, 2, 1), (1, 1, 1, 1), (2, 1, 0, 1), (2, 2, 2)]:
+            out.append(rank_dropped(rng, profile))
+        for profile in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 1, 1, 1)]:
+            out.append(non_coassociative(rng, profile))
+        return tuple(out)
+
+    def test_check_coalgebra_matches_the_poly_path(self):
+        kinds = Counter()
+        for e in self.bundles():
+            rep = check_coalgebra(e)
+            assert rep == poly_check_coalgebra(e), e
+            kinds[rep.cocommutative, rep.coassociative] += 1
+        assert kinds[True, True] and kinds[False, False] and kinds[True, False], kinds
+
+    def test_splitting_iso_matches_the_poly_path(self):
+        outcomes = Counter()
+        for e in self.bundles():
+            got = splitting_outcome(splitting_iso, e)
+            assert got == splitting_outcome(poly_splitting_iso, e), e
+            if isinstance(got, str):
+                outcomes[got.split(" at degree")[0]] += 1
+            else:
+                outcomes["split, lam > 1" if e.integer_view().lam > 1 else "split"] += 1
+        assert outcomes["split"] and outcomes["split, lam > 1"], outcomes
+        assert outcomes["rank mismatch"] and outcomes[
+            "comultiplication image leaves the constraint space"], outcomes
+
+    def morphisms(self):
+        """(phi, E, F): splitting maps onto the split model, rational frame
+        changes between non-coalgebra bundles, and identities."""
+        rng = random.Random(32)
+        for e in self.bundles():
+            try:
+                phi = splitting_iso(e)
+            except NotAdmissible:
+                continue
+            yield phi, e, phi.target
+        for profile in [(2, 1), (1, 1, 1), (2, 2, 1)]:
+            e = fraction_block_bundle(rng, profile)
+            frames = rational_frames(rng, e)
+            f = transport_frames(e, frames)
+            yield CoalgebraMorphism(e, f, frames), e, f
+            yield CoalgebraMorphism(e, e, {i: PolyMatrix.identity(e.rank(i), 0)
+                                          for i in range(1, e.n + 1)}), e, e
+
+    def test_morphism_check_matches_the_poly_path(self):
+        rng = random.Random(33)
+        lams, broken = Counter(), 0
+        for phi, e, f in self.morphisms():
+            lams[e.integer_view().lam == f.integer_view().lam] += 1
+            assert morphism_check(phi, e, f) and poly_morphism_check(phi, e, f), e
+            for i in range(1, e.n + 1):
+                # a few entries per degree, and one under a decomposable
+                # target column, which moves mu_F phi alone
+                entries = [(b, c) for b in range(f.rank(i)) for c in range(e.rank(i))]
+                picked = rng.sample(entries, min(3, len(entries)))
+                picked += [(b, 0) for b in range(f.rank(i))
+                           if i > 1 and e.rank(i) and f.mu_columns(i)[b]][:1]
+                for b, c in picked:
+                    bad = perturbed(phi, i, b, c, Poly.one(0))
+                    verdict = morphism_check(bad, e, f)
+                    assert verdict == poly_morphism_check(bad, e, f), (e, i, b, c)
+                    if i > 1 and f.mu_columns(i)[b]:
+                        assert not verdict, (e, i, b, c)
+                        broken += 1
+        assert broken and lams[True] and lams[False], (broken, lams)
+
+    def test_points_of_the_wrong_length_are_refused(self):
+        # a constant bundle takes its ranks off the view, at no point
+        for e in (split_coalgebra([2, 1]), split_coalgebra([2, 1], base_names=("x",))):
+            with pytest.raises(ValueError, match="point has wrong length"):
+                check_admissible(e, [(Fraction(1),) * (e.nvars + 1)])
+
+    def test_constant_readers_make_no_poly_products(self, monkeypatch):
+        e = conjugate_frames(random.Random(7), split_coalgebra([2, 2, 2]))
+        assert e.is_constant() and e.integer_view().lam > 1
+        calls = []
+        mul = exactnum.Poly.mul
+
+        def counting(p, q):
+            calls.append(1)
+            return mul(p, q)
+
+        monkeypatch.setattr(exactnum.Poly, "mul", counting)
+        assert check_coalgebra(e).ok
+        assert check_admissible(e, ORIGIN).admissible
+        phi = splitting_iso(e)
+        assert morphism_check(phi, e, phi.target)
+        assert calls == []
+        # the spy sees the products of the Poly path
+        assert poly_morphism_check(phi, e, phi.target) and calls

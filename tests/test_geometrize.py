@@ -22,7 +22,7 @@ from gradman.geometrize import (
     roundtrip,
 )
 from gradman.gradedring import GradedFunction
-from randchart import conjugate_frames, full_mu, partition_count
+from randchart import conjugate_frames, full_mu, morphism_inverse, partition_count
 
 
 CORPUS = [
@@ -139,7 +139,7 @@ class TestRoundTrip:
         for e in CORPUS:
             f, phi = roundtrip(e)
             assert morphism_check(phi, e, f), e
-            inv = phi.inverse()
+            inv = morphism_inverse(phi)
             assert inv.compose(phi).is_identity_shaped()
 
     def test_reconstruction_on_randomly_conjugated_bundles(self):
@@ -156,7 +156,7 @@ class TestRoundTrip:
             assert check_admissible(e, [()]).admissible
             f, phi = roundtrip(e)
             assert morphism_check(phi, e, f)
-            assert phi.inverse().compose(phi).is_identity_shaped()
+            assert morphism_inverse(phi).compose(phi).is_identity_shaped()
 
     def test_split_chart_gives_split_bundle(self):
         e = split_coalgebra([2, 1])
