@@ -479,7 +479,8 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     - otherwise rank M is the generic rank over the fraction field.
 
     The constant-rank flag compares rank M with the rank at every supplied
-    sample point, which for a constant M is the rank of its `integer_view`.
+    sample point.  A constant M has one rank, at every point and over the
+    field: the rank of its `integer_view` rows.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -488,17 +489,17 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
         raise ValueError("point has wrong length")
     per = {}
     ok = True
+    constant = E.is_constant()
     for i in range(2, E.n + 1):
         ks = compute_K(E, -i)
-        if E.is_constant():
-            point_ranks = [rat_rank(E.integer_view().mu_rows(i))] * len(points)
+        if constant:
+            im_rank = rat_rank(E.integer_view().mu_rows(i))
+            point_ranks = [im_rank]
         else:
             m = E.mu_matrix(i)
             point_ranks = [rank_at(m, p) for p in points]
-        if ks.contains_image and max(point_ranks) == ks.dim:
-            im_rank = ks.dim
-        else:
-            im_rank = rank_generic(E.mu_matrix(i))
+            im_rank = (ks.dim if ks.contains_image and max(point_ranks) == ks.dim
+                       else rank_generic(m))
         equal = ks.contains_image and im_rank == ks.dim
         const = all(r == im_rank for r in point_ranks)
         per[-i] = AdmissibilityDegree(im_rank, ks.dim, equal, const)

@@ -176,12 +176,12 @@ def membership(x: VectorField, dist: Distribution) -> MembershipCertificate:
         return MembershipCertificate(
             False, witness=("inconsistent", (coord_name(sig, c), w))
         )
-    coeff_fns = [GradedFunction.zero(sig) for _ in dist.generators]
+    coeff_terms = [{} for _ in dist.generators]
     for (gi, w), p in zip(unknowns, sol):
         if p is None:
             return MembershipCertificate(False, witness=("nonpolynomial", (gi, w)))
-        if not p.is_zero():
-            coeff_fns[gi] = coeff_fns[gi].add(GradedFunction.monomial(sig, w, p))
+        coeff_terms[gi][w] = p
+    coeff_fns = [GradedFunction(sig, terms) for terms in coeff_terms]
     # exact re-expansion check
     acc = VectorField.zero(sig, x.degree)
     for f, g in zip(coeff_fns, dist.generators):
@@ -247,11 +247,8 @@ def graded_antiderivative(g: GradedFunction, e: GenId) -> GradedFunction:
                 f"odd antiderivative needs input independent of {sig.gen_name(e)}"
             )
         return GradedFunction.from_gen(sig, e).mul(g)
-    out = GradedFunction.zero(sig)
-    for w, c in g.terms.items():
-        t = w.count(e)
-        out = out.add(GradedFunction.monomial(sig, w + (e,), c.scale(Fraction(1, t + 1))))
-    return out
+    return GradedFunction(sig, {w + (e,): c.scale(Fraction(1, w.count(e) + 1))
+                                for w, c in g.terms.items()})
 
 
 # --- normal form ----------------------------------------------------------------

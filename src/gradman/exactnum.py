@@ -12,7 +12,7 @@ here build their already canonical results through `_poly`, which checks
 nothing.  Values that leave a polynomial
 (`constant_value`, `leading`, `eval`) are always Fractions.  On Polys, `+`,
 unary `-`, `*` and truth values are `add`, `neg`, `mul` and `not is_zero`,
-so code written on the operators runs on Polys and on plain numbers alike.
+so `accumulate`, written on the operators, sums Polys, chart functions and numbers.
 The monomial order used for pivoting is graded lexicographic.  Everything here is
 immutable in spirit: operations return fresh values and never mutate their
 inputs.
@@ -173,14 +173,15 @@ class Poly:
         return bool(self.terms)
 
     def pow(self, k: int) -> "Poly":
-        result = Poly.one(self.nvars)
-        base = self
-        while k > 0:
+        """self^k by repeated squaring, with no product by one or unread square."""
+        result, base = None, self
+        while k:
             if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
+                result = base if result is None else result.mul(base)
             k >>= 1
-        return result
+            if k:
+                base = base.mul(base)
+        return Poly.one(self.nvars) if result is None else result
 
     # --- calculus -----------------------------------------------------
 
@@ -222,16 +223,20 @@ class Poly:
         return total
 
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
-        """Substitute subs[i] for variable i.  All subs share one variable count."""
+        """Substitute subs[i] for variable i.  All subs share one variable count;
+        each power subs[i]^e is computed once per call."""
         if len(subs) != self.nvars:
             raise ValueError("substitution list has wrong length")
         nv = subs[0].nvars if subs else 0
+        powers: dict = {}
         result = Poly.zero(nv)
         for exps, c in self.terms.items():
             term = Poly.const(nv, c)
-            for sub, e in zip(subs, exps):
+            for i, e in enumerate(exps):
                 if e:
-                    term = term.mul(sub.pow(e))
+                    if (i, e) not in powers:
+                        powers[i, e] = subs[i].pow(e)
+                    term = term.mul(powers[i, e])
             result = result.add(term)
         return result
 

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DegreeMismatch, SignatureMismatch
 from .exactnum import Poly, PolyMatrix, accumulate, rank_at
-from .gradedring import GenId, GradedFunction, GradedSignature
+from .gradedring import GenId, GradedFunction, GradedSignature, _gf
 
 Coord = Tuple  # ("x", alpha) or ("g", (deg, idx))
 
@@ -96,12 +96,7 @@ class VectorField:
         degree = other.degree if self.is_zero() else self.degree
         actions = dict(self.actions)
         for c, f in other.actions.items():
-            g = actions.get(c)
-            g = f if g is None else g.add(f)
-            if g.is_zero():
-                actions.pop(c, None)
-            else:
-                actions[c] = g
+            accumulate(actions, c, f)
         return VectorField(self.sig, degree, actions)
 
     def neg(self) -> "VectorField":
@@ -129,15 +124,13 @@ class VectorField:
         """Leibniz extension of the coordinate table."""
         if f.sig != self.sig:
             raise SignatureMismatch("function lives on a different chart")
-        out = GradedFunction.zero(self.sig)
+        terms: dict = {}
         for c, val in self.actions.items():
-            if c[0] == "x":
-                d = f.derivative_base(c[1])
-            else:
-                d = f.derivative_gen(c[1])
-            if not d.is_zero():
-                out = out.add(val.mul(d))
-        return out
+            d = f.derivative_base(c[1]) if c[0] == "x" else f.derivative_gen(c[1])
+            if d:
+                for w, p in val.mul(d).terms.items():
+                    accumulate(terms, w, p)
+        return _gf(self.sig, terms)
 
     def __eq__(self, other) -> bool:
         return (

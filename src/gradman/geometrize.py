@@ -105,15 +105,9 @@ def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlg
         words = S.split.monomials[i]
         # frame element a embeds as row a of the inverse splitting: the rows
         # of the splitting hold the frame coordinates of the chart monomials
-        funcs = []
-        for a in range(r):
-            f = GradedFunction.zero(sig)
-            for mon, w in enumerate(words):
-                c = inv[a][mon]
-                if c != 0:
-                    f = f.add(GradedFunction.monomial(sig, w, Poly.const(sig.m0, c)))
-            funcs.append(f)
-        embeddings[i] = funcs
+        embeddings[i] = [GradedFunction(sig, {w: Poly.const(sig.m0, c)
+                                              for w, c in zip(words, inv[a])})
+                         for a in range(r)]
         rules = []
         for mon, w in enumerate(words):
             if len(w) == 1 and w[0][0] == i:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, NumberTooLong, SignatureMismatch, UnknownGenerator
-from .exactnum import Poly
+from .exactnum import Poly, accumulate
 
 GenId = Tuple[int, int]  # (degree, declared index), both 0-based index
 Gens = Tuple[GenId, ...]
@@ -192,23 +192,19 @@ class GradedFunction:
     `terms` maps canonical generator words to nonzero polynomial coefficients
     in the base coordinates.  The form is canonical on construction: the
     constructor Koszul-sorts each word, merges words that coincide and drops
-    zero coefficients, so `is_zero` and `==` are structural.
+    zero coefficients, so `is_zero` and `==` are structural.  As on `Poly`,
+    `+`, unary `-` and the truth value are `add`, `neg` and `not is_zero`.
     """
 
     __slots__ = ("sig", "terms")
 
     def __init__(self, sig: GradedSignature, terms: Dict[Gens, Poly]):
         self.sig = sig
-        out: Dict[Gens, Poly] = {}
+        self.terms: Dict[Gens, Poly] = {}
         for w, c in terms.items():
             sign, canon = normalize(sig, w)
-            if sign == 0:
-                continue
-            if sign < 0:
-                c = c.neg()
-            s = out.get(canon)
-            out[canon] = c if s is None else s.add(c)
-        self.terms = {w: c for w, c in out.items() if not c.is_zero()}
+            if sign:
+                accumulate(self.terms, canon, c if sign > 0 else -c)
 
     # --- constructors -------------------------------------------------
 
@@ -283,12 +279,7 @@ class GradedFunction:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w)
-            s = c if s is None else s.add(c)
-            if s.is_zero():
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+            accumulate(terms, w, c)
         return _gf(self.sig, terms)
 
     def neg(self) -> "GradedFunction":
@@ -321,13 +312,8 @@ class GradedFunction:
                     raise DegreeOverflow(
                         f"product of degree {total} exceeds cap {sig.max_degree}"
                     )
-                c = c1.mul(c2).scale(sign)
-                s = terms.get(canon)
-                s = c if s is None else s.add(c)
-                if s.is_zero():
-                    terms.pop(canon, None)
-                else:
-                    terms[canon] = s
+                c = c1.mul(c2)
+                accumulate(terms, canon, c if sign > 0 else -c)
         return _gf(sig, terms)
 
     def pow(self, k: int) -> "GradedFunction":
@@ -377,27 +363,24 @@ class GradedFunction:
                    gen_map: Dict[GenId, "GradedFunction"]) -> "GradedFunction":
         """Ring homomorphism determined by images of coordinates.
 
-        base_map[alpha] must be a degree-0 function on the target chart; each
+        base_map[alpha] must be a degree-0 function on the target chart: each
+        coefficient composes with these bodies through `Poly.compose`.  Each
         generator image must be homogeneous of the generator's degree.
         """
-        if len(base_map) != self.sig.m0:
-            raise SignatureMismatch("base substitution has wrong length")
+        if len(base_map) != self.sig.m0 or any(f.sig != target for f in base_map):
+            raise SignatureMismatch("need one base image per base coordinate, on the target")
+        bodies = [f.body() for f in base_map]
         out = GradedFunction.zero(target)
         for w, c in self.terms.items():
-            # compose the polynomial coefficient with the base images
-            term = GradedFunction.constant(target, 0)
-            for exps, coeff in c.terms.items():
-                piece = GradedFunction.constant(target, coeff)
-                for alpha, e in enumerate(exps):
-                    for _ in range(e):
-                        piece = piece.mul(base_map[alpha])
-                term = term.add(piece)
+            # with no base coordinates, c is a constant
+            c = c.compose(bodies) if bodies else Poly.const(target.m0, c.constant_value())
+            term = GradedFunction.from_poly(target, c)
             for g in w:
                 img = gen_map.get(g)
                 if img is None:
                     raise UnknownGenerator(f"no image for generator {g!r}")
                 term = term.mul(img)
-            out = out.add(term)
+            out += term
         return out
 
     def truncate_to(self, target: GradedSignature) -> "GradedFunction":
@@ -409,6 +392,12 @@ class GradedFunction:
         return _gf(target, terms)
 
     # --- dunder ---------------------------------------------------------
+
+    __add__ = add
+    __neg__ = neg
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return (

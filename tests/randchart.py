@@ -38,6 +38,8 @@ from gradman.errors import (
     NonPolynomialFlatFrame,
     NotAdmissible,
     NotInvolutive,
+    SignatureMismatch,
+    UnknownGenerator,
     UnsupportedXDependence,
 )
 from gradman.exactnum import (
@@ -164,6 +166,33 @@ def reference_mul(self: GradedFunction, other: GradedFunction) -> GradedFunction
             else:
                 terms[canon] = s
     return _gf(sig, terms)
+
+
+def reference_substitute(self: GradedFunction, target: GradedSignature,
+                         base_map: Sequence[GradedFunction],
+                         gen_map: Dict[GenId, GradedFunction]) -> GradedFunction:
+    """`GradedFunction.substitute` as it was before coefficients composed
+    through `Poly.compose`: each exponent of each coefficient multiplies in
+    its base image by one graded product."""
+    if len(base_map) != self.sig.m0:
+        raise SignatureMismatch("base substitution has wrong length")
+    out = GradedFunction.zero(target)
+    for w, c in self.terms.items():
+        # compose the polynomial coefficient with the base images
+        term = GradedFunction.constant(target, 0)
+        for exps, coeff in c.terms.items():
+            piece = GradedFunction.constant(target, coeff)
+            for alpha, e in enumerate(exps):
+                for _ in range(e):
+                    piece = piece.mul(base_map[alpha])
+            term = term.add(piece)
+        for g in w:
+            img = gen_map.get(g)
+            if img is None:
+                raise UnknownGenerator(f"no image for generator {g!r}")
+            term = term.mul(img)
+        out = out.add(term)
+    return out
 
 
 def full_substitute(m: ChartMap, f: GradedFunction) -> GradedFunction:

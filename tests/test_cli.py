@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -620,6 +622,24 @@ def test_reports_match_snapshot():
     assert sorted(got) == sorted(want)
     changed = [key for key in want if got[key] != want[key]]
     assert not changed, changed
+
+
+def test_reports_match_snapshot_under_fixed_hash_seeds():
+    """The snapshot replays under PYTHONHASHSEED 0 and 1.  `fields.bracket`
+    iterates a set of string-keyed coordinates, whose order follows the hash
+    seed, so a report that depended on that order would fail here on every
+    run instead of by chance."""
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    script = "import json, sys, test_cli; json.dump(test_cli.snapshot(), sys.stdout)"
+    want = json.loads(REPORTS.read_text())
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        got = json.loads(proc.stdout)
+        assert sorted(got) == sorted(want), seed
+        assert not [key for key in want if got[key] != want[key]], seed
 
 
 if __name__ == "__main__":

@@ -992,6 +992,11 @@ class TestAdmissibilityDecision:
 
     def test_image_outside_K_falls_back_to_generic_rank(self, monkeypatch):
         calls = self.spy(monkeypatch)
+        e = random_poly_bundle(random.Random(2), (2, 1))
+        rep = check_admissible(e, X_POINTS[1])
+        assert not compute_K(e, -2).contains_image and not rep.per_degree[-2].equal
+        assert len(calls) == 1
+        # a constant bundle reads its one rank off the integer view
         e = random_constant_bundle(random.Random(2), (2, 1))
         rep = check_admissible(e, ORIGIN)
         assert not compute_K(e, -2).contains_image and not rep.per_degree[-2].equal

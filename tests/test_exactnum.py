@@ -243,9 +243,22 @@ class TestCanonicalCoefficients:
             assert assert_canonical(a.mul(b)) == ref_mul(ra, rb)
             assert assert_canonical(a.scale(c)) == ref_scale(ra, c)
             assert assert_canonical(a.scale(2)) == ref_scale(ra, 2)
-            assert assert_canonical(a.pow(3)) == ref_pow(ra, 3, 2)
+            for k in range(6):
+                assert assert_canonical(a.pow(k)) == ref_pow(ra, k, 2)
             subs = [b, a.add(Poly.var(2, 0))]
             assert assert_canonical(a.compose(subs)) == ref_compose(ra, [ref(s) for s in subs], 2)
+
+    def test_pow_makes_no_product_by_one_and_no_unread_square(self, monkeypatch):
+        p = Poly.var(2, 0).add(Poly.const(2, Fraction(1, 2)))
+        calls = []
+        mul = Poly.mul
+        monkeypatch.setattr(Poly, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        for k, products in ((1, 0), (2, 1), (8, 3)):
+            calls.clear()
+            assert ref(p.pow(k)) == ref_pow(ref(p), k, 2)
+            assert len(calls) == products, k
+        calls.clear()
+        assert p.pow(0) == Poly.one(2) and calls == []
 
     def test_calculus_and_division_match_fraction_reference(self):
         for a, b in self.pairs(22):

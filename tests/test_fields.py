@@ -89,6 +89,24 @@ class TestValidation:
             VectorField(SIG, -1, {base_coord(0): GradedFunction.one(SIG)})
 
 
+class TestAdd:
+    def test_cancelling_actions_are_dropped(self):
+        rng = random.Random(57)
+        for _ in range(40):
+            k = rng.choice([-2, -1, 0])
+            x, y = rand_field(rng, SIG, k), rand_field(rng, SIG, k)
+            assert x.add(y.sub(x)) == y and x.add(x.neg()).actions == {}
+            for c, f in x.add(y).actions.items():
+                assert f and f == x.action(c).add(y.action(c))
+
+    def test_one_cancelling_coordinate(self):
+        e1, e2 = gen_coord(SIG.gen_by_name("e1")), gen_coord(SIG.gen_by_name("e2"))
+        one = GradedFunction.one(SIG)
+        x = VectorField(SIG, -1, {e1: one, e2: one})
+        y = VectorField(SIG, -1, {e1: one.neg(), e2: one})
+        assert x.add(y).actions == {e2: one.scale(2)}
+
+
 class TestApply:
     def test_leibniz_on_product_example(self):
         # d/de1 applied to e1*p gives p

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradman.errors import DegreeOverflow, NumberTooLong, UnknownGenerator
+from gradman.errors import DegreeOverflow, NumberTooLong, SignatureMismatch, UnknownGenerator
 from gradman.exactnum import Poly
 from gradman.gradedring import (
     GradedFunction,
@@ -17,7 +17,13 @@ from gradman.gradedring import (
     monomials_of_degree,
     normalize,
 )
-from randchart import CHART_PROFILES, partition_count, random_signature, reference_mul
+from randchart import (
+    CHART_PROFILES,
+    partition_count,
+    random_signature,
+    reference_mul,
+    reference_substitute,
+)
 
 
 def bubble_normalize(sig, word):
@@ -237,6 +243,18 @@ class TestRingLaws:
         assert a.mul(a).is_zero()
 
 
+class TestOperators:
+    def test_operators_and_truth_value_agree_with_named_methods(self):
+        rng = random.Random(47)
+        for _ in range(80):
+            f, g = rand_function(rng), rand_function(rng, homogeneous=rng.randint(0, 3))
+            assert f + g == f.add(g) and -f == f.neg()
+            assert bool(f) == (not f.is_zero()) and bool(g) == (not g.is_zero())
+            assert f + (-f) == GradedFunction.zero(SIG) and not f + (-f)
+        assert not GradedFunction.zero(SIG) and GradedFunction.one(SIG)
+        assert not GradedFunction.monomial(SIG, (SIG.gen_by_name("e1"),) * 2, Poly.one(2))
+
+
 class TestCanonicalConstruction:
     XSIG = GradedSignature(1, ("x",), [("e1", "e2")])
     E1, E2 = (1, 0), (1, 1)
@@ -356,6 +374,52 @@ class TestSubstitution:
             lhs = f.mul(g).substitute(SIG, base, gen_map)
             rhs = f.substitute(SIG, base, gen_map).mul(g.substitute(SIG, base, gen_map))
             assert lhs == rhs
+
+    @staticmethod
+    def rand_poly(rng, nv, terms, max_exp):
+        """Several terms with exponents up to max_exp, so one power of a base
+        image serves several terms."""
+        return Poly(nv, {tuple(rng.randint(0, max_exp) for _ in range(nv)):
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(terms)})
+
+    def rand_substitution(self, rng, source, target):
+        """Polynomial base images and homogeneous generator images, none of
+        them the identity in general."""
+        base = [GradedFunction.from_poly(target, self.rand_poly(rng, target.m0, 3, 2))
+                for _ in range(source.m0)]
+        gens = {}
+        for g in source.gen_ids():
+            words = monomials_of_degree(target.gen_ids(), g[0])
+            gens[g] = GradedFunction(target, {rng.choice(words):
+                                              self.rand_poly(rng, target.m0, 2, 1)
+                                              for _ in range(2)})
+        return base, gens
+
+    def test_substitute_matches_per_exponent_products(self):
+        rng = random.Random(53)
+        for m0_source, m0_target in [(1, 1), (2, 2), (1, 2), (2, 1), (0, 1), (0, 2), (0, 0)]:
+            for _ in range(12):
+                gen_names = random_signature(rng).gen_names
+                source = GradedSignature(len(gen_names), [f"x{a}" for a in range(m0_source)],
+                                         gen_names)
+                target = GradedSignature(len(gen_names), [f"y{a}" for a in range(m0_target)],
+                                         gen_names)
+                base, gens = self.rand_substitution(rng, source, target)
+                words = [w for k in range(4) for w in monomials_of_degree(source.gen_ids(), k)]
+                f = GradedFunction(source, {rng.choice(words): self.rand_poly(rng, m0_source, 4, 3)
+                                            for _ in range(3)})
+                got = f.substitute(target, base, gens)
+                assert got == reference_substitute(f, target, base, gens)
+                assert got.sig == target and all(c.nvars == m0_target for c in got.terms.values())
+
+    def test_base_images_must_match_the_charts(self):
+        base = [GradedFunction.base_var(SIG, a) for a in range(2)]
+        gens = {g: GradedFunction.from_gen(SIG, g) for g in SIG.gen_ids()}
+        other = GradedSignature(3, ("u", "v"), SIG.gen_names)
+        f = GradedFunction.base_var(SIG, 0)
+        for bad in (base[:1], [GradedFunction.base_var(other, 0), base[1]]):
+            with pytest.raises(SignatureMismatch):
+                f.substitute(SIG, bad, gens)
 
     def test_truncate_to(self):
         t = SIG.truncate(1)
