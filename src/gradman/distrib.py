@@ -11,9 +11,10 @@ symbols by a linear base change and flattens the connection terms by a
 polynomial frame, found as the Taylor polynomial that solves the connection
 equation exactly.  Involutivity makes a stage B, and any check within the
 stages, unneeded (see `_stage_a`).  Each coordinate change carries its own
-inverse, built in closed form and checked two-sided before the step is
-taken; the span check reads the action table.  Cases outside the
-algebraically solvable scope fail loudly with a precise diagnostic.
+inverse, built in closed form and checked two-sided, on the coordinates the
+step names, before the step is taken; the span check reads the action
+table.  Cases outside the algebraically solvable scope fail loudly with a
+precise diagnostic.
 """
 
 from __future__ import annotations
@@ -113,17 +114,20 @@ def _membership_system(x: VectorField, dist: Distribution):
 
     Unknowns are the monomial coefficients of each generator's function
     coefficient; equations match coordinate actions monomial by monomial,
-    ordered with the body layer first.
+    ordered with the body layer first.  A generator whose coefficient would
+    pass the chart's degree cap is left out; `capped` says whether one was.
     """
     sig = dist.sig
     q = -x.degree
     unknowns = []  # (generator index, word)
+    capped = False
     for gi, g in enumerate(dist.generators):
         delta = (-g.degree) - q
         if delta < 0:
             continue
         if delta > sig.max_degree:
-            raise DegreeOverflow("membership coefficient degree exceeds the cap")
+            capped = True
+            continue
         for w in monomials_of_degree(sig.gen_ids(), delta):
             unknowns.append((gi, w))
     columns = []  # per unknown: dict (coord, word') -> Poly
@@ -147,20 +151,29 @@ def _membership_system(x: VectorField, dist: Distribution):
         rows_seen,
         key=lambda cw: (sum(g[0] for g in cw[1]), coord_sort_key(cw[0]), cw[1]),
     )
-    return unknowns, columns, rhs_map, row_keys
+    return unknowns, columns, rhs_map, row_keys, capped
 
 
 def membership(x: VectorField, dist: Distribution) -> MembershipCertificate:
-    """Decide whether x lies in the span of the generators over the chart algebra."""
+    """Decide whether x lies in the span of the generators over the chart algebra.
+
+    A generator whose coefficient would pass the chart's degree cap is left
+    out; if one was and the others do not reach x, the answer is unknown
+    below the cap, and `DegreeOverflow` is raised instead of a refutation."""
     sig = dist.sig
     if x.is_zero():
         return MembershipCertificate(True, [GradedFunction.zero(sig) for _ in dist.generators])
     if x.degree > 0:
         return MembershipCertificate(False, witness=("degree", x.degree))
-    unknowns, columns, rhs_map, row_keys = _membership_system(x, dist)
+    unknowns, columns, rhs_map, row_keys, capped = _membership_system(x, dist)
+
+    def refuted(witness):
+        if capped:
+            raise DegreeOverflow("membership coefficient degree exceeds the cap")
+        return MembershipCertificate(False, witness=witness)
+
     if not unknowns:
-        first_bad = row_keys[0] if row_keys else None
-        return MembershipCertificate(False, witness=("degree", first_bad))
+        return refuted(("degree", row_keys[0] if row_keys else None))
     nv = sig.m0
     mat = PolyMatrix.zero(len(row_keys), len(unknowns), nv)
     rhs = []
@@ -173,13 +186,11 @@ def membership(x: VectorField, dist: Distribution) -> MembershipCertificate:
     sol, bad_row = poly_solve(mat, rhs)
     if sol is None:
         c, w = row_keys[bad_row]
-        return MembershipCertificate(
-            False, witness=("inconsistent", (coord_name(sig, c), w))
-        )
+        return refuted(("inconsistent", (coord_name(sig, c), w)))
     coeff_terms = [{} for _ in dist.generators]
     for (gi, w), p in zip(unknowns, sol):
         if p is None:
-            return MembershipCertificate(False, witness=("nonpolynomial", (gi, w)))
+            return refuted(("nonpolynomial", (gi, w)))
         coeff_terms[gi][w] = p
     coeff_fns = [GradedFunction(sig, terms) for terms in coeff_terms]
     # exact re-expansion check
@@ -188,7 +199,7 @@ def membership(x: VectorField, dist: Distribution) -> MembershipCertificate:
         if not f.is_zero():
             acc = acc.add(g.scale(f))
     if acc != x:
-        return MembershipCertificate(False, witness=("inconsistent", ("re-expansion", ())))
+        return refuted(("inconsistent", ("re-expansion", ())))
     return MembershipCertificate(True, coeff_fns)
 
 
@@ -287,7 +298,7 @@ class _Flattening:
 
     def __init__(self, dist: Distribution):
         self.sig = dist.sig
-        self.total_nio, self.total_oin = ChartMap.identity(self.sig), ChartMap.identity(self.sig)
+        self.ident, self.total_nio, self.total_oin = (ChartMap.identity(self.sig) for _ in range(3))
         self.gens = list(dist.generators)
         self.flat_of: Dict[int, Coord] = {}
 
@@ -300,24 +311,33 @@ class _Flattening:
         generator to itself, and the base coordinates to `base` (default: to
         themselves); `inv_gmap` and `inv_base` give its inverse the same way.
         Each caller builds that inverse in closed form from the data of its
-        step, and both composites are checked to be the identity here.  A
-        step that, with its inverse, fixes every coordinate (an alignment of
-        generators already aligned, a frame equal to I) changes nothing and
-        is skipped."""
-        sig, ident = self.sig, ChartMap.identity(self.sig)
+        step.  Both maps fix every coordinate the arguments do not name, so
+        both composites are checked to be the identity here on the named
+        coordinates alone, with no composite map built.  A step that, with
+        its inverse, fixes every named coordinate (an alignment of generators
+        already aligned, a frame equal to I) changes nothing and is skipped."""
+        sig, ident = self.sig, self.ident
         step, inverse = (ChartMap(sig, sig, b or ident.base, {**ident.gens, **g})
                          for g, b in ((gmap, base), (inv_gmap, inv_base)))
-        if step.is_identity() and inverse.is_identity():
+        named = [gen_coord(g) for g in {**gmap, **inv_gmap}]
+        if base or inv_base:
+            named += [base_coord(a) for a in range(sig.m0)]
+        if all(step.fixes(c) and inverse.fixes(c) for c in named):
             return
-        if not step.after(inverse).is_identity() or not inverse.after(step).is_identity():
-            raise NonPolynomialFlatFrame("substitution inverse verification failed")
+        for c in named:
+            if (inverse.apply_to(step.image(c)) != ident.image(c)
+                    or step.apply_to(inverse.image(c)) != ident.image(c)):
+                raise NonPolynomialFlatFrame("substitution inverse verification failed")
         self.total_nio = step.after(self.total_nio)
         self.total_oin = self.total_oin.after(inverse)
         self.gens = [transform_field(g, step, inverse) for g in self.gens]
 
     def linear_step(self, words: list, rows: Dict[GenId, int], m: PolyMatrix, degree: int):
         """The step sending generator g to the words weighted by row rows[g]
-        of m; its inverse reads the same rows of the polynomial inverse of m."""
+        of m; its inverse reads the same rows of the polynomial inverse of m.
+        For m = I each generator goes to itself: no inverse is computed."""
+        if m == PolyMatrix.identity(m.rows, m.nvars):
+            return
         inv = poly_inverse(m)
         if inv is None:
             raise NonPolynomialFlatFrame(f"degree {degree} linear block has no polynomial inverse")

@@ -283,14 +283,21 @@ class ChartMap:
                                else word == (c[1],) and not any(exps))
 
     def apply_to(self, f: GradedFunction) -> GradedFunction:
-        """f rewritten in the target coordinates: f itself when it lives on
-        the target chart and the map fixes every coordinate it involves."""
-        used = {gen_coord(g) for w in f.terms for g in w}
-        used.update(base_coord(a) for c in f.terms.values() for exps in c.terms
-                    for a, e in enumerate(exps) if e)
-        if f.sig == self.target and all(self.fixes(c) for c in used):
+        """f rewritten in the target coordinates.  On a map within one chart,
+        only the terms of f whose word or coefficient involves a coordinate
+        the map moves go through `GradedFunction.substitute`; the others are
+        kept as they are.  A map that changes charts fixes nothing, so every
+        term of f is substituted, constant terms included."""
+        if f.sig != self.target or self.source != self.target:
+            return f.substitute(self.target, self.base, self.gens)
+        kept, moved = {}, {}
+        for w, p in f.terms.items():
+            used = {gen_coord(g) for g in w}
+            used.update(base_coord(a) for e in p.terms for a, k in enumerate(e) if k)
+            (kept if all(self.fixes(c) for c in used) else moved)[w] = p
+        if not moved:
             return f
-        return f.substitute(self.target, self.base, self.gens)
+        return _gf(f.sig, kept) + _gf(f.sig, moved).substitute(self.target, self.base, self.gens)
 
     def after(self, inner: "ChartMap") -> "ChartMap":
         """Composite substitution: first rewrite through self, then through inner.

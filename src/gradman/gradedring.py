@@ -79,7 +79,7 @@ class GradedSignature:
         return GradedSignature(r, self.base_names, self.gen_names[:r], self.max_degree)
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, GradedSignature)
             and self.n == other.n
             and self.base_names == other.base_names
@@ -317,10 +317,15 @@ class GradedFunction:
         return _gf(sig, terms)
 
     def pow(self, k: int) -> "GradedFunction":
-        result = GradedFunction.one(self.sig)
-        for _ in range(k):
-            result = result.mul(self)
-        return result
+        """self^k by repeated squaring, with no product by one, as `Poly.pow`."""
+        result, base = None, self
+        while k:
+            if k & 1:
+                result = base if result is None else result.mul(base)
+            k >>= 1
+            if k:
+                base = base.mul(base)
+        return GradedFunction.one(self.sig) if result is None else result
 
     # --- evaluation and calculus ---------------------------------------
 

@@ -131,6 +131,29 @@ class TestExitCodes:
         assert rep["tables"]["flattened"] == ["x", "p"]
         assert rep["tables"]["checks"] == {"span_preserved": True, "inverse_ok": True}
 
+    def test_membership_leaves_out_generators_past_the_degree_cap(self, tmp_path, capsys):
+        # P's coefficient in a degree-0 bracket would have degree 2, past the
+        # cap of 1; [A, B] = A is certified without it
+        doc = tmp_path / "cap.gm"
+        doc.write_text("chart\nbase x y\ncoord p : 2\nvf A : 0 {\n  d/dx = 1\n}\n"
+                       "vf B : 0 {\n  d/dx = x\n  d/dy = 1\n}\nvf P : -2 {\n  d/dp = 1\n}\n"
+                       "dist D = A, B, P @ points (0, 0)\n")
+        for cmd, want in (("involutive", 0), ("frobenius", 3)):
+            code, rep = run_json(capsys, cmd, str(doc))
+            capped, capped_rep = run_json(capsys, cmd, str(doc), "--max-degree", "1")
+            assert code == capped == want, capped_rep["witnesses"]
+            assert capped_rep["witnesses"] == rep["witnesses"]
+        assert rep["witnesses"]["unsupported"] == "NonConstantSymbols"
+        # [A, B] = d/dy is in no span of A and B: below the cap the answer is unknown
+        doc.write_text("chart\nbase x y\ncoord p : 2\nvf A : 0 {\n  d/dx = 1\n}\n"
+                       "vf B : 0 {\n  d/dy = x\n}\nvf P : -2 {\n  d/dp = 1\n}\n"
+                       "dist D = A, B, P @ points (1, 0)\n")
+        code, rep = run_json(capsys, "involutive", str(doc))
+        assert code == 1 and rep["witnesses"]["bracket"] == {"d/dy": "1"}
+        code, rep = run_json(capsys, "involutive", str(doc), "--max-degree", "1")
+        assert code == 2
+        assert rep["witnesses"]["error"] == "membership coefficient degree exceeds the cap"
+
     def test_check_coalgebra_and_admissible(self, capsys):
         code, _ = run(capsys, "check-coalgebra", str(GOLDEN / "wedge22.gm"))
         assert code == 0

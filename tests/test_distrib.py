@@ -21,6 +21,7 @@ from gradman.distrib import (
     single_field_normal_form,
 )
 from gradman.errors import (
+    DegreeOverflow,
     HypothesisFailed,
     NonConstantSymbols,
     NonPolynomialFlatFrame,
@@ -136,6 +137,50 @@ class TestMembership:
         x = dd(sig, "e").scale(gen(sig, "f"))
         cert = membership(x, d)
         assert cert.ok and cert.coefficients[0] == gen(sig, "f")
+
+
+class TestMembershipUnderDegreeCap:
+    """A generator whose coefficient would pass the chart's degree cap is
+    left out; a refutation without it is refused as unknown below the cap."""
+
+    @staticmethod
+    def chart(cap=None):
+        return GradedSignature(2, ("x", "y"), [(), ("p",)], max_degree=cap)
+
+    def test_bracket_spanned_below_the_cap_is_certified(self):
+        # [A, B] = A needs no multiple of P, whose coefficient would have degree 2
+        for cap in (None, 1):
+            sig = self.chart(cap)
+            x = GradedFunction.base_var(sig, 0)
+            a, p = dd(sig, "x"), dd(sig, "p")
+            b = a.scale(x).add(dd(sig, "y"))
+            dist = make_distribution([a, b, p], [(0, 0)])
+            cert = membership(bracket(a, b), dist)
+            assert cert.ok and cert.coefficients == [
+                GradedFunction.one(sig), GradedFunction.zero(sig), GradedFunction.zero(sig)]
+            assert is_involutive(dist).involutive
+
+    def test_refutation_that_needs_the_capped_generator_is_refused(self):
+        # p * d/dp lies in the span only with the coefficient p on P
+        sig = self.chart()
+        dist = make_distribution([dd(sig, "x"), dd(sig, "y"), dd(sig, "p")], [(0, 0)])
+        x = dd(sig, "p").scale(gen(sig, "p"))
+        cert = membership(x, dist)
+        assert cert.ok and cert.coefficients[2] == gen(sig, "p")
+        sig = self.chart(1)
+        dist = make_distribution([dd(sig, "x"), dd(sig, "y"), dd(sig, "p")], [(0, 0)])
+        x = VectorField(sig, 0, {gen_coord((2, 0)): gen(sig, "p")})
+        with pytest.raises(DegreeOverflow, match="membership coefficient degree exceeds the cap"):
+            membership(x, dist)
+
+    def test_no_unknowns_below_the_cap_is_refused(self):
+        # d/dx against P alone: P's coefficient would have degree 2
+        sig = self.chart(1)
+        dist = make_distribution([dd(sig, "p")], [(0, 0)])
+        with pytest.raises(DegreeOverflow, match="membership coefficient degree exceeds the cap"):
+            membership(dd(sig, "x"), dist)
+        cert = membership(dd(sig, "x"), make_distribution([dd(self.chart(), "p")], [(0, 0)]))
+        assert not cert.ok
 
 
 class TestInvolutivity:
@@ -730,3 +775,52 @@ class TestIdentityStep:
         calls.clear()
         assert normal_form_outcome(frobenius_normal_form, dist) == want
         assert len(calls) == len(dist.generators)
+
+
+class TestStepInverseCheck:
+    """`_Flattening.step` checks its inverse on the coordinates its arguments
+    name; the maps fix every other one."""
+
+    SIG = GradedSignature(1, ("x1", "x2"), [("e1", "e2")])
+
+    def state(self):
+        sig = self.SIG
+        return _Flattening(make_distribution([dd(sig, "x1"), dd(sig, "e1")], [[0, 0]]))
+
+    def test_wrong_inverse_on_a_generator_only_the_inverse_names(self):
+        sig = self.SIG
+        e1, e2 = gen(sig, "e1"), gen(sig, "e2")
+        for gmap, inv_gmap in [({}, {(1, 1): e2.add(e1)}),
+                               ({(1, 0): e1.add(e2)}, {(1, 0): e1.sub(e2), (1, 1): e2.add(e1)})]:
+            with pytest.raises(NonPolynomialFlatFrame,
+                               match="substitution inverse verification failed"):
+                self.state().step(gmap, inv_gmap)
+
+    def test_wrong_inverse_base(self):
+        sig = self.SIG
+        x1, x2 = (GradedFunction.base_var(sig, a) for a in range(2))
+        state = self.state()
+        with pytest.raises(NonPolynomialFlatFrame,
+                           match="substitution inverse verification failed"):
+            state.step({}, {}, [x1.add(x2), x2], [x1.add(x2), x2])
+        state.step({}, {}, [x1.add(x2), x2], [x1.sub(x2), x2])
+        assert state.total_nio.base == [x1.add(x2), x2]
+        assert state.total_oin.base == [x1.sub(x2), x2]
+
+    def test_identity_linear_step_computes_no_inverse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(distrib, "poly_inverse",
+                            lambda m: calls.append(m) or poly_inverse(m))
+        state = self.state()
+        before = (state.total_nio, state.total_oin, state.gens)
+        words = [((1, 0),), ((1, 1),)]
+        rows = {(1, 0): 0, (1, 1): 1}
+        state.linear_step(words, rows, PolyMatrix.identity(2, 2), 1)
+        assert calls == []
+        assert (state.total_nio, state.total_oin, state.gens) == before
+        assert state.total_nio is before[0] and state.total_oin is before[1]
+        assert state.gens is before[2]
+        swap = PolyMatrix.from_rat(2, 2, [[0, 1], [1, 0]], 2)
+        state.linear_step(words, rows, swap, 1)
+        assert len(calls) == 1
+        assert state.gens[1] == dd(self.SIG, "e2")

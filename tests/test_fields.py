@@ -467,6 +467,68 @@ class TestMovedCoordinates:
         assert m.after(back).is_identity()
 
 
+def rand_function(rng, sig):
+    """A chart function of mixed degree up to 3, often with a constant term."""
+    words = [w for k in range(4) for w in monomials_of_degree(sig.gen_ids(), k)]
+    terms = {(): Poly.const(sig.m0, rng.randint(-2, 2))}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(sig.m0))
+        terms[rng.choice(words)] = Poly(sig.m0, {exps: Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+    return GradedFunction(sig, terms)
+
+
+class TestApplyToOracle:
+    """`apply_to` substitutes only the terms that involve a moved coordinate;
+    each result must equal the substitution of the whole function."""
+
+    def check(self, rng, m, sig):
+        for _ in range(6):
+            f = rand_function(rng, sig)
+            got = m.apply_to(f)
+            assert got == f.substitute(m.target, m.base, m.gens) and got.sig == m.target
+
+    def test_maps_that_fix_some_coordinates(self):
+        rng = random.Random(2401)
+        seen = set()
+        for _ in range(40):
+            sig = random_signature(rng)
+            seen.add(sig.m0)
+            full, ident = random_triangular_substitution(rng, sig), ChartMap.identity(sig)
+            keep = {c for c in all_coords(sig) if rng.random() < 0.5}
+            pick = [(full if c in keep else ident).image(c) for c in all_coords(sig)]
+            m = ChartMap(sig, sig, pick[:sig.m0], dict(zip(sig.gen_ids(), pick[sig.m0:])))
+            self.check(rng, m, sig)
+        assert seen == {1, 2}
+
+    def test_images_assigned_or_restored_after_construction(self):
+        rng = random.Random(2402)
+        seen = set()
+        for _ in range(40):
+            sig = random_signature(rng)
+            seen.add(sig.m0)
+            m = shear_identity(rng, sig)
+            self.check(rng, m, sig)
+            m = random_triangular_substitution(rng, sig)
+            self.check(rng, m, sig)
+            ident = ChartMap.identity(sig)
+            for c in rng.sample(all_coords(sig), 2):
+                (m.base if c[0] == "x" else m.gens)[c[1]] = ident.image(c)
+            self.check(rng, m, sig)
+        assert seen == {1, 2}
+
+    def test_chart_changing_maps(self):
+        rng = random.Random(2403)
+        for m0 in (1, 2):
+            sig = GradedSignature(2, [f"x{a + 1}" for a in range(m0)], [("e1", "e2"), ("p",)])
+            other = GradedSignature(2, [f"y{a + 1}" for a in range(m0)], [("f1", "f2"), ("u",)])
+            for _ in range(10):
+                full = random_triangular_substitution(rng, other)
+                m = ChartMap(sig, other, full.base, full.gens)
+                self.check(rng, m, sig)
+                const = GradedFunction.constant(sig, 3)
+                assert m.apply_to(const) == GradedFunction.constant(other, 3)
+
+
 class TestCompatDerivations:
     def test_to_compat_passes_check_on_corpus(self):
         rng = random.Random(83)

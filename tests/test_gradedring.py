@@ -255,6 +255,36 @@ class TestOperators:
         assert not GradedFunction.monomial(SIG, (SIG.gen_by_name("e1"),) * 2, Poly.one(2))
 
 
+class TestPow:
+    # a 1|1|1 chart whose cap lets p^8 through
+    R111 = GradedSignature(2, ("x",), [("e",), ("p",)], max_degree=17)
+
+    def chart_function(self):
+        sig = self.R111
+        x, e, p = (GradedFunction.base_var(sig, 0), GradedFunction.from_gen(sig, (1, 0)),
+                   GradedFunction.from_gen(sig, (2, 0)))
+        return x.add(GradedFunction.constant(sig, Fraction(1, 2))).add(e).add(p.scale(3))
+
+    def test_pow_matches_the_k_fold_product(self):
+        f = self.chart_function()
+        prod = GradedFunction.one(self.R111)
+        for k in range(6):
+            assert f.pow(k) == prod, k
+            prod = prod.mul(f)
+
+    def test_pow_makes_no_product_by_one_and_no_unread_square(self, monkeypatch):
+        f = self.chart_function()
+        calls = []
+        mul = GradedFunction.mul
+        monkeypatch.setattr(GradedFunction, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        for k, products in ((1, 0), (2, 1), (8, 3)):
+            calls.clear()
+            f.pow(k)
+            assert len(calls) == products, k
+        calls.clear()
+        assert f.pow(0) == GradedFunction.one(self.R111) and calls == []
+
+
 class TestCanonicalConstruction:
     XSIG = GradedSignature(1, ("x",), [("e1", "e2")])
     E1, E2 = (1, 0), (1, 1)
