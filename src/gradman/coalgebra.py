@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DvbNotExact, NotAdmissible, UnsupportedXDependence
@@ -80,6 +80,7 @@ class CoalgebraBundle:
         self._columns_cache: dict = {}
         self._one = Poly.one(self.nvars)
         self._integer_view: Optional[CoalgebraBundle] = None
+        self._constant: Optional[bool] = None
 
     # --- basic structure -------------------------------------------------
 
@@ -90,9 +91,12 @@ class CoalgebraBundle:
         return [(i, a) for a in range(self.rank(i))]
 
     def is_constant(self) -> bool:
-        return all(
-            m.is_constant() for blocks in self.mu.values() for m in blocks.values()
-        )
+        """Whether every mu entry is constant, scanned once and kept."""
+        if self._constant is None:
+            self._constant = all(
+                m.is_constant() for blocks in self.mu.values() for m in blocks.values()
+            )
+        return self._constant
 
     def tensor_basis(self, length: int, degree: int) -> list:
         """All `length`-tuples of frame elements with total degree `degree`, lex ordered."""
@@ -158,15 +162,20 @@ class CoalgebraBundle:
             cols = {i: [[(p, c.terms[z]) for p, c in col.items()] for col in self.mu_columns(i)]
                     for i in range(2, self.n + 1)}
             lam = lcm(*(c.denominator for cs in cols.values() for col in cs for _, c in col))
-            view = CoalgebraBundle(self.n, self.base_names, self.ranks, {})
-            view._tensor_cache = self._tensor_cache
-            view._columns_cache = {
+            self._keep_view({
                 i: [{p: c.numerator * (lam // c.denominator) for p, c in col} for col in cs]
                 for i, cs in cols.items()
-            }
-            view._one, view.lam = 1, lam
-            self._integer_view = view
+            }, lam)
         return self._integer_view
+
+    def _keep_view(self, columns: dict, lam: int):
+        """Keep as `integer_view` the bundle whose `mu_columns` are the given
+        int columns, lam times this bundle's."""
+        view = CoalgebraBundle(self.n, self.base_names, self.ranks, {})
+        view._tensor_cache = self._tensor_cache
+        view._columns_cache = columns
+        view._one, view.lam = 1, lam
+        self._integer_view = view
 
     def mu_rows(self, i: int) -> list:
         """Comultiplication at degree -i as rows over the ordered pairs that
@@ -354,6 +363,23 @@ def _swap_kernel(pairs: list, index: dict, one) -> list:
     return basis
 
 
+def _minus(img: dict, ref: dict) -> dict:
+    """img - ref for sparse tuple columns; img is updated in place."""
+    for T, c in ref.items():
+        accumulate(img, T, -c)
+    return img
+
+
+def _invariant(col: dict, a: int) -> bool:
+    """Whether a sparse tuple column is fixed by the adjacent transposition
+    s_a: the entry at s_a.T is the Koszul sign times the entry at T."""
+    for T, c in col.items():
+        u, v = T[a], T[a + 1]
+        if col.get(T[:a] + (v, u) + T[a + 2:]) != (-c if u[0] & v[0] & 1 else c):
+            return False
+    return True
+
+
 def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     """Constraint space at the given negative degree.
 
@@ -380,11 +406,18 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     On a constant bundle the columns come from `integer_view`, scaled by
     lam: every term of a length-L variant is a product of L - 2 entries, so
     each difference of that length scales by lam^(L-2) as a whole, which
-    changes no kernel and no zero test.  Every column, difference, image
-    and basis vector is then an int, and each constraint matrix goes to
-    `rat_kernel`.  The vectors equal those of the Q[x] path: both kernels
-    are positive multiples of the standard kernel vectors, and each updated
-    basis vector is made primitive and kept as a sparse dict by pair position.
+    changes no kernel and no zero test.  Each variant then acts on the
+    int images R(x) of the basis vectors x, taken once per basis: a split
+    maps x through its own pair columns and a transposition permutes R(x),
+    one permutation per basis vector; the comultiplication columns are
+    tested on their R-images.  Each constraint matrix goes to `rat_kernel`,
+    whose vectors do not depend on the order of the rows, and they equal
+    those of the Q[x] path: both kernels are positive multiples of the
+    standard kernel vectors, and each updated basis vector is made
+    primitive and kept as a sparse dict by pair position.  `kernel_basis`
+    scales each vector by the pivot determinant, which depends on which
+    rows are pivots, so the Q[x] path keeps the row order of the sums of
+    per-pair differences V(p) - R(p).
     """
     if not (-(E.n + 1) <= degree <= -2):
         raise ValueError("degree out of range for constraint space")
@@ -403,26 +436,36 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     basis = _swap_kernel(pairs, index, one)
     for length in range(3, d + 1):
         ref_cols = _variant_pair_columns(view, d, 0, length - 2)
-        splits = (_variant_pair_columns(view, d, k, length - 2 - k)
-                  for k in range(1, length - 1))
-        swaps = ([permute_column(c, (*range(a), a + 1, a, *range(a + 2, length)))
-                  for c in ref_cols] for a in range(length - 1))
-        for var_cols in itertools.chain(splits, swaps):
+        refs = mu_refs = None
+        # k > 0 is the split mu^k (x) mu^(L-2-k), k <= 0 the transposition s_(k+L-1)
+        for k in itertools.chain(range(1, length - 1), range(1 - length, 0)):
             if not basis:
                 break
-            diffs = [dict(col) for col in var_cols]
-            for diff, ref in zip(diffs, ref_cols):
-                for T, c in ref.items():
-                    accumulate(diff, T, -c)
-            images = [_image(diffs, vec.items()) for vec in basis]
-            tuples_seen = {}
-            for img in images:
-                for t in img:
-                    tuples_seen.setdefault(t, len(tuples_seen))
-            if not tuples_seen:
+            if k > 0:
+                cols = _variant_pair_columns(view, d, k, length - 2 - k)
+            else:
+                a = k + length - 1
+                perm = (*range(a), a + 1, a, *range(a + 2, length))
+            if constant:
+                if refs is None:
+                    refs = [_image(ref_cols, vec.items()) for vec in basis]
+                images = [_minus(_image(cols, vec.items()) if k > 0 else permute_column(ref, perm),
+                                 ref) for vec, ref in zip(basis, refs)]
+            else:
+                var_cols = cols if k > 0 else [permute_column(c, perm) for c in ref_cols]
+                diffs = [_minus(dict(col), ref) for col, ref in zip(var_cols, ref_cols)]
+                images = [_image(diffs, vec.items()) for vec in basis]
+            if not any(images):
                 continue
-            if contains:
+            if contains and constant:
+                if mu_refs is None:
+                    mu_refs = [_image(ref_cols, vec) for vec in mu_vecs]
+                contains = all(_image(cols, vec) == ref if k > 0 else _invariant(ref, a)
+                               for vec, ref in zip(mu_vecs, mu_refs))
+            elif contains:
                 contains = not any(_image(diffs, vec) for vec in mu_vecs)
+            seen = dict.fromkeys(t for img in images for t in img)
+            tuples_seen = {t: r for r, t in enumerate(seen)}
             m = [[zero] * len(basis) for _ in tuples_seen]
             for col, img in enumerate(images):
                 for t, c in img.items():
@@ -442,7 +485,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                         for s, b in basis[t].items():
                             accumulate(vec, s, coeff * b)
                 new_basis.append(dict(zip(vec, primitive_vector(list(vec.values())))))
-            basis = new_basis
+            basis, refs = new_basis, None
         if not basis:
             break
     return KSpace(degree, pairs, basis, contains)
@@ -517,7 +560,9 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
     The degree -i fiber carries the canonical monomial basis in the
     generators; the comultiplication is dual to the product, so each matrix
     entry is the Koszul sign of merging the two row words into the column
-    word.
+    word.  Each sign goes into the Poly block and, in the same pass, into the
+    columns of the bundle's `integer_view` (lam = 1) at the pair and, with
+    the Koszul sign of the swap, at its mirror; the bundle is known constant.
     """
     gens = sorted(gens, key=lambda t: t[0])
     by_degree: Dict[int, list] = {}
@@ -531,29 +576,33 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
     nv = len(base_names)
     mon_index = {i: {w: t for t, w in enumerate(monomials[i])} for i in range(1, n + 1)}
     mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]] = {}
+    columns = {}
     for i in range(2, n + 1):
         blocks = {}
+        cols = columns[i] = [{} for _ in range(ranks[i])]
         for j in range(1, i // 2 + 1):
             k = i - j
             if ranks.get(j, 0) == 0 or ranks.get(k, 0) == 0:
                 continue
-            rows = ranks[j] * ranks[k]
-            m = PolyMatrix.zero(rows, ranks[i], nv)
+            m = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
+            mirror = -1 if j & k & 1 else 1
             for a, wa in enumerate(monomials[j]):
                 for b, wb in enumerate(monomials[k]):
                     sign, canon = koszul_merge(wa, wb)
                     if sign == 0:
                         continue
-                    c = mon_index[i].get(canon)
-                    if c is None:
-                        continue
+                    c = mon_index[i][canon]
                     m.entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
-            if not m.is_zero():
-                blocks[(j, k)] = m
+                    cols[c][((j, a), (k, b))] = sign
+                    if j < k:
+                        cols[c][((k, b), (j, a))] = sign * mirror
+                    blocks[(j, k)] = m
         mu[i] = blocks
     ordered = [(d, name) for d in sorted(by_degree) for name in by_degree[d]]
-    return CoalgebraBundle(n, base_names, ranks, mu,
-                           split=SplitData(ordered, monomials))
+    E = CoalgebraBundle(n, base_names, ranks, mu, split=SplitData(ordered, monomials))
+    E._constant = True
+    E._keep_view(columns, 1)
+    return E
 
 
 def split_coalgebra(ranks: Sequence[int], base_names: Sequence[str] = ()) -> CoalgebraBundle:
@@ -672,9 +721,10 @@ def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
     """Exact check of mu_F phi = (phi (x) phi) mu_E, per degree on sparse columns.
 
     On constant data it reads the integer views, lam_E and lam_F times the
-    bundles', and phi's entries once as numbers times t = lam_F / lam_E: the
-    left side carries t lam_F and the right, quadratic in phi, t^2 lam_E, the
-    same factor, so it compares lam_E lhs with lam_F rhs.
+    bundles', and phi's entries once as ints, D times the numbers, D being
+    their common denominator: the left side carries D lam_F and the right,
+    quadratic in phi, D^2 lam_E, so it compares D lam_E lhs with lam_F rhs
+    (each scale divided by their gcd), and every product is of ints.
     """
     if E.n != F.n:
         return False
@@ -682,21 +732,30 @@ def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
     if any((m.rows, m.cols) != (F.rank(i), E.rank(i)) for i, m in mats.items()):
         raise ValueError("morphism matrices have incompatible shapes")
     rows = {i: m.entries for i, m in mats.items()}
+    s_lhs = s_rhs = 1
     if E.is_constant() and F.is_constant() and all(m.is_constant() for m in mats.values()):
         E, F = E.integer_view(), F.integer_view()
-        t = 1 if E.lam == F.lam else Fraction(F.lam, E.lam)
-        rows = {i: _numbers(m, t) for i, m in mats.items()}
+        rows = {i: _numbers(m) for i, m in mats.items()}
+        den = lcm(*(v.denominator for m in rows.values() for row in m for v in row))
+        rows = {i: [[v.numerator * (den // v.denominator) for v in row] for row in m]
+                for i, m in rows.items()}
+        g = gcd(den * E.lam, F.lam)
+        s_lhs, s_rhs = den * E.lam // g, F.lam // g
     for i in range(2, E.n + 1):
         for c, col in enumerate(E.mu_columns(i)):
             lhs = _image(F.mu_columns(i), ((b, row[c]) for b, row in enumerate(rows[i])))
-            if lhs != push_column(rows, col):
+            if _scaled(lhs, s_lhs) != _scaled(push_column(rows, col), s_rhs):
                 return False
     return True
 
 
-def _numbers(m: PolyMatrix, t=1) -> list:
-    """Entry rows of a constant matrix as plain numbers times t."""
-    return [[p.terms.get((0,) * m.nvars, 0) * t for p in row] for row in m.entries]
+def _scaled(col: dict, s: int) -> dict:
+    return col if s == 1 else {p: s * c for p, c in col.items()}
+
+
+def _numbers(m: PolyMatrix) -> list:
+    """Entry rows of a constant matrix as plain numbers."""
+    return [[p.terms.get((0,) * m.nvars, 0) for p in row] for row in m.entries]
 
 
 def split_morphism_from_linear(linear: Dict[Elem, dict], S: CoalgebraBundle,

@@ -156,12 +156,16 @@ class VectorField:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Graded commutator, represented by its coordinate actions."""
+    """Graded commutator, represented by its coordinate actions.
+
+    Only the coordinates that X or Y acts on are visited: on any other c
+    both terms of [X, Y](c) apply a field to a zero action.
+    """
     if x.sig != y.sig:
         raise SignatureMismatch("fields live on different charts")
     sign = -1 if (x.degree * y.degree) % 2 else 1
     actions: Dict[Coord, GradedFunction] = {}
-    for c in set(x.actions) | set(y.actions) | set(all_coords(x.sig)):
+    for c in set(x.actions) | set(y.actions):
         target = coord_degree(c) + x.degree + y.degree
         if target < 0:
             continue

@@ -17,7 +17,13 @@ from typing import Dict, Optional, Sequence, Tuple
 from .coalgebra import CoalgebraBundle, CoalgebraMorphism, split_from_gens, splitting_iso
 from .errors import DegreeOverflow
 from .exactnum import Poly, rat_inverse
-from .gradedring import GradedFunction, GradedSignature
+from .gradedring import (
+    GradedFunction,
+    GradedSignature,
+    _gf,
+    dim_symmetric_component,
+    monomials_of_degree,
+)
 
 
 @dataclass
@@ -50,9 +56,7 @@ class ChartAlgebra:
         return [self.sig.rank(i) for i in range(1, self.n + 1)]
 
     def dimension_of_degree(self, level: int) -> int:
-        from .gradedring import monomials_of_degree
-
-        return len(monomials_of_degree(self.sig.gen_ids(), level))
+        return dim_symmetric_component([d for d, _ in self.sig.gen_ids()], level)
 
     def embed_covector(self, i: int, covector: Sequence) -> GradedFunction:
         """Chart function of a dual-frame covector in degree i."""
@@ -66,8 +70,6 @@ class ChartAlgebra:
         """Coefficients of a homogeneous chart function over the embedded frame."""
         if not f.is_homogeneous(degree) and not f.is_zero():
             raise ValueError("function is not homogeneous of the requested degree")
-        from .gradedring import monomials_of_degree
-
         words = monomials_of_degree(self.sig.gen_ids(), degree)
         windex = {w: t for t, w in enumerate(words)}
         vec = [Poly.zero(self.sig.m0) for _ in words]
@@ -105,15 +107,15 @@ def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlg
         words = S.split.monomials[i]
         # frame element a embeds as row a of the inverse splitting: the rows
         # of the splitting hold the frame coordinates of the chart monomials
-        embeddings[i] = [GradedFunction(sig, {w: Poly.const(sig.m0, c)
-                                              for w, c in zip(words, inv[a])})
+        # the split model's words are canonical, so the terms need no sort
+        embeddings[i] = [_gf(sig, {w: Poly.const(sig.m0, c) for w, c in zip(words, inv[a]) if c})
                          for a in range(r)]
         rules = []
         for mon, w in enumerate(words):
             if len(w) == 1 and w[0][0] == i:
                 continue
             covector = list(phi_rat[mon])
-            nf = GradedFunction.monomial(sig, w, Poly.one(sig.m0))
+            nf = _gf(sig, {w: Poly.one(sig.m0)})
             rules.append(RewriteRule(i, covector, w, nf))
         rewrite_rules[i] = rules
     return ChartAlgebra(E, iso, sig, embeddings, rewrite_rules)

@@ -467,5 +467,21 @@ def _gf(sig: GradedSignature, terms: Dict[Gens, Poly]) -> GradedFunction:
 
 def dim_symmetric_component(gen_degrees: Sequence[int], level: int) -> int:
     """Dimension of the degree-`level` component of the free graded-commutative
-    algebra on generators of the given degrees (odd square to zero)."""
-    return len(monomials_of_degree([(d, i) for i, d in enumerate(gen_degrees)], level))
+    algebra on generators of the given degrees (odd square to zero).
+
+    It is the number of words `monomials_of_degree` lists, counted without
+    listing them: the coefficient of t^level in the product of (1 + t^d)
+    over odd d and 1 / (1 - t^d) over even d, one generator at a time in
+    O(level) additions.
+    """
+    if level < 0:
+        return 0
+    coeffs = [1] + [0] * level
+    for d in gen_degrees:
+        if d & 1:
+            for k in range(level, d - 1, -1):
+                coeffs[k] += coeffs[k - d]
+        else:
+            for k in range(d, level + 1):
+                coeffs[k] += coeffs[k - d]
+    return coeffs[level]

@@ -455,3 +455,15 @@ class TestSubstitution:
         t = SIG.truncate(1)
         f = gf_gen("e1").add(gf_gen("p1"))
         assert f.truncate_to(t) == GradedFunction.from_gen(t, (1, 0))
+
+
+class TestMonomialCount:
+    def test_count_equals_the_listed_words(self):
+        rng = random.Random(25)
+        for _ in range(60):
+            degrees = [rng.randint(1, 6) for _ in range(rng.randint(0, 6))]
+            gens = [(d, i) for i, d in enumerate(degrees)]
+            for level in range(10):
+                assert dim_symmetric_component(degrees, level) == \
+                    len(monomials_of_degree(gens, level)), (degrees, level)
+        assert dim_symmetric_component([1, 2], -1) == len(monomials_of_degree([(1, 0), (2, 0)], -1))
