@@ -28,6 +28,7 @@ from .errors import DvbNotExact, NotAdmissible, UnsupportedXDependence
 from .exactnum import (
     Poly,
     PolyMatrix,
+    _canon,
     accumulate,
     kernel_basis,
     primitive_vector,
@@ -80,6 +81,7 @@ class CoalgebraBundle:
         self._columns_cache: dict = {}
         self._one = Poly.one(self.nvars)
         self._integer_view: Optional[CoalgebraBundle] = None
+        self._splitting: Optional[Splitting] = None
         self._constant: Optional[bool] = None
 
     # --- basic structure -------------------------------------------------
@@ -167,6 +169,13 @@ class CoalgebraBundle:
                 for i, cs in cols.items()
             }, lam)
         return self._integer_view
+
+    def splitting(self) -> "Splitting":
+        """This constant bundle's `build_splitting`, built once and kept;
+        `check_admissible`, `splitting_iso` and `geometrize` read it."""
+        if self._splitting is None:
+            self._splitting = build_splitting(self)
+        return self._splitting
 
     def _keep_view(self, columns: dict, lam: int):
         """Keep as `integer_view` the bundle whose `mu_columns` are the given
@@ -523,7 +532,13 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
 
     The constant-rank flag compares rank M with the rank at every supplied
     sample point.  A constant M has one rank, at every point and over the
-    field: the rank of its `integer_view` rows.
+    field: the rank of its `integer_view` rows, or the number of pivots
+    the splitting kept.
+
+    A constant bundle with n >= 3 reads dim K and containment off its kept
+    splitting (proved in `build_splitting`) from degree -3 up to the first
+    failure; degree -2 (the closed-form swap kernel), a rank-mismatch
+    degree and the degrees past the failure keep `compute_K`.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -533,19 +548,25 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     per = {}
     ok = True
     constant = E.is_constant()
+    sp = E.splitting() if constant and E.n >= 3 else None
+    read, pivots = (sp.constraint, sp.pivots) if sp else ({}, {})
     for i in range(2, E.n + 1):
-        ks = compute_K(E, -i)
+        if i >= 3 and i in read:
+            k_rank, contains = read[i]
+        else:
+            ks = compute_K(E, -i)
+            k_rank, contains = ks.dim, ks.contains_image
         if constant:
-            im_rank = rat_rank(E.integer_view().mu_rows(i))
+            im_rank = len(pivots[i]) if i in pivots else rat_rank(E.integer_view().mu_rows(i))
             point_ranks = [im_rank]
         else:
             m = E.mu_matrix(i)
             point_ranks = [rank_at(m, p) for p in points]
-            im_rank = (ks.dim if ks.contains_image and max(point_ranks) == ks.dim
+            im_rank = (k_rank if contains and max(point_ranks) == k_rank
                        else rank_generic(m))
-        equal = ks.contains_image and im_rank == ks.dim
+        equal = contains and im_rank == k_rank
         const = all(r == im_rank for r in point_ranks)
-        per[-i] = AdmissibilityDegree(im_rank, ks.dim, equal, const)
+        per[-i] = AdmissibilityDegree(im_rank, k_rank, equal, const)
         ok = ok and equal and const
     return AdmissibilityReport(per, ok, points)
 
@@ -805,32 +826,105 @@ def split_morphism_from_linear(linear: Dict[Elem, dict], S: CoalgebraBundle,
 # --- the splitting isomorphism ----------------------------------------------
 
 
-def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:
-    """Isomorphism from an admissible bundle onto the split model on its kernels.
+@dataclass
+class Splitting:
+    """A constant bundle's splitting onto its split model (`build_splitting`):
+    the degrees below its first failure, that failure, and what
+    `check_admissible` reads per degree."""
+
+    split: CoalgebraBundle  # the split model, below the first rank mismatch
+    rows: dict  # degree -> number rows of phi_i, below the first failure
+    pivots: dict  # degree -> pivot columns of mu_i, through the first rank mismatch
+    constraint: dict  # degree -> (dim K, contains_image), through the first failed test
+    failure: Optional[str]  # the NotAdmissible message of the first failure
+
+
+def build_splitting(E: CoalgebraBundle) -> Splitting:
+    """The splitting of a constant bundle onto the split model on its kernels,
+    walked degree by degree up to its first failure.
 
     The split model has one generator per kernel direction of the
     comultiplication, so its ranks are the dimensions of the free
     graded-commutative algebra on the kernel counts.  They are compared with
     the bundle's first; the model is built only below the first mismatch,
-    which is refused after the degrees below it, so the refusals keep their
-    order.  Then, per degree: the standard kernel vector of a free column f
-    is 1 at f and 0 at the other free columns, and every pivot column is 0
-    at all free columns, so the rows onto the new generators are unit rows
-    at the free columns.  The rows onto the decomposable words hold the
-    preimage of each column pushed through the lower-degree map tensor
+    whose refusal stands unless a degree below it fails, so the refusals keep
+    their order.  Then, per degree: the standard kernel vector of a free
+    column f is 1 at f and 0 at the other free columns, and every pivot
+    column is 0 at all free columns, so the rows onto the new generators are
+    unit rows at the free columns.  The rows onto the decomposable words hold
+    the preimage of each column pushed through the lower-degree map tensor
     itself.  The split comultiplication only selects and signs: each ordered
     pair of split words lies in the column of one word, its Koszul merge,
     with sign +-1; so a coefficient is the pushed entry at one representative
     pair times its sign, and one sparse product checks that the coefficients
-    give the pushed column back, else the image leaves the constraint space.
-    The unit rows make the map block triangular: it is invertible exactly
-    when the decomposable rows are on the pivot columns.  Requires
-    fiberwise-constant comultiplication; pass `at_point` to work in a single
-    fiber otherwise.
+    give the pushed column back, else the image leaves the constraint space
+    and the walk stops.  The columns of the singleton words are zero, so a
+    degree j passes exactly when mu_S phi_j = (phi (x) phi) mu_E.
+
+    Each phi_j that passes is invertible, so no degree is refused as
+    singular.  Let phi below j be an isomorphism; then so is phi (x) phi on
+    the pairs of degree j.  The decomposable columns of mu_S are
+    independent: each is nonzero at its pair (first letter, rest), and no
+    pair lies in two of them.  So the decomposable rows D of phi_j have
+    ker D = ker mu_j.  The pivot columns of mu_j are independent, so D is
+    injective on them, and D has one row per pivot because the ranks match;
+    so D on the pivot columns is invertible, and so is phi_j, block
+    triangular with the unit rows.
+
+    Hence phi below degree i is a coalgebra isomorphism onto S, and
+    phi (x) phi maps K_i(E) onto K_i(S): K_i depends only on mu below i,
+    and every constraint variant commutes with such a map.  The split model
+    is admissible (the paper's canonical description), so K_i(S) is spanned
+    by its decomposable columns.  At each degree i the walk tests, dim K_i
+    is therefore the number of decomposable words, and im mu_i lies in K_i
+    exactly when the test passes; `constraint` keeps both.
 
     It runs on the ints of the `integer_view` and of the split model's (+-1):
     lam moves no pivot and scales the columns pushed through the number rows
     of the lower degrees, and their preimages, so each q is stored as q / lam.
+    """
+    V = E.integer_view()
+    counts, pivots, failure = [], {}, None
+    for i in range(1, E.n + 1):
+        pivots[i] = rat_pivots(V.mu_rows(i))
+        counts.append(E.rank(i) - len(pivots[i]))
+        rs = dim_symmetric_component([d for d, k in enumerate(counts, 1) for _ in range(k)], i)
+        if rs != E.rank(i):
+            failure = f"rank mismatch at degree {-i}: bundle rank {E.rank(i)}, split model rank {rs}"
+            counts.pop()
+            break
+    S = split_coalgebra(counts, E.base_names)
+    sp = Splitting(S, {}, pivots, {}, failure)
+    for i in range(1, S.n + 1):
+        r = E.rank(i)
+        free = [c for c in range(r) if c not in pivots[i]]
+        words = S.split.monomials[i]
+        decomp = [t for t, w in enumerate(words) if len(w) > 1]
+        s_cols = S.integer_view().mu_columns(i)
+        reps = [(t, *next(iter(s_cols[t].items()))) for t in decomp]
+        mat = [[0] * r for _ in range(r)]
+        for t, f in zip((t for t, w in enumerate(words) if len(w) == 1), free):
+            mat[t][f] = 1
+        for c, col in enumerate(V.mu_columns(i)):
+            pushed = push_column(sp.rows, col)
+            preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
+            if _image(s_cols, preimage) != pushed:
+                sp.constraint[i] = (len(decomp), False)
+                sp.failure = f"comultiplication image leaves the constraint space at degree {-i}"
+                return sp
+            for t, q in preimage:
+                mat[t][c] = _canon(Fraction(q, V.lam))
+        sp.constraint[i] = (len(decomp), True)
+        sp.rows[i] = mat
+    return sp
+
+
+def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:
+    """Isomorphism from an admissible bundle onto the split model on its
+    kernels, from the bundle's kept `splitting`: it raises the first failure
+    as NotAdmissible, or builds the morphism from the number rows.  Requires
+    fiberwise-constant comultiplication; pass `at_point` to split a single
+    fiber otherwise, a fresh constant bundle.
     """
     if not E.is_constant():
         if at_point is None:
@@ -844,47 +938,8 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
             for i, blocks in E.mu.items()
         }
         E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
-
-    V = E.integer_view()
-    counts, mu_pivots, mismatch = [], [], None
-    for i in range(1, E.n + 1):
-        mu_pivots.append(rat_pivots(V.mu_rows(i)))
-        counts.append(E.rank(i) - len(mu_pivots[-1]))
-        rs = dim_symmetric_component([d for d, k in enumerate(counts, 1) for _ in range(k)], i)
-        if rs != E.rank(i):
-            mismatch = NotAdmissible(
-                f"rank mismatch at degree {-i}: bundle rank {E.rank(i)}, split model rank {rs}"
-            )
-            counts.pop()
-            break
-    S = split_coalgebra(counts, E.base_names)
-
-    matrices: Dict[int, PolyMatrix] = {}
-    rows: Dict[int, list] = {}
-    for i in range(1, S.n + 1):
-        r = E.rank(i)
-        pivots = mu_pivots[i - 1]
-        free = [c for c in range(r) if c not in pivots]
-        words = S.split.monomials[i]
-        decomp = [t for t, w in enumerate(words) if len(w) > 1]
-        s_cols = S.integer_view().mu_columns(i)
-        reps = [(t, *next(iter(s_cols[t].items()))) for t in decomp]
-        mat = [[0] * r for _ in range(r)]
-        for t, f in zip((t for t, w in enumerate(words) if len(w) == 1), free):
-            mat[t][f] = 1
-        for c, col in enumerate(V.mu_columns(i)):
-            pushed = push_column(rows, col)
-            preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
-            if _image(s_cols, preimage) != pushed:
-                raise NotAdmissible(
-                    f"comultiplication image leaves the constraint space at degree {-i}"
-                )
-            for t, q in preimage:
-                mat[t][c] = Fraction(q, V.lam)
-        if pivots and rat_rank([[mat[t][c] for c in pivots] for t in decomp]) < len(pivots):
-            raise NotAdmissible(f"splitting map is singular at degree {-i}")
-        matrices[i] = PolyMatrix.from_rat(r, r, mat, E.nvars)
-        rows[i] = _numbers(matrices[i])
-    if mismatch is not None:
-        raise mismatch
-    return CoalgebraMorphism(E, S, matrices)
+    sp = E.splitting()
+    if sp.failure is not None:
+        raise NotAdmissible(sp.failure)
+    return CoalgebraMorphism(E, sp.split, {
+        i: PolyMatrix.from_rat(len(m), len(m), m, E.nvars) for i, m in sp.rows.items()})

@@ -90,6 +90,7 @@ class ChartAlgebra:
 def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlgebra:
     """Chart algebra of an admissible bundle with a pinned splitting choice."""
     iso = splitting_iso(E)
+    phi = E.splitting().rows  # the number rows the morphism was built from
     S = iso.target
     n = E.n
     counts = {i: 0 for i in range(1, n + 1)}
@@ -102,8 +103,7 @@ def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlg
     rewrite_rules: Dict[int, list] = {}
     for i in range(1, n + 1):
         r = E.rank(i)
-        phi_rat = iso.matrix(i).to_rat()
-        inv = rat_inverse(phi_rat)
+        inv = rat_inverse(phi[i])
         words = S.split.monomials[i]
         # frame element a embeds as row a of the inverse splitting: the rows
         # of the splitting hold the frame coordinates of the chart monomials
@@ -114,7 +114,7 @@ def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlg
         for mon, w in enumerate(words):
             if len(w) == 1 and w[0][0] == i:
                 continue
-            covector = list(phi_rat[mon])
+            covector = [Fraction(c) for c in phi[i][mon]]
             nf = _gf(sig, {w: Poly.one(sig.m0)})
             rules.append(RewriteRule(i, covector, w, nf))
         rewrite_rules[i] = rules

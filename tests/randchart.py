@@ -1,13 +1,17 @@
 """Shared randomized corpus builders for the higher-level tests."""
 
+import importlib
 import itertools
 import pathlib
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, Optional, Sequence, Tuple
 
 import gradman
 from gradman.coalgebra import (
+    AdmissibilityDegree,
+    AdmissibilityReport,
     CoalgebraBundle,
     CoalgebraMorphism,
     CoalgebraReport,
@@ -15,6 +19,7 @@ from gradman.coalgebra import (
     _image,
     _variant_pair_columns,
     apply_mu,
+    compute_K,
     permute_column,
     push_column,
     split_coalgebra,
@@ -49,6 +54,7 @@ from gradman.exactnum import (
     kernel_basis,
     poly_inverse,
     primitive_vector,
+    rank_at,
     rank_generic,
     rat_inverse,
     rat_pivots,
@@ -921,6 +927,50 @@ def poly_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) 
     if mismatch is not None:
         raise mismatch
     return CoalgebraMorphism(E, S, matrices)
+
+
+def reference_check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> AdmissibilityReport:
+    """`coalgebra.check_admissible` as it was before a constant bundle read
+    its constraint spaces off its splitting: `compute_K` at every degree,
+    and a constant bundle's image rank from its `integer_view` rows."""
+    points = [tuple(Fraction(x) for x in p) for p in sample_points]
+    if not points:
+        raise ValueError("at least one sample point is required")
+    if any(len(p) != E.nvars for p in points):
+        raise ValueError("point has wrong length")
+    per = {}
+    ok = True
+    constant = E.is_constant()
+    for i in range(2, E.n + 1):
+        ks = compute_K(E, -i)
+        if constant:
+            im_rank = rat_rank(E.integer_view().mu_rows(i))
+            point_ranks = [im_rank]
+        else:
+            m = E.mu_matrix(i)
+            point_ranks = [rank_at(m, p) for p in points]
+            im_rank = (ks.dim if ks.contains_image and max(point_ranks) == ks.dim
+                       else rank_generic(m))
+        equal = ks.contains_image and im_rank == ks.dim
+        const = all(r == im_rank for r in point_ranks)
+        per[-i] = AdmissibilityDegree(im_rank, ks.dim, equal, const)
+        ok = ok and equal and const
+    return AdmissibilityReport(per, ok, points)
+
+
+def bench_pool(name: str, seed: int) -> list:
+    """(spec, bundle) for each case of a benchmark workload's pool, built
+    through `bench/workloads.py` on the gradman modules already imported;
+    nothing under `bench/` is written."""
+    bench = str(pathlib.Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from workloads import WORKLOADS
+
+    gm = SimpleNamespace(**{m: importlib.import_module(f"gradman.{m}")
+                            for m in ("errors", "exactnum", "coalgebra", "geometrize")})
+    workload = WORKLOADS[name]
+    return [(spec, workload.build(spec, gm)) for spec in workload.make_pool(seed, gm)]
 
 
 def morphism_inverse(self: CoalgebraMorphism) -> CoalgebraMorphism:

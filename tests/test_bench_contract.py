@@ -64,3 +64,21 @@ def test_traced_workload_cases_pass(name):
     assert tracer.calls[run.ROOT_SPAN] == CASES_PER_WORKLOAD
     assert sum(tracer.calls.values()) > CASES_PER_WORKLOAD
     assert {(m, p): resolve(gm, m, p) for m, p in originals} == originals
+
+
+def test_split_tower_reads_constraint_spaces_off_the_splitting():
+    # a constant bundle calls compute_K at degree -2 and past its splitting's
+    # first failure only: 50 calls per traced pass, 123 with one per degree
+    gm = engine()
+    workload = WORKLOADS["split-tower"]
+    pool = workload.make_pool(run.DEFAULT_SEEDS["split-tower"], gm)
+    tracer = Tracer(gm)
+    tally = run.Run(workload, gm)
+    tracer.install()
+    try:
+        for index, spec in enumerate(pool[:workload.trace_cases]):
+            tally.case(index, spec, root=tracer.root)
+    finally:
+        tracer.uninstall()
+    assert tally.failed == 0, tally.failures
+    assert tracer.calls["coalgebra.compute_K"] == 50

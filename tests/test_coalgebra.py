@@ -44,6 +44,7 @@ from gradman.exactnum import (
 )
 from randchart import (
     SPLIT_CORPUS,
+    bench_pool,
     conjugate_frames,
     dense_vectors,
     full_mu,
@@ -52,6 +53,7 @@ from randchart import (
     poly_check_coalgebra,
     poly_morphism_check,
     poly_splitting_iso,
+    reference_check_admissible,
     reference_compute_K,
     reference_dvb_coalgebra,
     reference_splitting_iso,
@@ -1643,3 +1645,115 @@ class TestConstantVerdictWorkOnce:
         monkeypatch.undo()
         assert poly_morphism_check(phi, e, f)
         assert not poly_morphism_check(bad, e, f)
+
+
+# --- admissibility read off the kept splitting -------------------------------
+
+
+def middle_failure_bundles():
+    """Degree-4 split bundles whose splitting fails at degree -3, under
+    random frames: a nonzero degree -3 column given a 1 at a pair where it
+    was zero, which keeps its rank and in general takes the image out of
+    the constraint space; and a nonzero degree -3 column zeroed, a rank
+    mismatch."""
+    rng = random.Random(41)
+    for profile in [(2, 1, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1)]:
+        s = split_coalgebra(list(profile))
+        m = s.mu[3][(1, 2)]
+        c = next(c for c in range(m.cols) if any(not row[c].is_zero() for row in m.entries))
+        r = next(r for r, row in enumerate(m.entries) if row[c].is_zero())
+        moved = [list(row) for row in m.entries]
+        moved[r][c] = Poly.one(0)
+        zeroed = [[Poly.zero(0) if k == c else p for k, p in enumerate(row)]
+                  for row in m.entries]
+        for entries in (moved, zeroed):
+            mu = {i: dict(blocks) for i, blocks in s.mu.items()}
+            mu[3][(1, 2)] = PolyMatrix(m.rows, m.cols, entries, 0)
+            yield conjugate_frames(rng, CoalgebraBundle(s.n, (), dict(s.ranks), mu))
+
+
+def splitting_corpus():
+    """Constant bundles whose admissibility and splitting are compared with
+    the references: both `split-tower` pools, SPLIT_CORPUS and its
+    conjugates, `oracle_corpus`, the constant symmetry-broken bundles and the
+    middle-degree failures."""
+    rng = random.Random(43)
+    for seed in (11, 7011):
+        yield from (e for _, e in bench_pool("split-tower", seed))
+    for profile in SPLIT_CORPUS:
+        s = split_coalgebra(list(profile))
+        yield s
+        yield conjugate_frames(rng, s)
+    yield from (e for e in oracle_corpus() if e.is_constant())
+    yield from (e for e, _ in symmetry_broken_bundles() if e.is_constant())
+    yield from middle_failure_bundles()
+
+
+class TestAdmissibilityOffTheSplitting:
+    def test_reports_and_splittings_match_the_references(self):
+        outcomes = Counter()
+        # the Poly-path reference takes seconds on the 3|3|3|3 profiles
+        slow = split_coalgebra([3, 3, 3, 3]).ranks
+        for e in splitting_corpus():
+            points = [(0,) * e.nvars]
+            assert check_admissible(e, points) == reference_check_admissible(e, points), e
+            got = splitting_outcome(splitting_iso, e)
+            if e.ranks != slow:
+                assert got == splitting_outcome(poly_splitting_iso, e), e
+            outcomes[got.split(" at degree")[0] if isinstance(got, str) else "split"] += 1
+        assert outcomes["split"] and outcomes["rank mismatch"] and outcomes[
+            "comultiplication image leaves the constraint space"], outcomes
+
+    def spy(self, monkeypatch):
+        calls = {"build": 0, "compute_K": []}
+        build, compute = coalgebra.build_splitting, coalgebra.compute_K
+
+        def spy_build(E):
+            calls["build"] += 1
+            return build(E)
+
+        def spy_compute(E, degree):
+            calls["compute_K"].append(degree)
+            return compute(E, degree)
+
+        monkeypatch.setattr(coalgebra, "build_splitting", spy_build)
+        monkeypatch.setattr(coalgebra, "compute_K", spy_compute)
+        return calls
+
+    def test_one_splitting_per_verdict(self, monkeypatch):
+        from gradman.geometrize import geometrize
+
+        e = conjugate_frames(random.Random(7), split_coalgebra([2, 2, 2]))
+        calls = self.spy(monkeypatch)
+        assert check_admissible(e, ORIGIN).admissible
+        chart = geometrize(e)
+        assert morphism_check(chart.iso, e, chart.iso.target)
+        assert splitting_iso(e).matrices == chart.iso.matrices
+        assert calls == {"build": 1, "compute_K": [-2]}
+
+    def test_degrees_past_a_middle_failure_fall_back(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        messages = Counter()
+        for e in middle_failure_bundles():
+            calls["compute_K"].clear()
+            rep = check_admissible(e, ORIGIN)
+            assert rep == reference_check_admissible(e, ORIGIN), e
+            with pytest.raises(NotAdmissible, match="at degree -3") as refusal:
+                splitting_iso(e)
+            kind = str(refusal.value).split(" at degree")[0]
+            messages[kind] += 1
+            # a failed containment test still reads degree -3 off the split
+            # model; a rank mismatch leaves it to compute_K, and so does -4
+            past = [-4] if kind == "comultiplication image leaves the constraint space" else [-3, -4]
+            assert calls["compute_K"][1:] == past and calls["compute_K"][0] == -2, (e, kind)
+            assert not rep.per_degree[-3].equal and rep.per_degree[-2].equal
+            with pytest.raises(NotAdmissible, match=str(refusal.value)):
+                splitting_iso(e)
+        assert calls["build"] == sum(messages.values()) and len(messages) == 2, messages
+
+    def test_two_degree_bundles_build_no_splitting(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for e in (split_coalgebra([3, 3]), conjugate_frames(random.Random(2),
+                                                            split_coalgebra([2, 1]))):
+            assert check_admissible(e, ORIGIN).admissible
+        assert calls == {"build": 0, "compute_K": [-2, -2]}
