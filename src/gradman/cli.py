@@ -978,8 +978,8 @@ def cmd_frobenius(doc: Document, args) -> Report:
 
 def cmd_roundtrip(doc: Document, args) -> Report:
     _, e = _bundle(doc, args)
-    # phi is the splitting, which splitting_iso refuses when singular and
-    # geometrize has already inverted in every degree
+    # phi is the splitting, invertible in every degree that passes (the
+    # build_splitting docstring), which geometrize has already inverted
     f, phi = roundtrip(e)
     ok = morphism_check(phi, e, f)
     tables = {

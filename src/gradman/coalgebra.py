@@ -282,16 +282,16 @@ def push_column(phi, col: dict) -> dict:
 
 
 def _variant_pair_columns(E: CoalgebraBundle, degree: int, k: int, l: int) -> list:
-    """Columns of mu^k (x) mu^l over the ordered pair basis at -degree."""
-    pairs = E.tensor_basis(2, degree)
+    """Columns of mu^k (x) mu^l over the ordered pair basis at -degree; the
+    iterates' terms are nonzero and their tuples concatenate to distinct
+    tuples, so each entry is one product."""
     cols = []
-    for (u, v) in pairs:
-        cu = E.power_columns(u, k)
-        cv = E.power_columns(v, l)
+    for u, v in E.tensor_basis(2, degree):
+        cu, cv = E.power_columns(u, k), E.power_columns(v, l)
         col: dict = {}
         for t1, c1 in cu.items():
             for t2, c2 in cv.items():
-                accumulate(col, t1 + t2, c1 * c2)
+                col[t1 + t2] = c1 * c2
         cols.append(col)
     return cols
 
@@ -379,16 +379,6 @@ def _minus(img: dict, ref: dict) -> dict:
     return img
 
 
-def _invariant(col: dict, a: int) -> bool:
-    """Whether a sparse tuple column is fixed by the adjacent transposition
-    s_a: the entry at s_a.T is the Koszul sign times the entry at T."""
-    for T, c in col.items():
-        u, v = T[a], T[a + 1]
-        if col.get(T[:a] + (v, u) + T[a + 2:]) != (-c if u[0] & v[0] & 1 else c):
-            return False
-    return True
-
-
 def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     """Constraint space at the given negative degree.
 
@@ -415,18 +405,13 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     On a constant bundle the columns come from `integer_view`, scaled by
     lam: every term of a length-L variant is a product of L - 2 entries, so
     each difference of that length scales by lam^(L-2) as a whole, which
-    changes no kernel and no zero test.  Each variant then acts on the
-    int images R(x) of the basis vectors x, taken once per basis: a split
-    maps x through its own pair columns and a transposition permutes R(x),
-    one permutation per basis vector; the comultiplication columns are
-    tested on their R-images.  Each constraint matrix goes to `rat_kernel`,
-    whose vectors do not depend on the order of the rows, and they equal
-    those of the Q[x] path: both kernels are positive multiples of the
-    standard kernel vectors, and each updated basis vector is made
-    primitive and kept as a sparse dict by pair position.  `kernel_basis`
-    scales each vector by the pivot determinant, which depends on which
-    rows are pivots, so the Q[x] path keeps the row order of the sums of
-    per-pair differences V(p) - R(p).
+    changes no kernel and no zero test.  Both rings then run one body on the
+    per-pair differences V(p) - R(p), and only the kernel call differs: a
+    constant constraint matrix goes to `rat_kernel`, whose vectors do not
+    depend on the order of the rows, and they equal those of `kernel_basis`:
+    both kernels are positive multiples of the standard kernel vectors, and
+    each updated basis vector is made primitive and kept as a sparse dict by
+    pair position.
     """
     if not (-(E.n + 1) <= degree <= -2):
         raise ValueError("degree out of range for constraint space")
@@ -445,33 +430,21 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     basis = _swap_kernel(pairs, index, one)
     for length in range(3, d + 1):
         ref_cols = _variant_pair_columns(view, d, 0, length - 2)
-        refs = mu_refs = None
         # k > 0 is the split mu^k (x) mu^(L-2-k), k <= 0 the transposition s_(k+L-1)
         for k in itertools.chain(range(1, length - 1), range(1 - length, 0)):
             if not basis:
                 break
             if k > 0:
-                cols = _variant_pair_columns(view, d, k, length - 2 - k)
+                var_cols = _variant_pair_columns(view, d, k, length - 2 - k)
             else:
                 a = k + length - 1
                 perm = (*range(a), a + 1, a, *range(a + 2, length))
-            if constant:
-                if refs is None:
-                    refs = [_image(ref_cols, vec.items()) for vec in basis]
-                images = [_minus(_image(cols, vec.items()) if k > 0 else permute_column(ref, perm),
-                                 ref) for vec, ref in zip(basis, refs)]
-            else:
-                var_cols = cols if k > 0 else [permute_column(c, perm) for c in ref_cols]
-                diffs = [_minus(dict(col), ref) for col, ref in zip(var_cols, ref_cols)]
-                images = [_image(diffs, vec.items()) for vec in basis]
+                var_cols = [permute_column(c, perm) for c in ref_cols]
+            diffs = [_minus(dict(col), ref) for col, ref in zip(var_cols, ref_cols)]
+            images = [_image(diffs, vec.items()) for vec in basis]
             if not any(images):
                 continue
-            if contains and constant:
-                if mu_refs is None:
-                    mu_refs = [_image(ref_cols, vec) for vec in mu_vecs]
-                contains = all(_image(cols, vec) == ref if k > 0 else _invariant(ref, a)
-                               for vec, ref in zip(mu_vecs, mu_refs))
-            elif contains:
+            if contains:
                 contains = not any(_image(diffs, vec) for vec in mu_vecs)
             seen = dict.fromkeys(t for img in images for t in img)
             tuples_seen = {t: r for r, t in enumerate(seen)}
@@ -494,7 +467,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
                         for s, b in basis[t].items():
                             accumulate(vec, s, coeff * b)
                 new_basis.append(dict(zip(vec, primitive_vector(list(vec.values())))))
-            basis, refs = new_basis, None
+            basis = new_basis
         if not basis:
             break
     return KSpace(degree, pairs, basis, contains)
@@ -536,9 +509,9 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     the splitting kept.
 
     A constant bundle with n >= 3 reads dim K and containment off its kept
-    splitting (proved in `build_splitting`) from degree -3 up to the first
-    failure; degree -2 (the closed-form swap kernel), a rank-mismatch
-    degree and the degrees past the failure keep `compute_K`.
+    splitting (proved in `build_splitting`) from degree -3 through the first
+    failure; degree -2 (the closed-form swap kernel) and the degrees past
+    the failure keep `compute_K`.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -579,11 +552,10 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
     """Split bundle on the free graded-commutative algebra over named generators.
 
     The degree -i fiber carries the canonical monomial basis in the
-    generators; the comultiplication is dual to the product, so each matrix
-    entry is the Koszul sign of merging the two row words into the column
-    word.  Each sign goes into the Poly block and, in the same pass, into the
-    columns of the bundle's `integer_view` (lam = 1) at the pair and, with
-    the Koszul sign of the swap, at its mirror; the bundle is known constant.
+    generators; the comultiplication is dual to the product.  Its columns
+    (`_free_columns`) are the bundle's `integer_view` (lam = 1), and each
+    entry at a pair (j, k) with j <= k goes into the Poly block; the bundle
+    is known constant.
     """
     gens = sorted(gens, key=lambda t: t[0])
     by_degree: Dict[int, list] = {}
@@ -595,35 +567,43 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
     monomials = {i: monomials_of_degree(gen_ids, i) for i in range(1, n + 1)}
     ranks = {i: len(monomials[i]) for i in range(1, n + 1)}
     nv = len(base_names)
-    mon_index = {i: {w: t for t, w in enumerate(monomials[i])} for i in range(1, n + 1)}
     mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]] = {}
     columns = {}
     for i in range(2, n + 1):
         blocks = {}
-        cols = columns[i] = [{} for _ in range(ranks[i])]
-        for j in range(1, i // 2 + 1):
-            k = i - j
-            if ranks.get(j, 0) == 0 or ranks.get(k, 0) == 0:
-                continue
-            m = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
-            mirror = -1 if j & k & 1 else 1
-            for a, wa in enumerate(monomials[j]):
-                for b, wb in enumerate(monomials[k]):
-                    sign, canon = koszul_merge(wa, wb)
-                    if sign == 0:
-                        continue
-                    c = mon_index[i][canon]
-                    m.entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
-                    cols[c][((j, a), (k, b))] = sign
-                    if j < k:
-                        cols[c][((k, b), (j, a))] = sign * mirror
-                    blocks[(j, k)] = m
+        columns[i] = _free_columns(monomials, i)
+        for c, col in enumerate(columns[i]):
+            for ((j, a), (k, b)), sign in col.items():
+                if j <= k:
+                    if (j, k) not in blocks:
+                        blocks[(j, k)] = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
+                    blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
         mu[i] = blocks
     ordered = [(d, name) for d in sorted(by_degree) for name in by_degree[d]]
     E = CoalgebraBundle(n, base_names, ranks, mu, split=SplitData(ordered, monomials))
     E._constant = True
     E._keep_view(columns, 1)
     return E
+
+
+def _free_columns(monomials: dict, i: int) -> list:
+    """Int columns of the free algebra's comultiplication at degree -i, one
+    per word of `monomials[i]`: a pair of words of degrees j <= k holds the
+    Koszul sign of their merge, and its mirror that sign times the swap's."""
+    index = {w: t for t, w in enumerate(monomials[i])}
+    cols = [{} for _ in monomials[i]]
+    for j in range(1, i // 2 + 1):
+        k = i - j
+        mirror = -1 if j & k & 1 else 1
+        for a, wa in enumerate(monomials[j]):
+            for b, wb in enumerate(monomials[k]):
+                sign, canon = koszul_merge(wa, wb)
+                if sign:
+                    col = cols[index[canon]]
+                    col[((j, a), (k, b))] = sign
+                    if j < k:
+                        col[((k, b), (j, a))] = sign * mirror
+    return cols
 
 
 def split_coalgebra(ranks: Sequence[int], base_names: Sequence[str] = ()) -> CoalgebraBundle:
@@ -835,7 +815,7 @@ class Splitting:
     split: CoalgebraBundle  # the split model, below the first rank mismatch
     rows: dict  # degree -> number rows of phi_i, below the first failure
     pivots: dict  # degree -> pivot columns of mu_i, through the first rank mismatch
-    constraint: dict  # degree -> (dim K, contains_image), through the first failed test
+    constraint: dict  # degree -> (dim K, contains), through the first failure but a -2 mismatch
     failure: Optional[str]  # the NotAdmissible message of the first failure
 
 
@@ -877,7 +857,11 @@ def build_splitting(E: CoalgebraBundle) -> Splitting:
     is admissible (the paper's canonical description), so K_i(S) is spanned
     by its decomposable columns.  At each degree i the walk tests, dim K_i
     is therefore the number of decomposable words, and im mu_i lies in K_i
-    exactly when the test passes; `constraint` keeps both.
+    exactly when the test passes; `constraint` keeps both.  So it does at a
+    rank mismatch at -i, i >= 3, reached with every lower degree passing:
+    the split model on the lower generators has no generator of degree i,
+    so its words of degree i are all decomposable (`_free_columns` writes
+    their int columns; no model is built there); the mismatch stays the refusal.
 
     It runs on the ints of the `integer_view` and of the split model's (+-1):
     lam moves no pivot and scales the columns pushed through the number rows
@@ -896,27 +880,42 @@ def build_splitting(E: CoalgebraBundle) -> Splitting:
     S = split_coalgebra(counts, E.base_names)
     sp = Splitting(S, {}, pivots, {}, failure)
     for i in range(1, S.n + 1):
+        words = S.split.monomials[i]
+        pre = _preimages(sp.rows, V.mu_columns(i), S.integer_view().mu_columns(i))
+        sp.constraint[i] = (sum(len(w) > 1 for w in words), pre is not None)
+        if pre is None:
+            sp.failure = f"comultiplication image leaves the constraint space at degree {-i}"
+            return sp
         r = E.rank(i)
         free = [c for c in range(r) if c not in pivots[i]]
-        words = S.split.monomials[i]
-        decomp = [t for t, w in enumerate(words) if len(w) > 1]
-        s_cols = S.integer_view().mu_columns(i)
-        reps = [(t, *next(iter(s_cols[t].items()))) for t in decomp]
         mat = [[0] * r for _ in range(r)]
         for t, f in zip((t for t, w in enumerate(words) if len(w) == 1), free):
             mat[t][f] = 1
-        for c, col in enumerate(V.mu_columns(i)):
-            pushed = push_column(sp.rows, col)
-            preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
-            if _image(s_cols, preimage) != pushed:
-                sp.constraint[i] = (len(decomp), False)
-                sp.failure = f"comultiplication image leaves the constraint space at degree {-i}"
-                return sp
+        for c, preimage in enumerate(pre):
             for t, q in preimage:
                 mat[t][c] = _canon(Fraction(q, V.lam))
-        sp.constraint[i] = (len(decomp), True)
         sp.rows[i] = mat
+    i = S.n + 1
+    if failure is not None and i >= 3:
+        words = monomials_of_degree([(d, t) for d, k in enumerate(counts, 1) for t in range(k)], i)
+        s_cols = _free_columns({**S.split.monomials, i: words}, i)
+        sp.constraint[i] = (len(words), _preimages(sp.rows, V.mu_columns(i), s_cols) is not None)
     return sp
+
+
+def _preimages(rows: dict, cols: list, s_cols: list) -> Optional[list]:
+    """Each column pushed through the lower number rows, as split-model
+    coordinates (word position, q), q read at one pair of a decomposable
+    word's column; None when a pushed column is not given back by them."""
+    reps = [(t, *next(iter(col.items()))) for t, col in enumerate(s_cols) if col]
+    out = []
+    for col in cols:
+        pushed = push_column(rows, col)
+        preimage = [(t, pushed[p] * sign) for t, p, sign in reps if p in pushed]
+        if _image(s_cols, preimage) != pushed:
+            return None
+        out.append(preimage)
+    return out
 
 
 def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:

@@ -663,7 +663,7 @@ class TestConstraintGenerators:
                 slow = all_permutations_K(e, -i)
                 assert len(fast) == len(slow) == span_rank(fast + slow, e.nvars), (e, i)
 
-    def test_builds_each_variant_once_and_permutes_basis_images(self, monkeypatch):
+    def test_builds_two_l_minus_three_variants_per_length(self, monkeypatch):
         calls = []
         pair_columns = coalgebra._variant_pair_columns
         permute = coalgebra.permute_column
@@ -680,21 +680,15 @@ class TestConstraintGenerators:
         monkeypatch.setattr(coalgebra, "permute_column", spy_permute)
         e = split_coalgebra([1] * 6)
         assert compute_K(e, -6).dim == partition_count([1, 2, 3, 4, 5], 6)
-        pairs = e.tensor_basis(2, 6)
-        index = {p: t for t, p in enumerate(pairs)}
-        start = len(coalgebra._swap_kernel(pairs, index, 1))
-        assert start < len(pairs)
+        columns = len(e.tensor_basis(2, 6))
         # length 2 has only the swap, whose kernel is the closed-form start
         assert {L for _, L, _ in calls} == set(range(3, 7))
         for length in range(3, 7):
             splits = sorted(k for kind, L, k in calls if kind == "split" and L == length)
             swaps = Counter(p for kind, L, p in calls if kind == "swap" and L == length)
             assert splits == list(range(length - 1))  # the reference, then L - 2 splits
-            # one permutation per basis vector and transposition, none per pair
-            assert set(swaps) == {tuple(range(a)) + (a + 1, a) + tuple(range(a + 2, length))
-                                  for a in range(length - 1)}
-            assert max(swaps.values()) <= start
-            assert sum(swaps.values()) <= (length - 1) * start
+            assert swaps == {tuple(range(a)) + (a + 1, a) + tuple(range(a + 2, length)): columns
+                             for a in range(length - 1)}
             assert len(splits) - 1 + len(swaps) == 2 * length - 3
 
     def test_degree_eight_dims_match_enumeration(self):
@@ -1672,6 +1666,32 @@ def middle_failure_bundles():
             yield conjugate_frames(rng, CoalgebraBundle(s.n, (), dict(s.ranks), mu))
 
 
+def mismatch_bundles():
+    """(bundle, i) for split bundles whose splitting first fails by a rank
+    mismatch at degree -i, i = 3 or 4, under random frames: one nonzero
+    comultiplication column at -i zeroed, and then also a 1 given to another
+    nonzero column of block (1, i - 1) at a pair where it was zero.  The
+    decomposable columns of a split bundle are independent, so the rank
+    drops by one and the kernel count at -i rises by one while every lower
+    degree still splits; the moved entry in general takes the image out of
+    the constraint space as well."""
+    rng = random.Random(47)
+    for profile, i in [((2, 1, 1, 1), 3), ((2, 2, 1, 1), 3), ((2, 1, 1, 1, 1), 4),
+                       ((1, 1, 1, 1, 1), 4)]:
+        s = split_coalgebra(list(profile))
+        c, c2 = [c for c, col in enumerate(s.mu_columns(i)) if col][:2]
+        blocks = {jk: [[Poly.zero(0) if k == c else p for k, p in enumerate(row)]
+                       for row in m.entries] for jk, m in s.mu[i].items()}
+        for move in (False, True):
+            if move:
+                next(row for row in blocks[(1, i - 1)] if row[c2].is_zero())[c2] = Poly.one(0)
+            mu = {d: dict(b) for d, b in s.mu.items()}
+            mu[i] = {jk: PolyMatrix(s.mu[i][jk].rows, s.mu[i][jk].cols,
+                                    [list(row) for row in rows], 0)
+                     for jk, rows in blocks.items()}
+            yield conjugate_frames(rng, CoalgebraBundle(s.n, (), dict(s.ranks), mu)), i
+
+
 def splitting_corpus():
     """Constant bundles whose admissibility and splitting are compared with
     the references: both `split-tower` pools, SPLIT_CORPUS and its
@@ -1742,14 +1762,56 @@ class TestAdmissibilityOffTheSplitting:
                 splitting_iso(e)
             kind = str(refusal.value).split(" at degree")[0]
             messages[kind] += 1
-            # a failed containment test still reads degree -3 off the split
-            # model; a rank mismatch leaves it to compute_K, and so does -4
-            past = [-4] if kind == "comultiplication image leaves the constraint space" else [-3, -4]
-            assert calls["compute_K"][1:] == past and calls["compute_K"][0] == -2, (e, kind)
+            # a failed containment test and a rank mismatch both read degree
+            # -3 off the split model; -4, past the failure, is compute_K's
+            assert calls["compute_K"] == [-2, -4], (e, kind)
             assert not rep.per_degree[-3].equal and rep.per_degree[-2].equal
             with pytest.raises(NotAdmissible, match=str(refusal.value)):
                 splitting_iso(e)
         assert calls["build"] == sum(messages.values()) and len(messages) == 2, messages
+
+    def test_a_rank_mismatch_degree_is_read_off_the_splitting(self, monkeypatch):
+        compute = coalgebra.compute_K
+        calls = self.spy(monkeypatch)
+        outcomes = Counter()
+        for e, i in mismatch_bundles():
+            calls["compute_K"].clear()
+            rep = check_admissible(e, ORIGIN)
+            assert rep == reference_check_admissible(e, ORIGIN), e
+            # -2 and the degrees past the mismatch only
+            assert calls["compute_K"] == [-2] + list(range(-i - 1, -e.n - 1, -1)), (e, i)
+            # the report's equal flag is false whatever the containment, so
+            # the kept read is compared with compute_K's directly
+            ks = compute(e, -i)
+            assert e.splitting().constraint[i] == (ks.dim, ks.contains_image), (e, i)
+            # the mismatch stays the refusal when containment fails too
+            with pytest.raises(NotAdmissible, match=f"rank mismatch at degree {-i}:"):
+                splitting_iso(e)
+            outcomes[i, ks.contains_image] += 1
+        assert outcomes == {(3, True): 2, (3, False): 2, (4, True): 2, (4, False): 2}, outcomes
+
+    def test_a_mismatch_over_many_lower_generators_builds_no_block(self, monkeypatch):
+        # 20 odd degree -1 generators and a rank-1 degree -3 with no mu: the
+        # 1140 words of degree 3 span K_3, and no split model reaches -3
+        s = split_coalgebra([20, 0])
+        e = CoalgebraBundle(3, (), {1: 20, 2: 190, 3: 1}, {2: s.mu[2]})
+        calls = self.spy(monkeypatch)
+        shapes = []
+        zero = PolyMatrix.zero.__func__
+
+        def spy_zero(cls, rows, cols, nvars):
+            shapes.append(cols)
+            return zero(cls, rows, cols, nvars)
+
+        monkeypatch.setattr(PolyMatrix, "zero", classmethod(spy_zero))
+        rep = check_admissible(e, ORIGIN)
+        assert rep.per_degree == {-2: AdmissibilityDegree(190, 190, True, True),
+                                  -3: AdmissibilityDegree(0, 1140, False, True)}
+        assert calls == {"build": 1, "compute_K": [-2]}
+        assert shapes and 1140 not in shapes
+        with pytest.raises(NotAdmissible, match="rank mismatch at degree -3: bundle rank 1, "
+                                                "split model rank 1141"):
+            splitting_iso(e)
 
     def test_two_degree_bundles_build_no_splitting(self, monkeypatch):
         calls = self.spy(monkeypatch)
