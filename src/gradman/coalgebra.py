@@ -64,17 +64,18 @@ class CoalgebraBundle:
     `ranks[i]` is the rank of the degree -i summand, i = 1..n.  `mu[i]` maps
     (j, k) with j <= k, j + k = i to a PolyMatrix whose rows run over ordered
     frame pairs of the block (row-major) and whose columns run over the
-    degree -i frame.
+    degree -i frame.  A split model is built with `mu` None and its integer
+    view kept; its blocks are filled from that view on first read.
     """
 
     def __init__(self, n: int, base_names: Sequence[str], ranks: Dict[int, int],
-                 mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]],
+                 mu: Optional[Dict[int, Dict[Tuple[int, int], PolyMatrix]]],
                  split: Optional[SplitData] = None):
         self.n = n
         self.base_names = tuple(base_names)
         self.nvars = len(self.base_names)
         self.ranks = {i: int(ranks.get(i, 0)) for i in range(1, n + 1)}
-        self.mu = mu
+        self._mu = mu
         self.split = split
         self._tensor_cache: dict = {}
         self._power_cache: dict = {}
@@ -91,6 +92,24 @@ class CoalgebraBundle:
 
     def elements(self, i: int) -> list:
         return [(i, a) for a in range(self.rank(i))]
+
+    @property
+    def mu(self) -> Dict[int, Dict[Tuple[int, int], PolyMatrix]]:
+        """The comultiplication blocks; a split model's are filled once from
+        its int columns, each entry at a pair (j, k) with j <= k."""
+        if self._mu is None:
+            ranks, nv = self.ranks, self.nvars
+            self._mu = {}
+            for i in range(2, self.n + 1):
+                blocks = {}
+                for c, col in enumerate(self._integer_view.mu_columns(i)):
+                    for ((j, a), (k, b)), sign in col.items():
+                        if j <= k:
+                            if (j, k) not in blocks:
+                                blocks[(j, k)] = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
+                            blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
+                self._mu[i] = blocks
+        return self._mu
 
     def is_constant(self) -> bool:
         """Whether every mu entry is constant, scanned once and kept."""
@@ -509,9 +528,9 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     the splitting kept.
 
     A constant bundle with n >= 3 reads dim K and containment off its kept
-    splitting (proved in `build_splitting`) from degree -3 through the first
-    failure; degree -2 (the closed-form swap kernel) and the degrees past
-    the failure keep `compute_K`.
+    splitting (proved in `build_splitting`) from degree -2 through the first
+    failure; a rank mismatch at -2 and the degrees past the failure keep
+    `compute_K`.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -524,7 +543,7 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     sp = E.splitting() if constant and E.n >= 3 else None
     read, pivots = (sp.constraint, sp.pivots) if sp else ({}, {})
     for i in range(2, E.n + 1):
-        if i >= 3 and i in read:
+        if i in read:
             k_rank, contains = read[i]
         else:
             ks = compute_K(E, -i)
@@ -553,9 +572,9 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
 
     The degree -i fiber carries the canonical monomial basis in the
     generators; the comultiplication is dual to the product.  Its columns
-    (`_free_columns`) are the bundle's `integer_view` (lam = 1), and each
-    entry at a pair (j, k) with j <= k goes into the Poly block; the bundle
-    is known constant.
+    (`_free_columns`) are the bundle's `integer_view` (lam = 1), which every
+    constant reader reads; the Poly blocks are filled from them only when
+    `mu` is read.  The bundle is known constant.
     """
     gens = sorted(gens, key=lambda t: t[0])
     by_degree: Dict[int, list] = {}
@@ -566,23 +585,10 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
         gen_ids.append((deg, idx))
     monomials = {i: monomials_of_degree(gen_ids, i) for i in range(1, n + 1)}
     ranks = {i: len(monomials[i]) for i in range(1, n + 1)}
-    nv = len(base_names)
-    mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]] = {}
-    columns = {}
-    for i in range(2, n + 1):
-        blocks = {}
-        columns[i] = _free_columns(monomials, i)
-        for c, col in enumerate(columns[i]):
-            for ((j, a), (k, b)), sign in col.items():
-                if j <= k:
-                    if (j, k) not in blocks:
-                        blocks[(j, k)] = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
-                    blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
-        mu[i] = blocks
     ordered = [(d, name) for d in sorted(by_degree) for name in by_degree[d]]
-    E = CoalgebraBundle(n, base_names, ranks, mu, split=SplitData(ordered, monomials))
+    E = CoalgebraBundle(n, base_names, ranks, None, split=SplitData(ordered, monomials))
     E._constant = True
-    E._keep_view(columns, 1)
+    E._keep_view({i: _free_columns(monomials, i) for i in range(2, n + 1)}, 1)
     return E
 
 
@@ -683,13 +689,34 @@ def truncate(E: CoalgebraBundle, k: int) -> CoalgebraBundle:
 
 
 class CoalgebraMorphism:
-    """Degree-preserving fiberwise map between bundles over the same chart."""
+    """Degree-preserving fiberwise map between bundles over the same chart.
+
+    A morphism built `from_rows` keeps its number rows as `rows` and builds
+    its PolyMatrix `matrices` on first read; otherwise `rows` is None.
+    """
 
     def __init__(self, source: CoalgebraBundle, target: CoalgebraBundle,
-                 matrices: Dict[int, PolyMatrix]):
+                 matrices: Optional[Dict[int, PolyMatrix]]):
         self.source = source
         self.target = target
-        self.matrices = matrices
+        self._matrices = matrices
+        self.rows: Optional[dict] = None
+
+    @classmethod
+    def from_rows(cls, source: CoalgebraBundle, target: CoalgebraBundle,
+                  rows: dict) -> "CoalgebraMorphism":
+        """The morphism whose degree i matrix has the number rows `rows[i]`."""
+        phi = cls(source, target, None)
+        phi.rows = rows
+        return phi
+
+    @property
+    def matrices(self) -> Dict[int, PolyMatrix]:
+        if self._matrices is None:
+            self._matrices = {i: PolyMatrix.from_rat(len(m), _width(m, self.source.rank(i)), m,
+                                                     self.source.nvars)
+                              for i, m in self.rows.items()}
+        return self._matrices
 
     def matrix(self, i: int) -> PolyMatrix:
         m = self.matrices.get(i)
@@ -722,21 +749,34 @@ def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
     """Exact check of mu_F phi = (phi (x) phi) mu_E, per degree on sparse columns.
 
     On constant data it reads the integer views, lam_E and lam_F times the
-    bundles', and phi's entries once as ints, D times the numbers, D being
-    their common denominator: the left side carries D lam_F and the right,
-    quadratic in phi, D^2 lam_E, so it compares D lam_E lhs with lam_F rhs
-    (each scale divided by their gcd), and every product is of ints.
+    bundles', and phi's number rows (the kept `rows` of a morphism built
+    `from_rows`, else its constant entries read once) as ints, D times the
+    numbers, D being their common denominator: the left side carries
+    D lam_F and the right, quadratic in phi, D^2 lam_E, so it compares
+    D lam_E lhs with lam_F rhs (each scale divided by their gcd), and every
+    product is of ints.
     """
     if E.n != F.n:
         return False
-    mats = {i: phi.matrix(i) for i in range(1, E.n + 1)}
-    if any((m.rows, m.cols) != (F.rank(i), E.rank(i)) for i, m in mats.items()):
+    degrees = range(1, E.n + 1)
+    constant = E.is_constant() and F.is_constant()
+    if constant and phi.rows is not None:
+        # the number rows the morphism was built from; a missing degree is zero
+        rows = {i: phi.rows[i] if i in phi.rows else
+                [[0] * phi.source.rank(i) for _ in range(phi.target.rank(i))] for i in degrees}
+        shapes = {i: (len(m), _width(m, phi.source.rank(i))) for i, m in rows.items()}
+    else:
+        mats = {i: phi.matrix(i) for i in degrees}
+        shapes = {i: (m.rows, m.cols) for i, m in mats.items()}
+        rows = {i: m.entries for i, m in mats.items()}
+        constant = constant and all(m.is_constant() for m in mats.values())
+        if constant:
+            rows = {i: _numbers(m) for i, m in mats.items()}
+    if any(shape != (F.rank(i), E.rank(i)) for i, shape in shapes.items()):
         raise ValueError("morphism matrices have incompatible shapes")
-    rows = {i: m.entries for i, m in mats.items()}
     s_lhs = s_rhs = 1
-    if E.is_constant() and F.is_constant() and all(m.is_constant() for m in mats.values()):
+    if constant:
         E, F = E.integer_view(), F.integer_view()
-        rows = {i: _numbers(m) for i, m in mats.items()}
         den = lcm(*(v.denominator for m in rows.values() for row in m for v in row))
         rows = {i: [[v.numerator * (den // v.denominator) for v in row] for row in m]
                 for i, m in rows.items()}
@@ -752,6 +792,11 @@ def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,
 
 def _scaled(col: dict, s: int) -> dict:
     return col if s == 1 else {p: s * c for p, c in col.items()}
+
+
+def _width(rows: list, cols: int) -> int:
+    """Column count of number rows; `cols` when there are none."""
+    return len(rows[0]) if rows else cols
 
 
 def _numbers(m: PolyMatrix) -> list:
@@ -857,7 +902,10 @@ def build_splitting(E: CoalgebraBundle) -> Splitting:
     is admissible (the paper's canonical description), so K_i(S) is spanned
     by its decomposable columns.  At each degree i the walk tests, dim K_i
     is therefore the number of decomposable words, and im mu_i lies in K_i
-    exactly when the test passes; `constraint` keeps both.  So it does at a
+    exactly when the test passes; `constraint` keeps both.  At i = 2, phi_1
+    is the identity and K_2 the swap kernel, whose dimension, the number of
+    graded-symmetric pairs of degree -1 elements, is the number of words
+    of two distinct degree 1 generators.  So it does at a
     rank mismatch at -i, i >= 3, reached with every lower degree passing:
     the split model on the lower generators has no generator of degree i,
     so its words of degree i are all decomposable (`_free_columns` writes
@@ -921,7 +969,8 @@ def _preimages(rows: dict, cols: list, s_cols: list) -> Optional[list]:
 def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:
     """Isomorphism from an admissible bundle onto the split model on its
     kernels, from the bundle's kept `splitting`: it raises the first failure
-    as NotAdmissible, or builds the morphism from the number rows.  Requires
+    as NotAdmissible, or returns the morphism `from_rows` of the splitting's
+    number rows, whose Poly matrices are built only when read.  Requires
     fiberwise-constant comultiplication; pass `at_point` to split a single
     fiber otherwise, a fresh constant bundle.
     """
@@ -940,5 +989,4 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
     sp = E.splitting()
     if sp.failure is not None:
         raise NotAdmissible(sp.failure)
-    return CoalgebraMorphism(E, sp.split, {
-        i: PolyMatrix.from_rat(len(m), len(m), m, E.nvars) for i, m in sp.rows.items()})
+    return CoalgebraMorphism.from_rows(E, sp.split, sp.rows)

@@ -57,13 +57,18 @@ from .gradedring import GenId, GradedFunction, GradedSignature, monomials_of_deg
 
 
 class Distribution:
-    """Homogeneous generator fields grouped by degree, with certified samples."""
+    """Homogeneous generator fields grouped by degree, with certified samples.
+
+    The generators are a tuple, so the `is_involutive` report kept on the
+    distribution cannot go stale.
+    """
 
     def __init__(self, sig: GradedSignature, generators: Sequence[VectorField],
                  sample_points: Sequence):
         self.sig = sig
-        self.generators = list(generators)
+        self.generators = tuple(generators)
         self.sample_points = [tuple(Fraction(v) for v in p) for p in sample_points]
+        self._involutivity: Optional[InvolutivityReport] = None
 
     def ranks(self) -> list:
         out = [0] * (self.sig.n + 1)
@@ -215,7 +220,15 @@ class InvolutivityReport:
 
 
 def is_involutive(dist: Distribution) -> InvolutivityReport:
-    """Close the generators under brackets; odd generators also self-bracket."""
+    """Close the generators under brackets; odd generators also self-bracket.
+    Run once per distribution and kept on it, so `frobenius_normal_form`
+    reads the check its caller has usually just made."""
+    if dist._involutivity is None:
+        dist._involutivity = _close_under_brackets(dist)
+    return dist._involutivity
+
+
+def _close_under_brackets(dist: Distribution) -> InvolutivityReport:
     gens = dist.generators
     for i in range(len(gens)):
         for j in range(i, len(gens)):

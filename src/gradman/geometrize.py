@@ -76,7 +76,7 @@ class ChartAlgebra:
         for w, c in f.terms.items():
             vec[windex[w]] = c
         # row mon of the splitting holds the frame coordinates of chart monomial mon
-        phi = self.iso.matrix(degree).to_rat()
+        phi = self.iso.rows.get(degree, [])
         out = []
         for a in range(len(words)):
             acc = Poly.zero(self.sig.m0)
@@ -90,7 +90,7 @@ class ChartAlgebra:
 def geometrize(E: CoalgebraBundle, max_degree: Optional[int] = None) -> ChartAlgebra:
     """Chart algebra of an admissible bundle with a pinned splitting choice."""
     iso = splitting_iso(E)
-    phi = E.splitting().rows  # the number rows the morphism was built from
+    phi = iso.rows
     S = iso.target
     n = E.n
     counts = {i: 0 for i in range(1, n + 1)}
@@ -158,9 +158,7 @@ def roundtrip(E: CoalgebraBundle) -> Tuple[CoalgebraBundle, CoalgebraMorphism]:
     """Reconstruct a bundle from its chart and return the comparison morphism."""
     chart = geometrize(E)
     F = coalgebra_of(chart)
-    iso = chart.iso
-    phi = CoalgebraMorphism(E, F, dict(iso.matrices))
-    return F, phi
+    return F, CoalgebraMorphism.from_rows(E, F, chart.iso.rows)
 
 
 def functor_on_morphism(phi: CoalgebraMorphism,

@@ -16,6 +16,7 @@ from gradman.coalgebra import (
     CoalgebraMorphism,
     CoalgebraReport,
     KSpace,
+    _free_columns,
     _image,
     _variant_pair_columns,
     apply_mu,
@@ -746,6 +747,24 @@ def full_mu(E: CoalgebraBundle, i: int) -> PolyMatrix:
         for p, e in col.items():
             out.entries[index[p]][c] = e
     return out
+
+
+def eager_split_blocks(S: CoalgebraBundle) -> dict:
+    """The Poly blocks `split_from_gens` filled when it built a split model,
+    before they were filled on the first read of `CoalgebraBundle.mu`: each
+    entry at a pair (j, k) with j <= k of the free algebra's int columns."""
+    ranks, nv = S.ranks, S.nvars
+    mu: Dict[int, Dict[Tuple[int, int], PolyMatrix]] = {}
+    for i in range(2, S.n + 1):
+        blocks = {}
+        for c, col in enumerate(_free_columns(S.split.monomials, i)):
+            for ((j, a), (k, b)), sign in col.items():
+                if j <= k:
+                    if (j, k) not in blocks:
+                        blocks[(j, k)] = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
+                    blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
+        mu[i] = blocks
+    return mu
 
 
 def reference_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:

@@ -67,9 +67,10 @@ def test_traced_workload_cases_pass(name):
 
 
 def test_split_tower_reads_constraint_spaces_off_the_splitting():
-    # a constant bundle calls compute_K at degree -2 and past its splitting's
-    # first failure only, a rank mismatch included: 39 calls per traced
-    # pass, 50 when a mismatch degree kept compute_K, 123 with one per degree
+    # a constant bundle calls compute_K only at a degree -2 rank mismatch,
+    # with n = 2, and past its splitting's first failure: 6 calls per traced
+    # pass, 39 when every degree -2 kept compute_K, 50 when a mismatch degree
+    # did too, 123 with one per degree
     gm = engine()
     workload = WORKLOADS["split-tower"]
     pool = workload.make_pool(run.DEFAULT_SEEDS["split-tower"], gm)
@@ -82,4 +83,4 @@ def test_split_tower_reads_constraint_spaces_off_the_splitting():
     finally:
         tracer.uninstall()
     assert tally.failed == 0, tally.failures
-    assert tracer.calls["coalgebra.compute_K"] == 39
+    assert tracer.calls["coalgebra.compute_K"] == 6

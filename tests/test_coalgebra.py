@@ -47,6 +47,7 @@ from randchart import (
     bench_pool,
     conjugate_frames,
     dense_vectors,
+    eager_split_blocks,
     full_mu,
     morphism_inverse,
     partition_count,
@@ -1749,7 +1750,7 @@ class TestAdmissibilityOffTheSplitting:
         chart = geometrize(e)
         assert morphism_check(chart.iso, e, chart.iso.target)
         assert splitting_iso(e).matrices == chart.iso.matrices
-        assert calls == {"build": 1, "compute_K": [-2]}
+        assert calls == {"build": 1, "compute_K": []}
 
     def test_degrees_past_a_middle_failure_fall_back(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -1762,9 +1763,9 @@ class TestAdmissibilityOffTheSplitting:
                 splitting_iso(e)
             kind = str(refusal.value).split(" at degree")[0]
             messages[kind] += 1
-            # a failed containment test and a rank mismatch both read degree
-            # -3 off the split model; -4, past the failure, is compute_K's
-            assert calls["compute_K"] == [-2, -4], (e, kind)
+            # a failed containment test and a rank mismatch both read degrees
+            # -2 and -3 off the split model; -4, past the failure, is compute_K's
+            assert calls["compute_K"] == [-4], (e, kind)
             assert not rep.per_degree[-3].equal and rep.per_degree[-2].equal
             with pytest.raises(NotAdmissible, match=str(refusal.value)):
                 splitting_iso(e)
@@ -1778,8 +1779,8 @@ class TestAdmissibilityOffTheSplitting:
             calls["compute_K"].clear()
             rep = check_admissible(e, ORIGIN)
             assert rep == reference_check_admissible(e, ORIGIN), e
-            # -2 and the degrees past the mismatch only
-            assert calls["compute_K"] == [-2] + list(range(-i - 1, -e.n - 1, -1)), (e, i)
+            # the degrees past the mismatch only
+            assert calls["compute_K"] == list(range(-i - 1, -e.n - 1, -1)), (e, i)
             # the report's equal flag is false whatever the containment, so
             # the kept read is compared with compute_K's directly
             ks = compute(e, -i)
@@ -1807,8 +1808,9 @@ class TestAdmissibilityOffTheSplitting:
         rep = check_admissible(e, ORIGIN)
         assert rep.per_degree == {-2: AdmissibilityDegree(190, 190, True, True),
                                   -3: AdmissibilityDegree(0, 1140, False, True)}
-        assert calls == {"build": 1, "compute_K": [-2]}
-        assert shapes and 1140 not in shapes
+        assert calls == {"build": 1, "compute_K": []}
+        # the split model below -3 keeps int columns only: no block is allocated
+        assert shapes == []
         with pytest.raises(NotAdmissible, match="rank mismatch at degree -3: bundle rank 1, "
                                                 "split model rank 1141"):
             splitting_iso(e)
@@ -1819,3 +1821,119 @@ class TestAdmissibilityOffTheSplitting:
                                                             split_coalgebra([2, 1]))):
             assert check_admissible(e, ORIGIN).admissible
         assert calls == {"build": 0, "compute_K": [-2, -2]}
+
+
+# --- morphisms built from number rows, split models on int columns ---------
+
+
+@functools.lru_cache(maxsize=None)
+def row_built_bundles():
+    """The admissible bundles of both `split-tower` pools and of SPLIT_CORPUS
+    with its conjugates, built once for the tests below."""
+    rng = random.Random(53)
+    bundles = [e for seed in (11, 7011) for _, e in bench_pool("split-tower", seed)]
+    for profile in SPLIT_CORPUS:
+        s = split_coalgebra(list(profile))
+        bundles += [s, conjugate_frames(rng, s)]
+    return tuple(e for e in bundles if e.splitting().failure is None)
+
+
+def row_built_corpus():
+    """(bundle, a fresh splitting map) over `row_built_bundles`."""
+    return ((e, splitting_iso(e)) for e in row_built_bundles())
+
+
+def poly_copy(phi):
+    """phi as a morphism that holds only Poly matrices."""
+    return CoalgebraMorphism(phi.source, phi.target, dict(phi.matrices))
+
+
+class TestMorphismsFromRows:
+    def test_lazy_matrices_equal_the_from_rat_matrices(self):
+        from gradman.geometrize import roundtrip
+
+        kinds = Counter()
+        for e, phi in row_built_corpus():
+            rows = e.splitting().rows
+            assert phi.rows is rows and phi._matrices is None
+            want = {i: PolyMatrix.from_rat(len(m), len(m), m, e.nvars) for i, m in rows.items()}
+            assert phi.matrices == want and phi.matrices is phi.matrices, e
+            assert all(phi.matrix(i) is phi.matrices[i] and phi[i] is phi.matrices[i].entries
+                       for i in rows)
+            if e.split is not None:
+                f, psi = roundtrip(e)
+                assert psi.rows is rows and psi.target is f and psi.matrices == want, e
+            kinds[e.split is not None, e.integer_view().lam > 1] += 1
+        assert kinds[True, False] and kinds[False, True] and kinds[False, False], kinds
+
+    def test_morphism_check_reads_the_rows_as_a_poly_copy_reads_its_matrices(self, monkeypatch):
+        numbers = []
+        read = coalgebra._numbers
+
+        def spy(m):
+            numbers.append(m)
+            return read(m)
+
+        monkeypatch.setattr(coalgebra, "_numbers", spy)
+        for e, phi in row_built_corpus():
+            assert morphism_check(phi, e, phi.target), e
+            assert phi._matrices is None and numbers == [], e
+            assert morphism_check(poly_copy(phi), e, phi.target) and numbers, e
+            numbers.clear()
+
+    def test_every_single_entry_perturbation_gets_the_poly_verdict(self):
+        broken, fractional = Counter(), 0
+        for e, phi in row_built_corpus():
+            f = phi.target
+            if e.split is None and sum(e.rank(i) ** 2 for i in range(2, e.n + 1)) > 120:
+                continue  # the split models of the pools cover the larger ranks
+            fractional += any(type(v) is Fraction for m in phi.rows.values() for r in m for v in r)
+            for i in range(2, e.n + 1):
+                for b, row in enumerate(phi.rows[i]):
+                    for c in range(len(row)):
+                        rows = dict(phi.rows)
+                        rows[i] = [list(r) for r in phi.rows[i]]
+                        rows[i][b][c] += 1
+                        bad = CoalgebraMorphism.from_rows(e, f, rows)
+                        verdict = morphism_check(bad, e, f)
+                        assert verdict == morphism_check(poly_copy(bad), e, f), (e, i, b, c)
+                        if f.mu_columns(i)[b]:
+                            assert not verdict, (e, i, b, c)
+                        broken[verdict] += 1
+        assert broken[False] and broken[True] and fractional, (broken, fractional)
+
+    def test_row_path_keeps_the_shape_refusal(self):
+        phi = splitting_iso(split_coalgebra([2, 1]))
+        other = split_coalgebra([3, 1])
+        for m in (phi, poly_copy(phi)):
+            with pytest.raises(ValueError, match="incompatible shapes"):
+                morphism_check(m, other, other)
+
+
+class TestSplitModelsOnIntColumns:
+    def split_models(self):
+        rng = random.Random(59)
+        for profile in SPLIT_CORPUS:
+            for base in ((), ("x",)):
+                yield split_coalgebra(list(profile), base_names=base)
+            yield splitting_iso(conjugate_frames(rng, split_coalgebra(list(profile)))).target
+        yield dvb_coalgebra(2, 1, 1, 3, PolyMatrix.from_rat(2, 3, [[1, 0, 1], [0, 1, 0]], 0), 3)
+
+    def test_blocks_fill_on_first_read_as_the_eager_fill(self):
+        for s in self.split_models():
+            if s.split is None:  # the DVB bundle keeps the blocks it is given
+                assert s._mu is not None
+                continue
+            assert s._mu is None and s.is_constant(), s
+            assert s.mu == eager_split_blocks(s) and s.mu is s.mu, s
+
+    def test_verdicts_on_split_models_fill_no_block(self):
+        from gradman.geometrize import geometrize, roundtrip
+
+        for profile in SPLIT_CORPUS[:-1]:
+            s = split_coalgebra(list(profile))
+            assert check_coalgebra(s).ok and check_admissible(s, ORIGIN).admissible
+            chart = geometrize(s)
+            f, phi = roundtrip(s)
+            assert morphism_check(chart.iso, s, chart.iso.target) and morphism_check(phi, s, f)
+            assert [b._mu for b in (s, chart.iso.target, f)] == [None] * 3, profile

@@ -224,6 +224,33 @@ class TestInvolutivity:
         assert cert.coefficients[1] == GradedFunction.one(sig)
 
 
+class TestKeptInvolutivity:
+    """`is_involutive` runs once per distribution and keeps its report, which
+    `frobenius_normal_form` reads; the generators are a tuple."""
+
+    def test_the_normal_form_reads_the_kept_report(self, monkeypatch):
+        closures = []
+        close = distrib._close_under_brackets
+
+        def spy(dist):
+            closures.append(dist)
+            return close(dist)
+
+        monkeypatch.setattr(distrib, "_close_under_brackets", spy)
+        kinds = collections.Counter()
+        for kind, dist in itertools.islice(frobenius_flatten_pool(13), 40):
+            assert type(dist.generators) is tuple
+            fresh = Distribution(dist.sig, dist.generators, dist.sample_points)
+            rep = is_involutive(dist)
+            assert is_involutive(dist) is rep and closures == [dist]
+            assert normal_form_outcome(frobenius_normal_form, dist) == normal_form_outcome(
+                frobenius_normal_form, fresh), kind
+            assert closures == [dist, fresh] and fresh._involutivity == rep, kind
+            closures.clear()
+            kinds[rep.involutive] += 1
+        assert kinds[True] and kinds[False], kinds
+
+
 class TestRestriction:
     def test_full_restriction(self):
         d = make_distribution([d_prime()], [()])
@@ -766,7 +793,7 @@ class TestIdentityStep:
         state = _Flattening(dist)
         e1, e2 = gen(sig, "e1"), gen(sig, "e2")
         state.step({(1, 0): e1}, {(1, 0): e1})
-        assert calls == [] and state.gens == dist.generators
+        assert calls == [] and state.gens == list(dist.generators)
         assert state.total_nio.is_identity() and state.total_oin.is_identity()
         state.step({(1, 0): e1.add(e2)}, {(1, 0): e1.sub(e2)})
         assert len(calls) == len(dist.generators)
