@@ -29,6 +29,7 @@ from .exactnum import (
     Poly,
     PolyMatrix,
     _canon,
+    _point,
     accumulate,
     kernel_basis,
     primitive_vector,
@@ -64,8 +65,8 @@ class CoalgebraBundle:
     `ranks[i]` is the rank of the degree -i summand, i = 1..n.  `mu[i]` maps
     (j, k) with j <= k, j + k = i to a PolyMatrix whose rows run over ordered
     frame pairs of the block (row-major) and whose columns run over the
-    degree -i frame.  A split model is built with `mu` None and its integer
-    view kept; its blocks are filled from that view on first read.
+    degree -i frame.  A bundle built from numbers keeps its integer view and
+    `mu` None; the first read of `mu` fills the blocks from that view.
     """
 
     def __init__(self, n: int, base_names: Sequence[str], ranks: Dict[int, int],
@@ -90,25 +91,21 @@ class CoalgebraBundle:
     def rank(self, i: int) -> int:
         return self.ranks.get(i, 0)
 
-    def elements(self, i: int) -> list:
-        return [(i, a) for a in range(self.rank(i))]
-
     @property
     def mu(self) -> Dict[int, Dict[Tuple[int, int], PolyMatrix]]:
-        """The comultiplication blocks; a split model's are filled once from
-        its int columns, each entry at a pair (j, k) with j <= k."""
+        """The comultiplication blocks; a bundle built from numbers fills them
+        once from its int columns over lam, each entry at (j, k), j <= k."""
         if self._mu is None:
-            ranks, nv = self.ranks, self.nvars
-            self._mu = {}
-            for i in range(2, self.n + 1):
-                blocks = {}
+            ranks, nv, lam = self.ranks, self.nvars, self._integer_view.lam
+            self._mu = {i: {} for i in range(2, self.n + 1)}
+            for i, blocks in self._mu.items():
                 for c, col in enumerate(self._integer_view.mu_columns(i)):
-                    for ((j, a), (k, b)), sign in col.items():
+                    for ((j, a), (k, b)), v in col.items():
                         if j <= k:
                             if (j, k) not in blocks:
                                 blocks[(j, k)] = PolyMatrix.zero(ranks[j] * ranks[k], ranks[i], nv)
-                            blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
-                self._mu[i] = blocks
+                            rows = blocks[(j, k)].entries
+                            rows[a * ranks[k] + b][c] = Poly.const(nv, Fraction(v, lam))
         return self._mu
 
     def is_constant(self) -> bool:
@@ -180,13 +177,9 @@ class CoalgebraBundle:
         """
         if self._integer_view is None:
             z = (0,) * self.nvars
-            cols = {i: [[(p, c.terms[z]) for p, c in col.items()] for col in self.mu_columns(i)]
-                    for i in range(2, self.n + 1)}
-            lam = lcm(*(c.denominator for cs in cols.values() for col in cs for _, c in col))
-            self._keep_view({
-                i: [{p: c.numerator * (lam // c.denominator) for p, c in col} for col in cs]
-                for i, cs in cols.items()
-            }, lam)
+            self._keep_view(*_int_columns({
+                i: [[(p, c.terms[z]) for p, c in col.items()] for col in self.mu_columns(i)]
+                for i in range(2, self.n + 1)}))
         return self._integer_view
 
     def splitting(self) -> "Splitting":
@@ -198,12 +191,12 @@ class CoalgebraBundle:
 
     def _keep_view(self, columns: dict, lam: int):
         """Keep as `integer_view` the bundle whose `mu_columns` are the given
-        int columns, lam times this bundle's."""
+        int columns, lam times this bundle's, which is therefore constant."""
         view = CoalgebraBundle(self.n, self.base_names, self.ranks, {})
         view._tensor_cache = self._tensor_cache
         view._columns_cache = columns
         view._one, view.lam = 1, lam
-        self._integer_view = view
+        self._integer_view, self._constant = view, True
 
     def mu_rows(self, i: int) -> list:
         """Comultiplication at degree -i as rows over the ordered pairs that
@@ -247,6 +240,14 @@ class CoalgebraBundle:
     def __repr__(self):
         dims = "|".join(str(self.rank(i)) for i in range(1, self.n + 1))
         return f"CoalgebraBundle(n={self.n}, ranks={dims})"
+
+
+def _int_columns(cols: dict) -> tuple:
+    """Columns of (pair, nonzero number) items per degree as (int columns,
+    lam): each number times lam, the least common denominator of them all."""
+    lam = lcm(*(c.denominator for cs in cols.values() for col in cs for _, c in col))
+    return {i: [{p: c.numerator * (lam // c.denominator) for p, c in col} for col in cs]
+            for i, cs in cols.items()}, lam
 
 
 # --- sparse tuple columns ---------------------------------------------------
@@ -530,7 +531,8 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     A constant bundle with n >= 3 reads dim K and containment off its kept
     splitting (proved in `build_splitting`) from degree -2 through the first
     failure; a rank mismatch at -2 and the degrees past the failure keep
-    `compute_K`.
+    `compute_K`.  At n = 2 the closed-form swap kernel of `compute_K(E, -2)`
+    costs less than building a splitting that only this verdict would read.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -574,7 +576,7 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
     generators; the comultiplication is dual to the product.  Its columns
     (`_free_columns`) are the bundle's `integer_view` (lam = 1), which every
     constant reader reads; the Poly blocks are filled from them only when
-    `mu` is read.  The bundle is known constant.
+    `mu` is read.
     """
     gens = sorted(gens, key=lambda t: t[0])
     by_degree: Dict[int, list] = {}
@@ -587,7 +589,6 @@ def split_from_gens(base_names: Sequence[str], gens: Sequence[Tuple[int, str]],
     ranks = {i: len(monomials[i]) for i in range(1, n + 1)}
     ordered = [(d, name) for d in sorted(by_degree) for name in by_degree[d]]
     E = CoalgebraBundle(n, base_names, ranks, None, split=SplitData(ordered, monomials))
-    E._constant = True
     E._keep_view({i: _free_columns(monomials, i) for i in range(2, n + 1)}, 1)
     return E
 
@@ -671,18 +672,15 @@ def dvb_coalgebra(rk_a: int, rk_b: int, rk_c: int, rk_omega: int,
 
 
 def truncate(E: CoalgebraBundle, k: int) -> CoalgebraBundle:
-    """Drop all summands below degree -k, restricting the comultiplication."""
+    """Drop all summands below degree -k, restricting the comultiplication
+    (a split model keeps its generators of degree <= k)."""
     if not 0 <= k <= E.n:
         raise ValueError("truncation level out of range")
+    if E.split is not None:
+        return split_from_gens(E.base_names, [g for g in E.split.gens if g[0] <= k], k)
     ranks = {i: E.rank(i) for i in range(1, k + 1)}
     mu = {i: dict(E.mu.get(i, {})) for i in range(2, k + 1)}
-    split = None
-    if E.split is not None:
-        split = SplitData(
-            [(d, nm) for d, nm in E.split.gens if d <= k],
-            {i: E.split.monomials[i] for i in range(1, k + 1)},
-        )
-    return CoalgebraBundle(k, E.base_names, ranks, mu, split=split)
+    return CoalgebraBundle(k, E.base_names, ranks, mu)
 
 
 # --- morphisms ---------------------------------------------------------------
@@ -972,20 +970,20 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
     as NotAdmissible, or returns the morphism `from_rows` of the splitting's
     number rows, whose Poly matrices are built only when read.  Requires
     fiberwise-constant comultiplication; pass `at_point` to split a single
-    fiber otherwise, a fresh constant bundle.
+    fiber otherwise, a constant bundle over no base variable built, as a
+    split model is, on the int columns of its values at the point.
     """
     if not E.is_constant():
         if at_point is None:
-            raise UnsupportedXDependence(
-                "splitting needs constant comultiplication entries; "
-                "supply a base point for a fiberwise splitting"
-            )
-        const_mu = {
-            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
-                for bk, m in blocks.items()}
-            for i, blocks in E.mu.items()
-        }
-        E = CoalgebraBundle(E.n, (), E.ranks, const_mu)
+            raise UnsupportedXDependence("splitting needs constant comultiplication entries; "
+                                         "supply a base point for a fiberwise splitting")
+        if len(at_point) != E.nvars:
+            raise ValueError("point has wrong length")
+        pt, fiber = _point(at_point), CoalgebraBundle(E.n, (), E.ranks, None)
+        fiber._keep_view(*_int_columns({
+            i: [[(p, v) for p, c in col.items() if (v := c._eval(pt))] for col in E.mu_columns(i)]
+            for i in range(2, E.n + 1)}))
+        E = fiber
     sp = E.splitting()
     if sp.failure is not None:
         raise NotAdmissible(sp.failure)

@@ -16,6 +16,7 @@ from gradman.coalgebra import (
     CoalgebraMorphism,
     CoalgebraReport,
     KSpace,
+    SplitData,
     _free_columns,
     _image,
     _variant_pair_columns,
@@ -765,6 +766,35 @@ def eager_split_blocks(S: CoalgebraBundle) -> dict:
                     blocks[(j, k)].entries[a * ranks[k] + b][c] = Poly.const(nv, sign)
         mu[i] = blocks
     return mu
+
+
+def reference_fiber(E: CoalgebraBundle, at_point: Sequence) -> CoalgebraBundle:
+    """The fiber `coalgebra.splitting_iso(E, at_point=p)` split before it was
+    built from int columns: every block evaluated through `eval_at` into a
+    `PolyMatrix.from_rat` block of a fresh bundle."""
+    const_mu = {
+        i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+            for bk, m in blocks.items()}
+        for i, blocks in E.mu.items()
+    }
+    return CoalgebraBundle(E.n, (), E.ranks, const_mu)
+
+
+def reference_truncate(E: CoalgebraBundle, k: int) -> CoalgebraBundle:
+    """`coalgebra.truncate` as it was before a split model's truncation was
+    built by `split_from_gens`: the blocks of `E.mu` restricted, with the
+    split data cut to degree k."""
+    if not 0 <= k <= E.n:
+        raise ValueError("truncation level out of range")
+    ranks = {i: E.rank(i) for i in range(1, k + 1)}
+    mu = {i: dict(E.mu.get(i, {})) for i in range(2, k + 1)}
+    split = None
+    if E.split is not None:
+        split = SplitData(
+            [(d, nm) for d, nm in E.split.gens if d <= k],
+            {i: E.split.monomials[i] for i in range(1, k + 1)},
+        )
+    return CoalgebraBundle(k, E.base_names, ranks, mu, split=split)
 
 
 def reference_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> CoalgebraMorphism:

@@ -57,7 +57,9 @@ from randchart import (
     reference_check_admissible,
     reference_compute_K,
     reference_dvb_coalgebra,
+    reference_fiber,
     reference_splitting_iso,
+    reference_truncate,
     span_rank,
     tensor_square,
 )
@@ -1937,3 +1939,112 @@ class TestSplitModelsOnIntColumns:
             f, phi = roundtrip(s)
             assert morphism_check(chart.iso, s, chart.iso.target) and morphism_check(phi, s, f)
             assert [b._mu for b in (s, chart.iso.target, f)] == [None] * 3, profile
+
+
+def pool_fibers():
+    """(x-dependent bundle, point) at each spec's fiber and each of its
+    sample points, over both `xdep-admissible` pools."""
+    for seed in (12, 7012):
+        for spec, e in bench_pool("xdep-admissible", seed):
+            for point in [spec["fiber"], *spec["points"]]:
+                yield e, point
+
+
+def fiber_outcome(split, e):
+    """The refusal of a fiber splitting, or what it gives: the fiber's lam,
+    int and Poly columns, the rows, the split generators and the
+    `morphism_check` verdict."""
+    try:
+        phi = split(e)
+    except NotAdmissible as exc:
+        return str(exc)
+    fiber, view = phi.source, phi.source.integer_view()
+    assert all(type(v) is int for i in range(2, fiber.n + 1)
+               for col in view.mu_columns(i) for v in col.values())
+    columns = {i: (view.mu_columns(i), fiber.mu_columns(i)) for i in range(2, fiber.n + 1)}
+    return (fiber.n, fiber.base_names, fiber.ranks, view.lam, columns, phi.rows,
+            phi.target.split.gens, morphism_check(phi, fiber, phi.target))
+
+
+class TestBundlesBuiltFromNumbers:
+    def test_fibers_equal_the_reference(self):
+        kinds = Counter()
+        for e, point in pool_fibers():
+            got = fiber_outcome(lambda b: splitting_iso(b, at_point=point), e)
+            assert got == fiber_outcome(lambda b: splitting_iso(reference_fiber(b, point)), e)
+            kinds["refused" if isinstance(got, str) else got[-1]] += 1
+        assert kinds == {True: 336, "refused": 96}, kinds
+
+    def test_fibers_at_fractional_points_equal_the_reference(self):
+        lams = Counter()
+        for spec, e in bench_pool("xdep-admissible", 12):
+            point = [x + Fraction(1, 3) for x in spec["fiber"]]
+            got = fiber_outcome(lambda b: splitting_iso(b, at_point=point), e)
+            assert got == fiber_outcome(lambda b: splitting_iso(reference_fiber(b, point)), e)
+            lams["refused" if isinstance(got, str) else got[3] > 1] += 1
+        assert lams[True], lams  # Poly columns read from int columns over lam > 1
+
+    def test_a_point_of_the_wrong_length_is_refused(self):
+        for _, e in bench_pool("xdep-admissible", 12)[:12]:
+            for point in ([Fraction(1)] * (e.nvars - 1), [Fraction(1)] * (e.nvars + 1)):
+                with pytest.raises(ValueError, match="point has wrong length"):
+                    splitting_iso(e, at_point=point)
+
+    def test_a_fiber_builds_no_poly_matrix(self, monkeypatch):
+        cases = list(pool_fibers())  # the pools build their blocks before the spies go in
+        from_rat, init, built = PolyMatrix.from_rat, PolyMatrix.__init__, []
+
+        def spy_from_rat(*args):
+            built.append("from_rat")
+            return from_rat(*args)
+
+        def spy_init(self, *args):
+            built.append("init")
+            init(self, *args)
+
+        monkeypatch.setattr(PolyMatrix, "from_rat", spy_from_rat)
+        monkeypatch.setattr(PolyMatrix, "__init__", spy_init)
+        refused = 0
+        for e, point in cases:
+            try:
+                phi = splitting_iso(e, at_point=point)
+            except NotAdmissible:
+                refused += 1
+                continue
+            assert phi.source._mu is None and phi.source._constant, (e, point)
+        assert built == [] and refused == 96
+
+    def test_split_model_truncations_equal_the_reference(self, monkeypatch):
+        zeros, scans = [], []
+        zero, scan = PolyMatrix.zero, PolyMatrix.is_constant
+
+        def spy_zero(*args):
+            zeros.append(args)
+            return zero(*args)
+
+        def spy_scan(self):
+            scans.append(self)
+            return scan(self)
+
+        levels = 0
+        for profile in SPLIT_CORPUS:
+            for base, points in (((), ORIGIN), (("x",), [[Fraction(2)]])):
+                for k in range(len(profile) + 1):
+                    s = split_coalgebra(list(profile), base_names=base)
+                    with monkeypatch.context() as m:
+                        m.setattr(PolyMatrix, "zero", spy_zero)
+                        m.setattr(PolyMatrix, "is_constant", spy_scan)
+                        t = truncate(s, k)
+                    assert zeros == [] and scans == [], (profile, base, k)
+                    assert t._constant and t._integer_view is not None and t._mu is None
+                    r = reference_truncate(split_coalgebra(list(profile), base_names=base), k)
+                    assert (t.n, t.base_names, t.ranks) == (r.n, r.base_names, r.ranks)
+                    assert (t.split.gens, t.split.monomials) == (r.split.gens, r.split.monomials)
+                    assert t.integer_view().lam == r.integer_view().lam == 1
+                    for i in range(2, k + 1):
+                        assert t.mu_columns(i) == r.mu_columns(i), (profile, base, k, i)
+                        assert t.integer_view().mu_columns(i) == r.integer_view().mu_columns(i)
+                    assert t.mu == r.mu, (profile, base, k)
+                    assert check_admissible(t, points) == check_admissible(r, points)
+                    levels += 1
+        assert levels == 2 * sum(len(p) + 1 for p in SPLIT_CORPUS)
