@@ -81,7 +81,7 @@ class CoalgebraBundle:
         self._tensor_cache: dict = {}
         self._power_cache: dict = {}
         self._columns_cache: dict = {}
-        self._one = Poly.one(self.nvars)
+        self.lam: Optional[int] = None  # set on an integer view only
         self._integer_view: Optional[CoalgebraBundle] = None
         self._splitting: Optional[Splitting] = None
         self._constant: Optional[bool] = None
@@ -195,7 +195,7 @@ class CoalgebraBundle:
         view = CoalgebraBundle(self.n, self.base_names, self.ranks, {})
         view._tensor_cache = self._tensor_cache
         view._columns_cache = columns
-        view._one, view.lam = 1, lam
+        view.lam = lam
         self._integer_view, self._constant = view, True
 
     def mu_rows(self, i: int) -> list:
@@ -205,7 +205,7 @@ class CoalgebraBundle:
         zero rows, which change no rank and no pivot column.
         """
         cols = self.mu_columns(i)
-        zero = Poly.zero(self.nvars) if isinstance(self._one, Poly) else 0
+        zero = Poly.zero(self.nvars) if self.lam is None else 0
         return [[col.get(p, zero) for col in cols] for p in sorted({p for col in cols for p in col})]
 
     def mu_matrix(self, i: int) -> PolyMatrix:
@@ -224,7 +224,7 @@ class CoalgebraBundle:
         if cached is not None:
             return cached
         if k == 0:
-            out = {(e,): self._one}
+            out = {(e,): Poly.one(self.nvars) if self.lam is None else 1}
         else:
             out = apply_mu(self, self.power_columns(e, k - 1), k - 1)
         self._power_cache[key] = out

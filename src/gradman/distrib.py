@@ -43,6 +43,8 @@ from .fields import (
     ChartMap,
     Coord,
     VectorField,
+    _chart_map,
+    _check_images,
     all_coords,
     base_coord,
     bracket,
@@ -310,8 +312,10 @@ class _Flattening:
     each flattened generator has become."""
 
     def __init__(self, dist: Distribution):
-        self.sig = dist.sig
-        self.ident, self.total_nio, self.total_oin = (ChartMap.identity(self.sig) for _ in range(3))
+        self.sig = sig = dist.sig
+        self.ident = ident = ChartMap.identity(sig)
+        self.total_nio, self.total_oin = (_chart_map(sig, sig, ident.base, ident.gens)
+                                          for _ in range(2))
         self.gens = list(dist.generators)
         self.flat_of: Dict[int, Coord] = {}
 
@@ -328,10 +332,15 @@ class _Flattening:
         both composites are checked to be the identity here on the named
         coordinates alone, with no composite map built.  A step that, with
         its inverse, fixes every named coordinate (an alignment of generators
-        already aligned, a frame equal to I) changes nothing and is skipped."""
+        already aligned, a frame equal to I) changes nothing and is skipped.
+        The given images are checked to be homogeneous; the identity's
+        images that fill both maps out are not checked again."""
         sig, ident = self.sig, self.ident
-        step, inverse = (ChartMap(sig, sig, b or ident.base, {**ident.gens, **g})
-                         for g, b in ((gmap, base), (inv_gmap, inv_base)))
+        pairs = ((gmap, base), (inv_gmap, inv_base))
+        for g, b in pairs:
+            _check_images(sig, b or (), g)
+        step, inverse = (_chart_map(sig, sig, b or ident.base, {**ident.gens, **g})
+                         for g, b in pairs)
         named = [gen_coord(g) for g in {**gmap, **inv_gmap}]
         if base or inv_base:
             named += [base_coord(a) for a in range(sig.m0)]
@@ -378,10 +387,17 @@ def _unimodular_alignment(a_rows: list, m: int, nv: int):
     loop ends without a cap; the column aligns exactly when that entry is a
     constant.  A column with no constant pivot is refused otherwise: over two
     or more base variables, a unimodular column may still need the
-    Quillen-Suslin construction (Logar and Sturmfels, J. Algebra 145, 1992)."""
+    Quillen-Suslin construction (Logar and Sturmfels, J. Algebra 145, 1992).
+
+    An aligned A, transpose(A) = [I; 0] already, returns I with no pass: the
+    pass would take each diagonal pivot, scale by 1 and clear nothing."""
     d = len(a_rows)
+    one, zero = Poly.one(nv), Poly.zero(nv)
+    if d <= m and all(p == (one if r == c else zero)
+                      for r, row in enumerate(a_rows) for c, p in enumerate(row)):
+        return PolyMatrix.identity(m, nv)
     rows = [[a_rows[r][c] for r in range(d)]
-            + [Poly.const(nv, 1 if i == c else 0) for i in range(m)] for c in range(m)]
+            + [one if i == c else zero for i in range(m)] for c in range(m)]
     for col in range(d):
         piv = next((r for r in range(col, m)
                     if rows[r][col].is_constant() and not rows[r][col].is_zero()), None)

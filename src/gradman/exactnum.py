@@ -741,14 +741,17 @@ def poly_solve(m: PolyMatrix, b: list):
 
 
 def poly_inverse(m: PolyMatrix) -> Optional[PolyMatrix]:
-    """Inverse with polynomial entries, or None when no polynomial inverse exists."""
+    """Inverse with polynomial entries, or None when no polynomial inverse exists.
+    The inverse of I is a fresh I, with no elimination."""
     n = m.rows
     if n != m.cols:
         raise ValueError("inverse of a non-square matrix")
     nv = m.nvars
     one, zero = Poly.one(nv), Poly.zero(nv)
-    a, ops = _prepare([row + [one if c == r else zero for c in range(n)]
-                       for r, row in enumerate(m.entries)], nv)
+    ident = [[one if c == r else zero for c in range(n)] for r in range(n)]
+    if m.entries == ident:
+        return PolyMatrix(n, n, ident, nv)
+    a, ops = _prepare([row + ident[r] for r, row in enumerate(m.entries)], nv)
     pivots, _, det = _eliminate(a, ops, ncols=n)
     if len(pivots) < n:
         return None

@@ -245,8 +245,13 @@ def restrict_truncation(x: VectorField, r: int) -> VectorField:
 class ChartMap:
     """Coordinate substitution: images of every coordinate on a target chart.
 
-    Callers may assign into `.base` and `.gens` after construction, so
-    whether a coordinate is fixed is read from them at each `fixes` call."""
+    The constructor checks that each image is homogeneous of its
+    coordinate's degree.  `identity` and `after` build through `_chart_map`,
+    which checks nothing: their images are homogeneous already, since
+    substitution is a ring homomorphism.  Callers may assign into `.base`
+    and `.gens` after construction, unchecked, so whether a coordinate is
+    fixed is read from them at each `fixes` call, and `after` composes
+    whatever images they hold."""
 
     def __init__(self, source: GradedSignature, target: GradedSignature,
                  base: Sequence[GradedFunction], gens: Dict[GenId, GradedFunction]):
@@ -254,16 +259,11 @@ class ChartMap:
         self.target = target
         self.base = list(base)
         self.gens = dict(gens)
-        for f in self.base:
-            if not f.is_homogeneous(0):
-                raise DegreeMismatch("base coordinate image must have degree 0")
-        for g, f in self.gens.items():
-            if not f.is_zero() and not f.is_homogeneous(g[0]):
-                raise DegreeMismatch(f"image of {source.gen_name(g)} must have degree {g[0]}")
+        _check_images(source, self.base, self.gens)
 
     @classmethod
     def identity(cls, sig: GradedSignature) -> "ChartMap":
-        return cls(
+        return _chart_map(
             sig, sig,
             [GradedFunction.base_var(sig, a) for a in range(sig.m0)],
             {g: GradedFunction.from_gen(sig, g) for g in sig.gen_ids()},
@@ -314,7 +314,7 @@ class ChartMap:
         def image(c, f):
             return inner.image(c) if self.fixes(c) else inner.apply_to(f)
 
-        return ChartMap(
+        return _chart_map(
             self.source, inner.target,
             [image(base_coord(a), f) for a, f in enumerate(self.base)],
             {g: image(gen_coord(g), f) for g, f in self.gens.items()},
@@ -324,6 +324,30 @@ class ChartMap:
         sig = self.source
         return (len(self.base) == sig.m0 and self.gens.keys() == set(sig.gen_ids())
                 and all(self.fixes(c) for c in all_coords(sig)))
+
+
+def _check_images(source: GradedSignature, base: Sequence[GradedFunction],
+                  gens: Dict[GenId, GradedFunction]):
+    """Raise `DegreeMismatch` unless every base image has degree 0 and every
+    nonzero generator image has its generator's degree."""
+    for f in base:
+        if not f.is_homogeneous(0):
+            raise DegreeMismatch("base coordinate image must have degree 0")
+    for g, f in gens.items():
+        if not f.is_zero() and not f.is_homogeneous(g[0]):
+            raise DegreeMismatch(f"image of {source.gen_name(g)} must have degree {g[0]}")
+
+
+_new = object.__new__
+
+
+def _chart_map(source: GradedSignature, target: GradedSignature,
+               base: Sequence[GradedFunction], gens: Dict[GenId, GradedFunction]) -> ChartMap:
+    """A ChartMap on images known to be homogeneous, copied as the
+    constructor copies them, without the constructor's check."""
+    m = _new(ChartMap)
+    m.source, m.target, m.base, m.gens = source, target, list(base), dict(gens)
+    return m
 
 
 def transform_field(x: VectorField, new_in_old: ChartMap, old_in_new: ChartMap) -> VectorField:

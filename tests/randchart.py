@@ -29,6 +29,7 @@ from gradman.coalgebra import (
 from gradman.distrib import (
     Distribution,
     FrobeniusChart,
+    _euclid_pivot,
     _linear_base,
     _unimodular_alignment,
     graded_antiderivative,
@@ -368,6 +369,38 @@ def random_triangular_substitution(rng, sig):
                 img = img.add(GradedFunction.monomial(sig, w, coeff))
         gens_map[g] = img
     return ChartMap(sig, sig, base, gens_map)
+
+
+def partly_fixed_substitution(rng, sig) -> ChartMap:
+    """A `random_triangular_substitution` with about half of its images,
+    picked at random, replaced by the identity's."""
+    full, ident = random_triangular_substitution(rng, sig), ChartMap.identity(sig)
+    keep = {c for c in all_coords(sig) if rng.random() < 0.5}
+    pick = [(full if c in keep else ident).image(c) for c in all_coords(sig)]
+    return ChartMap(sig, sig, pick[:sig.m0], dict(zip(sig.gen_ids(), pick[sig.m0:])))
+
+
+def rand_function(rng, sig):
+    """A chart function of mixed degree up to 3, often with a constant term."""
+    words = [w for k in range(4) for w in monomials_of_degree(sig.gen_ids(), k)]
+    terms = {(): Poly.const(sig.m0, rng.randint(-2, 2))}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(sig.m0))
+        terms[rng.choice(words)] = Poly(sig.m0, {exps: Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
+    return GradedFunction(sig, terms)
+
+
+def assert_as_constructed(m: ChartMap, rng):
+    """m has the images, identity verdict and `apply_to` results of the map
+    the checking constructor builds from its images, in lists and dicts of
+    its own."""
+    c = ChartMap(m.source, m.target, m.base, m.gens)
+    assert type(m) is ChartMap and type(m.base) is list and type(m.gens) is dict
+    assert (m.source, m.target, m.base, m.gens) == (c.source, c.target, c.base, c.gens)
+    assert m.is_identity() == c.is_identity()
+    for _ in range(3):
+        f = rand_function(rng, m.source)
+        assert m.apply_to(f) == c.apply_to(f)
 
 
 def conjugate_frames(rng, e):
@@ -1483,6 +1516,32 @@ def reference_span_preserved(sig: GradedSignature, moved: list, flattened: list,
         span_ok = (all(membership(g, flat_dist).ok for g in moved)
                    and all(membership(g, moved_dist).ok for g in flat_fields))
     return span_ok
+
+
+def reference_unimodular_alignment(a_rows: list, m: int, nv: int):
+    """`distrib._unimodular_alignment` with its Gauss-Jordan pass run on
+    every block, aligned ones included; kept verbatim as the oracle of the
+    alignment that returns I on an aligned block."""
+    d = len(a_rows)
+    rows = [[a_rows[r][c] for r in range(d)]
+            + [Poly.const(nv, 1 if i == c else 0) for i in range(m)] for c in range(m)]
+    for col in range(d):
+        piv = next((r for r in range(col, m)
+                    if rows[r][col].is_constant() and not rows[r][col].is_zero()), None)
+        if piv is None and nv == 1:
+            piv = _euclid_pivot(rows, col, m)
+        if piv is None:
+            raise NonPolynomialFlatFrame(
+                "no unimodular polynomial alignment: a constant pivot is unavailable"
+            )
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col].constant_value()
+        rows[col] = [p.scale(inv) for p in rows[col]]
+        for r in range(m):
+            coeff = rows[r][col]
+            if r != col and not coeff.is_zero():
+                rows[r] = [p.sub(coeff.mul(q)) for p, q in zip(rows[r], rows[col])]
+    return PolyMatrix(m, m, [row[d:] for row in rows], nv)
 
 
 def _complete_to_invertible(rref_rows: list, pivots: list, nv: int) -> list:

@@ -66,14 +66,12 @@ def test_traced_workload_cases_pass(name):
     assert {(m, p): resolve(gm, m, p) for m, p in originals} == originals
 
 
-def test_split_tower_reads_constraint_spaces_off_the_splitting():
-    # a constant bundle calls compute_K only at a degree -2 rank mismatch,
-    # with n = 2, and past its splitting's first failure: 6 calls per traced
-    # pass, 39 when every degree -2 kept compute_K, 50 when a mismatch degree
-    # did too, 123 with one per degree
+def traced_pass(name):
+    """Call counts of one traced pass over a workload's trace cases at its
+    default seed."""
     gm = engine()
-    workload = WORKLOADS["split-tower"]
-    pool = workload.make_pool(run.DEFAULT_SEEDS["split-tower"], gm)
+    workload = WORKLOADS[name]
+    pool = workload.make_pool(run.DEFAULT_SEEDS[name], gm)
     tracer = Tracer(gm)
     tally = run.Run(workload, gm)
     tracer.install()
@@ -83,4 +81,22 @@ def test_split_tower_reads_constraint_spaces_off_the_splitting():
     finally:
         tracer.uninstall()
     assert tally.failed == 0, tally.failures
-    assert tracer.calls["coalgebra.compute_K"] == 6
+    return tracer.calls
+
+
+def test_split_tower_reads_constraint_spaces_off_the_splitting():
+    # a constant bundle calls compute_K only at a degree -2 rank mismatch,
+    # with n = 2, and past its splitting's first failure: 6 calls per traced
+    # pass, 39 when every degree -2 kept compute_K, 50 when a mismatch degree
+    # did too, 123 with one per degree
+    assert traced_pass("split-tower")["coalgebra.compute_K"] == 6
+
+
+def test_frobenius_flatten_counts():
+    # normal forms, field transports and polynomial products per traced
+    # pass at seed 13: chart maps built without the constructor's check,
+    # and the inverse of I and an aligned block returned without
+    # elimination, skip no call that a traced name counts
+    calls = traced_pass("frobenius-flatten")
+    assert (calls["distrib.frobenius_normal_form"], calls["fields.transform_field"],
+            calls["exactnum.poly_mul"]) == (30, 118, 920)

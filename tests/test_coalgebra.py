@@ -2014,6 +2014,23 @@ class TestBundlesBuiltFromNumbers:
             assert phi.source._mu is None and phi.source._constant, (e, point)
         assert built == [] and refused == 96
 
+    def test_a_fiber_splitting_builds_no_poly_constant(self, monkeypatch):
+        # no bundle builds a Poly one it does not read: at each spec's fiber
+        # of the seed-12 pool the fiber, the split model and their integer
+        # views are read as ints (288 Poly.const calls when each bundle
+        # built one, four per splitting)
+        cases = bench_pool("xdep-admissible", 12)
+        const, calls = Poly.const.__func__, []
+        monkeypatch.setattr(Poly, "const",
+                            classmethod(lambda cls, *a: calls.append(a) or const(cls, *a)))
+        refused = 0
+        for spec, e in cases:
+            try:
+                splitting_iso(e, at_point=spec["fiber"])
+            except NotAdmissible:
+                refused += 1
+        assert calls == [] and (len(cases), refused) == (72, 24)
+
     def test_split_model_truncations_equal_the_reference(self, monkeypatch):
         zeros, scans = [], []
         zero, scan = PolyMatrix.zero, PolyMatrix.is_constant

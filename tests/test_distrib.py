@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradman import distrib
+from gradman import distrib, fields
 from gradman.distrib import (
     Distribution,
     _Flattening,
@@ -21,6 +21,7 @@ from gradman.distrib import (
     single_field_normal_form,
 )
 from gradman.errors import (
+    DegreeMismatch,
     DegreeOverflow,
     HypothesisFailed,
     NonConstantSymbols,
@@ -41,11 +42,15 @@ from gradman.fields import (
 )
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
 from randchart import (
+    assert_as_constructed,
     flatten_back_corpus,
     frobenius_flatten_pool,
     invert_chart_map,
+    partly_fixed_substitution,
+    random_signature,
     reference_frobenius_normal_form,
     reference_span_preserved,
+    reference_unimodular_alignment,
     stage_c_corpus,
 )
 
@@ -344,6 +349,11 @@ class TestFrobeniusStageA:
         assert chart.new_in_old.is_identity()
         assert chart.old_in_new.is_identity()
         assert chart.span_preserved
+        # the two maps share no list or dict an edit could go through
+        nio, oin = chart.new_in_old, chart.old_in_new
+        assert nio is not oin and nio.base is not oin.base and nio.gens is not oin.gens
+        nio.gens[(1, 0)] = gen(sig, "e2")
+        assert oin.is_identity() and not nio.is_identity()
 
     def test_not_involutive_rejected(self):
         d = make_distribution([d_prime()], [()])
@@ -579,10 +589,12 @@ class TestUnimodularAlignment:
         x = self.X
         self.check_aligned([[self.ONE, x], [x, self.ONE.add(x.mul(x))]], 2, 1)
 
-    def test_seeded_permuted_unit_trapezoids(self):
-        # transpose(A) is a row permutation of a unit lower-trapezoidal matrix
-        # whose entries below the diagonal have no constant term, so each
-        # column has exactly one constant pivot once the earlier ones are cleared
+    @staticmethod
+    def permuted_unit_trapezoids():
+        """(a_rows, m, nv) for 60 seeded blocks: transpose(A) is a row
+        permutation of a unit lower-trapezoidal matrix whose entries below
+        the diagonal have no constant term, so each column has exactly one
+        constant pivot once the earlier ones are cleared."""
         rng = random.Random(8088)
         for case in range(60):
             nv = case % 3
@@ -601,7 +613,48 @@ class TestUnimodularAlignment:
             perm = list(range(m))
             rng.shuffle(perm)
             a_t = [lower[p] for p in perm]
-            self.check_aligned([[a_t[c][r] for c in range(m)] for r in range(d)], m, nv)
+            yield [[a_t[c][r] for c in range(m)] for r in range(d)], m, nv
+
+    def test_seeded_permuted_unit_trapezoids(self):
+        for a_rows, m, nv in self.permuted_unit_trapezoids():
+            self.check_aligned(a_rows, m, nv)
+
+    @staticmethod
+    def aligned_blocks():
+        """(a_rows, m, nv) with transpose(A) = [I; 0], for every d <= m <= 4."""
+        for nv in range(3):
+            one, zero = Poly.one(nv), Poly.zero(nv)
+            for m in range(1, 5):
+                for d in range(1, m + 1):
+                    yield [[one if r == c else zero for c in range(m)] for r in range(d)], m, nv
+
+    def test_aligned_blocks_need_no_pass(self, monkeypatch):
+        scale, calls = Poly.scale, []
+        monkeypatch.setattr(Poly, "scale", lambda p, c: calls.append(1) or scale(p, c))
+        count = 0
+        for a_rows, m, nv in self.aligned_blocks():
+            want = reference_unimodular_alignment(a_rows, m, nv)
+            calls.clear()
+            got = _unimodular_alignment(a_rows, m, nv)
+            assert calls == [] and got == want == PolyMatrix.identity(m, nv), (a_rows, m)
+            count += 1
+        assert count == 30
+
+    def test_agrees_with_the_reference_pass(self):
+        aligned = 0
+        blocks = itertools.chain(self.aligned_blocks(), self.permuted_unit_trapezoids())
+        for a_rows, m, nv in blocks:
+            got = _unimodular_alignment(a_rows, m, nv)
+            assert got == reference_unimodular_alignment(a_rows, m, nv)
+            aligned += got == PolyMatrix.identity(m, nv)
+        assert aligned == 30 + 16  # 16 of the 60 seeded blocks are aligned
+        # more rows than columns is never aligned: both refuse it
+        for nv in range(3):
+            one, zero = Poly.one(nv), Poly.zero(nv)
+            a_rows = [[one, zero], [zero, one], [zero, zero]]
+            for align in (_unimodular_alignment, reference_unimodular_alignment):
+                with pytest.raises(NonPolynomialFlatFrame, match=f"^{self.REFUSAL}$"):
+                    align(a_rows, 2, nv)
 
     def test_euclid_over_one_variable(self):
         # (1 + x, x) has no constant entry, yet (1 + x) - x = 1
@@ -725,10 +778,12 @@ class TestReferenceNormalForm:
 
     def test_benchmark_pool(self):
         # the non-homological `frobenius-flatten` cases at the benchmark's
-        # default seed: flat ones flatten, obstructed ones fail the
-        # involutivity check and non-constant symbols are refused in stage C
-        counts = self.compare(dist for _, dist in frobenius_flatten_pool(13))
-        assert counts == {"charts": 72, "refusals": 48, "picard": 0, "rescued": 0}
+        # default seed and its held-out one: flat ones flatten, obstructed
+        # ones fail the involutivity check and non-constant symbols are
+        # refused in stage C
+        for seed in (13, 7013):
+            counts = self.compare(dist for _, dist in frobenius_flatten_pool(seed))
+            assert counts == {"charts": 72, "refusals": 48, "picard": 0, "rescued": 0}, seed
 
 
 class TestSpanCheck:
@@ -761,21 +816,23 @@ class TestSpanCheck:
             yield "same degree", True, swap(g.add(same[0].scale(x)))
 
     def test_agrees_with_membership_on_the_benchmark_pool(self):
-        seen = collections.Counter()
-        for kind, dist in frobenius_flatten_pool(13):
-            if kind != "flat":
-                continue
-            chart = frobenius_normal_form(dist)
-            cases = [("own", True, chart.transformed_generators)]
-            for k in range(len(chart.flattened)):
-                cases += self.perturbations(chart, k)
-            for name, want, fields in cases:
-                got = _spans_coordinate_fields(chart.sig, fields, chart.flattened)
-                assert got == want == reference_span_preserved(
-                    chart.sig, fields, chart.flattened, chart.sample_points), name
-                seen[name] += 1
-        assert seen == {"own": 72, "x^2 + 1": 180, "off the span": 120,
-                        "constant": 180, "same degree": 24}
+        # at the benchmark's default seed and its held-out one
+        for seed in (13, 7013):
+            seen = collections.Counter()
+            for kind, dist in frobenius_flatten_pool(seed):
+                if kind != "flat":
+                    continue
+                chart = frobenius_normal_form(dist)
+                cases = [("own", True, chart.transformed_generators)]
+                for k in range(len(chart.flattened)):
+                    cases += self.perturbations(chart, k)
+                for name, want, fields in cases:
+                    got = _spans_coordinate_fields(chart.sig, fields, chart.flattened)
+                    assert got == want == reference_span_preserved(
+                        chart.sig, fields, chart.flattened, chart.sample_points), name
+                    seen[name] += 1
+            assert seen == {"own": 72, "x^2 + 1": 180, "off the span": 120,
+                            "constant": 180, "same degree": 24}, seed
 
 
 class TestIdentityStep:
@@ -833,6 +890,71 @@ class TestStepInverseCheck:
         state.step({}, {}, [x1.add(x2), x2], [x1.sub(x2), x2])
         assert state.total_nio.base == [x1.add(x2), x2]
         assert state.total_oin.base == [x1.sub(x2), x2]
+
+    def test_an_inhomogeneous_given_image_is_refused(self):
+        sig = self.SIG
+        x1, x2 = (GradedFunction.base_var(sig, a) for a in range(2))
+        e1, e2 = gen(sig, "e1"), gen(sig, "e2")
+        good = {(1, 0): e1.add(e2)}, {(1, 0): e1.sub(e2)}, [x1, x2], [x1, x2]
+        for pos, bad in [(0, {(1, 0): e1.add(x1)}), (1, {(1, 0): e1.add(x2)}),
+                         (2, [x1.add(e2), x2]), (3, [x1, x2.add(e1)])]:
+            args = list(good)
+            args[pos] = bad
+            state = self.state()
+            before = (state.total_nio, state.total_oin, state.gens)
+            with pytest.raises(DegreeMismatch):
+                state.step(*args)
+            assert (state.total_nio, state.total_oin, state.gens) == before
+
+    def test_step_builds_maps_as_the_constructor_would(self, monkeypatch):
+        # the step and its inverse on the `TestApplyToOracle` maps that
+        # have a polynomial inverse, and the composites they push through
+        built, chart_map = [], fields._chart_map
+        for module in (distrib, fields):
+            monkeypatch.setattr(module, "_chart_map",
+                                lambda *a: built.append(chart_map(*a)) or built[-1])
+        rng = random.Random(2401)
+        taken = 0
+        for _ in range(40):
+            sig = random_signature(rng)
+            m = partly_fixed_substitution(rng, sig)
+            try:
+                inv = invert_chart_map(m)
+            except NonPolynomialFlatFrame:
+                continue
+            state = _Flattening(make_distribution(
+                [VectorField.coordinate_field(sig, gen_coord(sig.gen_ids()[0]))],
+                [[0] * sig.m0]))
+            built.clear()
+            state.step(m.gens, inv.gens, m.base, inv.base)
+            step, inverse = built[:2]
+            assert (step.base, step.gens, inverse.base, inverse.gens) == (
+                m.base, m.gens, inv.base, inv.gens)
+            assert built[2:] == ([] if m.is_identity() else [state.total_nio, state.total_oin])
+            for cm in built:
+                assert_as_constructed(cm, rng)
+            taken += not m.is_identity()
+        assert taken > 20
+
+    def test_a_flat_case_checks_only_the_images_its_steps_are_given(self, monkeypatch):
+        dist = next(d for kind, d in frobenius_flatten_pool(13)
+                    if kind == "flat" and frobenius_normal_form(d).substitution_table())
+        inits, given, checked = [], [], []
+        init, step, check = ChartMap.__init__, _Flattening.step, distrib._check_images
+
+        def spy_step(self, gmap, inv_gmap, base=None, inv_base=None):
+            given.extend([(base or (), gmap), (inv_base or (), inv_gmap)])
+            return step(self, gmap, inv_gmap, base, inv_base)
+
+        monkeypatch.setattr(ChartMap, "__init__",
+                            lambda self, *a: inits.append(a) or init(self, *a))
+        monkeypatch.setattr(_Flattening, "step", spy_step)
+        monkeypatch.setattr(distrib, "_check_images",
+                            lambda sig, base, gens: checked.append((base, gens)) or check(
+                                sig, base, gens))
+        chart = frobenius_normal_form(dist)
+        assert chart.inverse_ok and chart.span_preserved
+        assert inits == [] and given and checked == given
 
     def test_identity_linear_step_computes_no_inverse(self, monkeypatch):
         calls = []

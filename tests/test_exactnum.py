@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradman import exactnum
 from gradman.errors import NumberTooLong
 from gradman.exactnum import (
     Poly,
@@ -19,6 +20,8 @@ from gradman.exactnum import (
     rat_rank,
     rat_solve,
 )
+
+eliminate = exactnum._eliminate
 
 
 def P(nvars, terms):
@@ -443,6 +446,28 @@ class TestFractionField:
         assert m.mul(inv) == PolyMatrix.identity(2, 1)
         bad = PolyMatrix(1, 1, [[x]], 1)
         assert poly_inverse(bad) is None
+
+    def test_inverse_of_identity_needs_no_elimination(self, monkeypatch):
+        # the elimination result is what `rat_inverse` gives on the numbers
+        calls = []
+        monkeypatch.setattr(exactnum, "_eliminate",
+                            lambda *args, **kw: calls.append(1) or eliminate(*args, **kw))
+        for n in range(5):
+            for nv in range(3):
+                m = PolyMatrix.identity(n, nv)
+                want = PolyMatrix.from_rat(n, n, rat_inverse(m.to_rat()), nv)
+                calls.clear()
+                got = poly_inverse(m)
+                assert calls == [] and got == want == PolyMatrix.identity(n, nv), (n, nv)
+                assert got is not m and got.entries is not m.entries and got.nvars == nv
+                if n:
+                    got.entries[0][0] = Poly.var(nv, 0) if nv else Poly.zero(nv)
+                    assert m == PolyMatrix.identity(n, nv)
+        # a matrix one entry away from I is still eliminated
+        x, one, zero = Poly.var(1, 0), Poly.one(1), Poly.zero(1)
+        calls.clear()
+        inv = poly_inverse(PolyMatrix(2, 2, [[one, x], [zero, one]], 1))
+        assert calls and inv == PolyMatrix(2, 2, [[one, x.neg()], [zero, one]], 1)
 
 
 class TestPrimitiveVector:

@@ -29,11 +29,14 @@ from gradman.fields import (
 from gradman.geometrize import geometrize
 from gradman.gradedring import GradedFunction, GradedSignature, monomials_of_degree
 from randchart import (
+    assert_as_constructed,
     conjugate_frames,
     full_after,
     full_is_identity,
     full_substitute,
     full_transform_field,
+    partly_fixed_substitution,
+    rand_function,
     random_signature,
     random_triangular_substitution,
     reference_compat_check,
@@ -467,16 +470,6 @@ class TestMovedCoordinates:
         assert m.after(back).is_identity()
 
 
-def rand_function(rng, sig):
-    """A chart function of mixed degree up to 3, often with a constant term."""
-    words = [w for k in range(4) for w in monomials_of_degree(sig.gen_ids(), k)]
-    terms = {(): Poly.const(sig.m0, rng.randint(-2, 2))}
-    for _ in range(rng.randint(1, 4)):
-        exps = tuple(rng.randint(0, 2) for _ in range(sig.m0))
-        terms[rng.choice(words)] = Poly(sig.m0, {exps: Fraction(rng.randint(-3, 3), rng.randint(1, 2))})
-    return GradedFunction(sig, terms)
-
-
 class TestApplyToOracle:
     """`apply_to` substitutes only the terms that involve a moved coordinate;
     each result must equal the substitution of the whole function."""
@@ -493,11 +486,7 @@ class TestApplyToOracle:
         for _ in range(40):
             sig = random_signature(rng)
             seen.add(sig.m0)
-            full, ident = random_triangular_substitution(rng, sig), ChartMap.identity(sig)
-            keep = {c for c in all_coords(sig) if rng.random() < 0.5}
-            pick = [(full if c in keep else ident).image(c) for c in all_coords(sig)]
-            m = ChartMap(sig, sig, pick[:sig.m0], dict(zip(sig.gen_ids(), pick[sig.m0:])))
-            self.check(rng, m, sig)
+            self.check(rng, partly_fixed_substitution(rng, sig), sig)
         assert seen == {1, 2}
 
     def test_images_assigned_or_restored_after_construction(self):
@@ -527,6 +516,51 @@ class TestApplyToOracle:
                 self.check(rng, m, sig)
                 const = GradedFunction.constant(sig, 3)
                 assert m.apply_to(const) == GradedFunction.constant(other, 3)
+
+
+class TestUncheckedBuilds:
+    """`identity` and `after` build through `_chart_map`, which checks no
+    image; each map they build must be the one the constructor builds."""
+
+    def test_identity_and_composites_on_the_oracle_maps(self, monkeypatch):
+        built = []
+        chart_map = fields._chart_map
+        monkeypatch.setattr(fields, "_chart_map",
+                            lambda *a: built.append(chart_map(*a)) or built[-1])
+        rng = random.Random(2401)
+        for _ in range(40):
+            sig = random_signature(rng)
+            a, b = partly_fixed_substitution(rng, sig), random_triangular_substitution(rng, sig)
+            built.clear()
+            ident = ChartMap.identity(sig)
+            maps = [ident, a.after(b), b.after(a), a.after(ident), ident.after(a)]
+            assert maps[0].is_identity() and same_map(maps[3], a) and same_map(maps[4], a)
+            assert built == maps
+            for m in maps:
+                assert_as_constructed(m, rng)
+        for m0 in (1, 2):
+            sig = GradedSignature(2, [f"x{a + 1}" for a in range(m0)], [("e1", "e2"), ("p",)])
+            other = GradedSignature(2, [f"y{a + 1}" for a in range(m0)], [("f1", "f2"), ("u",)])
+            full = random_triangular_substitution(rng, other)
+            there = ChartMap(sig, other, full.base, full.gens)
+            back = ChartMap(other, sig, [GradedFunction.base_var(sig, a) for a in range(m0)],
+                            {g: GradedFunction.from_gen(sig, g) for g in other.gen_ids()})
+            for m in (there.after(back), back.after(there)):
+                assert_as_constructed(m, rng)
+
+    def test_the_constructor_refuses_inhomogeneous_images(self):
+        sig = GradedSignature(2, ("x",), [("e1", "e2"), ("p",)])
+        ident = ChartMap.identity(sig)
+        x, e1, p = GradedFunction.base_var(sig, 0), gen(sig, "e1"), gen(sig, "p")
+        with pytest.raises(DegreeMismatch, match="^base coordinate image must have degree 0$"):
+            ChartMap(sig, sig, [x.add(e1)], ident.gens)
+        for g, image, name in [((1, 0), e1.add(x), "e1 must have degree 1"),
+                               ((2, 0), e1, "p must have degree 2"),
+                               ((2, 0), p.add(e1.mul(gen(sig, "e2"))).add(x), "p must")]:
+            with pytest.raises(DegreeMismatch, match=f"^image of {name}"):
+                ChartMap(sig, sig, ident.base, {**ident.gens, g: image})
+        # a zero image has every degree
+        assert not ChartMap(sig, sig, ident.base, {**ident.gens, (2, 0): x.scale(0)}).is_identity()
 
 
 class TestCompatDerivations:
