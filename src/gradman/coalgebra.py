@@ -13,7 +13,9 @@ the pairs they reach.
 
 The column helpers are written on `+`, unary `-`, `*` and truth values, so
 each reader runs them on the ints of a constant bundle's `integer_view` (and
-constant morphism matrices as plain numbers) and on Polys otherwise.
+constant morphism matrices as plain numbers) and on Polys otherwise.  A
+constant bundle with n >= 3 keeps one `splitting`, and `check_coalgebra`
+tests columns only at the degrees that splitting does not decide.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .exactnum import (
     rat_rank,
 )
 from .gradedring import (
-    GradedFunction,
-    GradedSignature,
     braiding_sign,
     dim_symmetric_component,
     koszul_merge,
@@ -184,7 +184,8 @@ class CoalgebraBundle:
 
     def splitting(self) -> "Splitting":
         """This constant bundle's `build_splitting`, built once and kept;
-        `check_admissible`, `splitting_iso` and `geometrize` read it."""
+        `check_coalgebra`, `check_admissible`, `splitting_iso` and
+        `geometrize` read it."""
         if self._splitting is None:
             self._splitting = build_splitting(self)
         return self._splitting
@@ -333,12 +334,45 @@ class CoalgebraReport:
 def check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
     """Verify cocommutativity and coassociativity as exact matrix identities,
     on the `integer_view` of a constant bundle: both sides of the two scale by
-    lam and lam^2, so the verdicts and witnesses are the bundle's."""
-    E = E.integer_view() if E.is_constant() else E
+    lam and lam^2, so the verdicts and witnesses are the bundle's.
+
+    A constant bundle with n >= 3 (the guard of `check_admissible`) first
+    reads off its kept splitting the unbroken run of degrees -2 .. -d that
+    it decides, and tests the columns from degree -(d + 1) on only.  Each
+    decided degree is a coalgebra degree, so it has no witness and the
+    report is unchanged:
+
+    - (i) a degree j the walk passed (`rows`), with phi below j an
+      isomorphism (proved in `build_splitting`), has
+      mu_E,j = (phi (x) phi)^-1 mu_S phi_j, and the same holds below j.
+      phi is degree-preserving, so the graded swap commutes with
+      phi (x) phi, and (mu (x) 1) mu and (1 (x) mu) mu at j are both
+      conjugated to those of S by phi (x) phi (x) phi.  S is the dual of a
+      free graded-commutative algebra, cocommutative and coassociative, so
+      both axioms hold at j;
+    - (ii) at the rank-mismatch degree i, reached with every lower degree
+      passing and hence a coalgebra degree by (i), the recorded containment
+      `constraint[i]` is im mu_i in K_i.  K_i lies in the swap kernel and
+      in the kernel of the length-3 split mu (x) 1 - 1 (x) mu, so
+      containment gives both column tests at i; conversely, with both and
+      every lower degree coalgebraic, every iterate variant of every length
+      agrees on each column.  So a True containment decides i.
+
+    A failed walk degree, a False containment, a rank mismatch at -2 and the
+    degrees past them keep the column tests, as Q[x] bundles and n = 2 do.
+    """
+    decided = 1
+    if E.is_constant():
+        if E.n >= 3:
+            sp = E.splitting()
+            decided = max(sp.rows)
+            if sp.constraint.get(decided + 1, (0, False))[1]:
+                decided += 1  # the rank-mismatch degree, by (ii)
+        E = E.integer_view()
     cocom = True
     coass = True
     witnesses = []
-    for i in range(2, E.n + 1):
+    for i in range(decided + 1, E.n + 1):
         cols = E.mu_columns(i)
         swap = (1, 0)
         for c, col in enumerate(cols):
@@ -346,7 +380,7 @@ def check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
                 cocom = False
                 witnesses.append(("cocommutativity", -i, c))
                 break
-    for i in range(3, E.n + 1):
+    for i in range(max(3, decided + 1), E.n + 1):
         for c, col in enumerate(E.mu_columns(i)):
             if apply_mu(E, col, 1) != apply_mu(E, col, 0):
                 coass = False
@@ -800,50 +834,6 @@ def _width(rows: list, cols: int) -> int:
 def _numbers(m: PolyMatrix) -> list:
     """Entry rows of a constant matrix as plain numbers."""
     return [[p.terms.get((0,) * m.nvars, 0) for p in row] for row in m.entries]
-
-
-def split_morphism_from_linear(linear: Dict[Elem, dict], S: CoalgebraBundle,
-                               T: CoalgebraBundle) -> CoalgebraMorphism:
-    """Extend a degree-preserving linear map on split generators multiplicatively.
-
-    `linear[g]` maps a source generator id to {target generator id: Fraction}.
-    Always produces a coalgebra morphism between split bundles.
-    """
-    if S.split is None or T.split is None:
-        raise ValueError("both bundles must be split-constructed")
-    t_gens = T.split.gens
-    sig = GradedSignature(T.n, T.base_names, [
-        [nm for d, nm in t_gens if d == i] for i in range(1, T.n + 1)
-    ], max_degree=3 * max(T.n, 1))
-
-    images = {}
-    src_ids = []
-    counts: Dict[int, int] = {}
-    for d, _nm in S.split.gens:
-        idx = counts.get(d, 0)
-        counts[d] = idx + 1
-        src_ids.append((d, idx))
-    for g in src_ids:
-        img = GradedFunction.zero(sig)
-        for h, coeff in linear.get(g, {}).items():
-            img = img.add(GradedFunction.from_gen(sig, h).scale(coeff))
-        images[g] = img
-    mats = {}
-    for i in range(1, S.n + 1):
-        rows = T.rank(i)
-        cols = S.rank(i)
-        m = PolyMatrix.zero(rows, cols, S.nvars)
-        t_index = {w: r for r, w in enumerate(T.split.monomials[i])}
-        for c, w in enumerate(S.split.monomials[i]):
-            prod = GradedFunction.one(sig)
-            for g in w:
-                prod = prod.mul(images[g])
-            for word, coeff in prod.terms.items():
-                r = t_index.get(word)
-                if r is not None:
-                    m.entries[r][c] = coeff
-        mats[i] = m
-    return CoalgebraMorphism(S, T, mats)
 
 
 # --- the splitting isomorphism ----------------------------------------------

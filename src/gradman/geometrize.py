@@ -195,13 +195,3 @@ def functor_on_morphism(phi: CoalgebraMorphism,
                         pulled[a] = pulled[a].add(c.mul(e))
             table[(i, t)] = chart_src.embed_covector(i, pulled)
     return table
-
-
-def compose_pullbacks(outer: Dict, inner: Dict, chart_src: ChartAlgebra) -> Dict:
-    """Composite pullback table: apply `outer`, then rewrite through `inner`."""
-    sig = chart_src.sig
-    base_map = [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
-    out = {}
-    for key, f in outer.items():
-        out[key] = f.substitute(sig, base_map, inner)
-    return out

@@ -77,6 +77,7 @@ from gradman.fields import (
     linearly_independent,
     transform_field,
 )
+from gradman.geometrize import ChartAlgebra
 from gradman.gradedring import (
     GenId,
     Gens,
@@ -1072,6 +1073,62 @@ def morphism_inverse(self: CoalgebraMorphism) -> CoalgebraMorphism:
             raise ValueError("morphism has no polynomial inverse")
         mats[i] = inv
     return CoalgebraMorphism(self.target, self.source, mats)
+
+
+def split_morphism_from_linear(linear: Dict[GenId, dict], S: CoalgebraBundle,
+                               T: CoalgebraBundle) -> CoalgebraMorphism:
+    """The former `coalgebra.split_morphism_from_linear`: extend a
+    degree-preserving linear map on split generators multiplicatively.
+
+    `linear[g]` maps a source generator id to {target generator id: Fraction}.
+    Always produces a coalgebra morphism between split bundles.
+    """
+    if S.split is None or T.split is None:
+        raise ValueError("both bundles must be split-constructed")
+    t_gens = T.split.gens
+    sig = GradedSignature(T.n, T.base_names, [
+        [nm for d, nm in t_gens if d == i] for i in range(1, T.n + 1)
+    ], max_degree=3 * max(T.n, 1))
+
+    images = {}
+    src_ids = []
+    counts: Dict[int, int] = {}
+    for d, _nm in S.split.gens:
+        idx = counts.get(d, 0)
+        counts[d] = idx + 1
+        src_ids.append((d, idx))
+    for g in src_ids:
+        img = GradedFunction.zero(sig)
+        for h, coeff in linear.get(g, {}).items():
+            img = img.add(GradedFunction.from_gen(sig, h).scale(coeff))
+        images[g] = img
+    mats = {}
+    for i in range(1, S.n + 1):
+        rows = T.rank(i)
+        cols = S.rank(i)
+        m = PolyMatrix.zero(rows, cols, S.nvars)
+        t_index = {w: r for r, w in enumerate(T.split.monomials[i])}
+        for c, w in enumerate(S.split.monomials[i]):
+            prod = GradedFunction.one(sig)
+            for g in w:
+                prod = prod.mul(images[g])
+            for word, coeff in prod.terms.items():
+                r = t_index.get(word)
+                if r is not None:
+                    m.entries[r][c] = coeff
+        mats[i] = m
+    return CoalgebraMorphism(S, T, mats)
+
+
+def compose_pullbacks(outer: Dict, inner: Dict, chart_src: ChartAlgebra) -> Dict:
+    """The former `geometrize.compose_pullbacks`: the composite pullback
+    table, `outer` applied first and then rewritten through `inner`."""
+    sig = chart_src.sig
+    base_map = [GradedFunction.base_var(sig, a) for a in range(sig.m0)]
+    out = {}
+    for key, f in outer.items():
+        out[key] = f.substitute(sig, base_map, inner)
+    return out
 
 
 # --- frame derivations expanded by hand ---------------------------------------

@@ -160,6 +160,23 @@ class TestExitCodes:
         code, rep = run_json(capsys, "admissible", str(GOLDEN / "wedge22.gm"))
         assert code == 0 and rep["tables"]["degrees"]["-2"]["equal"] is True
 
+    @pytest.mark.parametrize("entry, code, failures", [
+        ("0", 0, None),
+        ("1", 1, [{"law": "coassociativity", "degree": -3, "frame_index": 0}]),
+    ])
+    def test_check_coalgebra_past_the_splitting(self, tmp_path, capsys, entry, code, failures):
+        # the split model on two odd letters and one degree -2 generator p;
+        # a 1 at (a1, a1*a2) of a1*p's column keeps the mirrored pairs
+        # cocommutative, and coassociativity fails at -3, where the
+        # splitting stops passing
+        doc = tmp_path / "c3.gm"
+        doc.write_text("coalgebra C {\n  rank -1 = 2\n  rank -2 = 2\n  rank -3 = 2\n"
+                       "  mu -2 = [[0, 0], [1, 0], [-1, 0], [0, 0]]\n"
+                       f"  mu -3 = [[{entry}, 0], [1, 0], [0, 0], [0, 1]]\n}}\n")
+        got, rep = run_json(capsys, "check-coalgebra", str(doc))
+        assert got == code and rep["witnesses"].get("failures") == failures
+        assert rep["tables"]["laws"] == {"cocommutative": True, "coassociative": not code}
+
     def test_admissibility_boundary(self, capsys):
         code, rep = run_json(capsys, "admissible", str(GOLDEN / "zeromu.gm"))
         assert code == 1

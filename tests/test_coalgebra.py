@@ -21,7 +21,6 @@ from gradman.coalgebra import (
     permute_column,
     push_column,
     split_coalgebra,
-    split_morphism_from_linear,
     splitting_iso,
     truncate,
     wedge_coalgebra,
@@ -61,6 +60,7 @@ from randchart import (
     reference_splitting_iso,
     reference_truncate,
     span_rank,
+    split_morphism_from_linear,
     tensor_square,
 )
 
@@ -1823,6 +1823,158 @@ class TestAdmissibilityOffTheSplitting:
                                                             split_coalgebra([2, 1]))):
             assert check_admissible(e, ORIGIN).admissible
         assert calls == {"build": 0, "compute_K": [-2, -2]}
+
+
+# --- the coalgebra check read off the kept splitting ---------------------------
+
+
+def moved_entry(rng, e, i, jk):
+    """e with one entry of block jk at degree -i moved by 1 or 1/2 (the block
+    made from zeros when e stores none)."""
+    j, k = jk
+    m = e.mu[i].get(jk) or PolyMatrix.zero(e.rank(j) * e.rank(k), e.rank(i), 0)
+    rows = [list(row) for row in m.entries]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[r][c] = rows[r][c].add(Poly.const(0, Fraction(1, rng.choice([1, 2]))))
+    mu = {d: dict(blocks) for d, blocks in e.mu.items()}
+    mu[i][jk] = PolyMatrix(m.rows, m.cols, rows, 0)
+    return CoalgebraBundle(e.n, (), dict(e.ranks), mu)
+
+
+def single_entry_perturbations():
+    """(bundle, place) for n >= 3 split bundles and their conjugates with one
+    comultiplication entry moved: in a diagonal block (j, j), which in
+    general breaks cocommutativity; in a block at -2, at -3 and at the top
+    degree; and the rank-mismatch bundles, half of them with a failing
+    containment at the mismatch degree."""
+    rng = random.Random(59)
+    for profile in [(1, 1, 1), (2, 2, 1), (3, 1, 2), (1, 1, 1, 1), (2, 1, 0, 1),
+                    (2, 2, 2), (2, 1, 1, 1), (1, 1, 1, 1, 1)]:
+        s = split_coalgebra(list(profile))
+        for e in (s, conjugate_frames(rng, s)):
+            n = e.n
+            diagonal = [(i, (i // 2, i // 2)) for i in range(2, n + 1, 2)
+                        if e.rank(i // 2) and e.rank(i)]
+            for place, choices in [("diagonal", diagonal)] + [
+                    (-i, [(i, (j, i - j)) for j in range(1, i // 2 + 1)
+                          if e.rank(j) and e.rank(i - j) and e.rank(i)])
+                    for i in sorted({2, 3, n})]:
+                if choices:
+                    yield moved_entry(rng, e, *rng.choice(choices)), place
+    for e, i in mismatch_bundles():
+        yield e, ("mismatch", e.splitting().constraint[i][1])
+
+
+def decided_through(e):
+    """The last degree d of the run -2 .. -d that the kept splitting of a
+    constant n >= 3 bundle decides: the degrees the walk passed, and the
+    rank-mismatch degree when its containment holds."""
+    sp = e.splitting()
+    d = max(sp.rows)
+    return d + 1 if sp.constraint.get(d + 1, (0, False))[1] else d
+
+
+class TestCoalgebraCheckOffTheSplitting:
+    def test_splitting_corpus_matches_the_poly_reference(self):
+        kinds = Counter()
+        for e in splitting_corpus():
+            rep = check_coalgebra(e)
+            assert rep == poly_check_coalgebra(e), e
+            kinds[rep.ok] += 1
+        assert kinds[True] and kinds[False], kinds
+
+    def test_single_entry_perturbations_match_the_poly_reference(self):
+        outcomes = Counter()
+        for e, place in single_entry_perturbations():
+            rep = check_coalgebra(e)
+            assert rep == poly_check_coalgebra(e), (e, place)
+            outcomes[place, rep.cocommutative, rep.coassociative, decided_through(e) > 1] += 1
+        # a moved diagonal or degree -2 entry breaks the swap at -2, where
+        # the walk stops; a diagonal entry at -4 can keep every law
+        assert outcomes["diagonal", False, False, False] and outcomes[-2, False, False, False]
+        assert outcomes["diagonal", True, True, True], outcomes
+        # deeper entries leave the decided degrees below them, and the column
+        # tests find the coassociativity failure past them
+        for place in (-3, -4, -5):
+            assert outcomes[place, True, False, True], (place, outcomes)
+        assert outcomes[("mismatch", False), True, False, True] == 4, outcomes
+        assert outcomes[("mismatch", True), True, True, True] == 2, outcomes
+
+    def spy(self, monkeypatch):
+        """The degrees of the columns `apply_mu` and `permute_column` are
+        given, and the count of splittings built."""
+        calls = {"build": 0, "degrees": []}
+        build, apply, permute = (coalgebra.build_splitting, coalgebra.apply_mu,
+                                 coalgebra.permute_column)
+
+        def spy_build(E):
+            calls["build"] += 1
+            return build(E)
+
+        def degree(col):
+            return sum(u[0] for u in next(iter(col))) if col else None
+
+        def spy_apply(E, col, pos):
+            calls["degrees"].append(degree(col))
+            return apply(E, col, pos)
+
+        def spy_permute(col, perm):
+            calls["degrees"].append(degree(col))
+            return permute(col, perm)
+
+        monkeypatch.setattr(coalgebra, "build_splitting", spy_build)
+        monkeypatch.setattr(coalgebra, "apply_mu", spy_apply)
+        monkeypatch.setattr(coalgebra, "permute_column", spy_permute)
+        return calls
+
+    def test_admissible_bundles_test_no_column(self, monkeypatch):
+        from gradman.geometrize import geometrize
+
+        rng = random.Random(61)
+        bundles = [e for _, e in bench_pool("split-tower", 11) if e.n >= 3]
+        for profile in SPLIT_CORPUS:
+            if len(profile) >= 3:
+                s = split_coalgebra(list(profile))
+                bundles += [s, conjugate_frames(rng, s)]
+        calls = self.spy(monkeypatch)
+        admissible = 0
+        for e in bundles:
+            calls["build"] = 0
+            calls["degrees"].clear()
+            assert check_coalgebra(e).ok and calls["degrees"] == [], e
+            if check_admissible(e, ORIGIN).admissible:
+                admissible += 1
+                geometrize(e)
+            assert calls["build"] == 1, e
+        # the pool's rank-dropped bundles are coalgebras whose mismatch
+        # degree contains its image, so they test no column either
+        assert admissible >= 20 and admissible < len(bundles), (admissible, len(bundles))
+
+    def test_columns_are_tested_past_the_decided_degrees(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        firsts = Counter()
+        for e, place in single_entry_perturbations():
+            calls["degrees"].clear()
+            check_coalgebra(e)
+            first = decided_through(e) + 1
+            tested = set(calls["degrees"]) - {None}
+            assert all(d >= first for d in tested), (e, place, tested)
+            firsts[first, first > e.n] += 1
+        assert all(firsts[d, False] for d in (2, 3, 4, 5)), firsts
+        assert firsts[4, True] and firsts[5, True], firsts
+
+    def test_q_x_and_two_degree_bundles_keep_the_column_tests(self, monkeypatch):
+        x = Poly.var(1, 0)
+        bundles = [scaled_bundle(split_coalgebra([2, 2, 1], base_names=("x",)), x),
+                   random_poly_bundle(random.Random(67), (2, 1, 1)),
+                   split_coalgebra([3, 3]),
+                   conjugate_frames(random.Random(67), split_coalgebra([2, 1]))]
+        calls = self.spy(monkeypatch)
+        for e in bundles:
+            calls["degrees"].clear()
+            rep = check_coalgebra(e)
+            assert rep == poly_check_coalgebra(e) and 2 in calls["degrees"], e
+        assert calls["build"] == 0
 
 
 # --- morphisms built from number rows, split models on int columns ---------

@@ -8,21 +8,26 @@ from gradman.coalgebra import (
     dvb_coalgebra,
     morphism_check,
     split_coalgebra,
-    split_morphism_from_linear,
     splitting_iso,
     wedge_coalgebra,
 )
 from gradman.errors import DegreeOverflow, NotAdmissible
 from gradman.exactnum import Poly, PolyMatrix
 from gradman.geometrize import (
-    compose_pullbacks,
     functor_on_morphism,
     geometrize,
     reduce_product,
     roundtrip,
 )
 from gradman.gradedring import GradedFunction
-from randchart import conjugate_frames, full_mu, morphism_inverse, partition_count
+from randchart import (
+    compose_pullbacks,
+    conjugate_frames,
+    full_mu,
+    morphism_inverse,
+    partition_count,
+    split_morphism_from_linear,
+)
 
 
 CORPUS = [
