@@ -15,7 +15,9 @@ The column helpers are written on `+`, unary `-`, `*` and truth values, so
 each reader runs them on the ints of a constant bundle's `integer_view` (and
 constant morphism matrices as plain numbers) and on Polys otherwise.  A
 constant bundle with n >= 3 keeps one `splitting`, and `check_coalgebra`
-tests columns only at the degrees that splitting does not decide.
+tests columns only at the degrees that splitting does not decide.  A bundle
+that is not constant counts dim K from its generators below each degree, and
+tests containment on the columns, while every lower degree is admissible.
 """
 
 from __future__ import annotations
@@ -360,6 +362,8 @@ def check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
 
     A failed walk degree, a False containment, a rank mismatch at -2 and the
     degrees past them keep the column tests, as Q[x] bundles and n = 2 do.
+    The tests are `_swap_fixes` and `_coassociative`, which `compute_K` and
+    `check_admissible` read too.
     """
     decided = 1
     if E.is_constant():
@@ -369,23 +373,31 @@ def check_coalgebra(E: CoalgebraBundle) -> CoalgebraReport:
             if sp.constraint.get(decided + 1, (0, False))[1]:
                 decided += 1  # the rank-mismatch degree, by (ii)
         E = E.integer_view()
-    cocom = True
-    coass = True
     witnesses = []
     for i in range(decided + 1, E.n + 1):
-        cols = E.mu_columns(i)
-        swap = (1, 0)
-        for c, col in enumerate(cols):
-            if permute_column(col, swap) != col:
-                cocom = False
-                witnesses.append(("cocommutativity", -i, c))
-                break
-    for i in range(max(3, decided + 1), E.n + 1):
+        c = next((c for c, col in enumerate(E.mu_columns(i)) if not _swap_fixes(col)), None)
+        if c is not None:
+            witnesses.append(("cocommutativity", -i, c))
+    cocom, coass = not witnesses, True
+    for i in range(decided + 1, E.n + 1):
         for c, col in enumerate(E.mu_columns(i)):
-            if apply_mu(E, col, 1) != apply_mu(E, col, 0):
+            if not _coassociative(E, col):
                 coass = False
                 witnesses.append(("coassociativity", -i, c))
     return CoalgebraReport(cocom, coass, witnesses)
+
+
+def _swap_fixes(col: dict) -> bool:
+    """The swap test on one pair column: the graded swap fixes it, i.e. the
+    entry at each mirror (v, u) is (-1)^(deg u deg v) times the entry at
+    (u, v); an odd diagonal pair, its own mirror, is then absent."""
+    return all(col.get((v, u)) == (-c if u[0] & v[0] & 1 else c) for (u, v), c in col.items())
+
+
+def _coassociative(E: CoalgebraBundle, col: dict) -> bool:
+    """The coassociativity test on one pair column: (mu (x) 1) and (1 (x) mu)
+    agree on it.  At degree -2 both vanish, every factor sitting in -1."""
+    return apply_mu(E, col, 1) == apply_mu(E, col, 0)
 
 
 @dataclass
@@ -450,11 +462,10 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
 
     `contains_image` records whether every difference sends every column of
     the comultiplication at this degree to zero, i.e. whether im mu lies in
-    K.  The swap is tested on the columns: the entry at (u, v) must be the
-    Koszul sign times the entry at (v, u).  Then, while all differences do,
-    the columns lie in the span of the current basis; so a difference that
-    kills the basis kills them too, and an empty basis (the early exit)
-    leaves them zero, as K = 0 requires.
+    K.  The swap is tested on the columns (`_swap_fixes`).  Then, while all
+    differences do, the columns lie in the span of the current basis; so a
+    difference that kills the basis kills them too, and an empty basis (the
+    early exit) leaves them zero, as K = 0 requires.
 
     On a constant bundle the columns come from `integer_view`, scaled by
     lam: every term of a length-L variant is a product of L - 2 entries, so
@@ -479,8 +490,7 @@ def compute_K(E: CoalgebraBundle, degree: int) -> KSpace:
     zero, one = (0, 1) if constant else (Poly.zero(nv), Poly.one(nv))
     index = {p: t for t, p in enumerate(pairs)}
     mu_vecs = [[(index[p], c) for p, c in col.items()] for col in view.mu_columns(d)]
-    contains = all(col.get((v, u)) == (-c if u[0] & v[0] & 1 else c)
-                   for col in view.mu_columns(d) for (u, v), c in col.items())
+    contains = all(map(_swap_fixes, view.mu_columns(d)))
     basis = _swap_kernel(pairs, index, one)
     for length in range(3, d + 1):
         ref_cols = _variant_pair_columns(view, d, 0, length - 2)
@@ -567,6 +577,30 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     failure; a rank mismatch at -2 and the degrees past the failure keep
     `compute_K`.  At n = 2 the closed-form swap kernel of `compute_K(E, -2)`
     costs less than building a splitting that only this verdict would read.
+
+    A bundle that is not constant builds no constraint kernel while every
+    lower degree came out equal.  It keeps the degrees `gens` of the
+    generators below -i, rank(j) - dim K_j of degree j, starting from the
+    rank(1) generators of degree 1, and at -i:
+
+    - (1) containment is the two column tests, `_swap_fixes` and
+      `_coassociative`, on every column.  An equal degree contains its
+      image, which gives both column tests there (see (ii) in
+      `check_coalgebra`), so every lower degree is a coalgebra degree; and
+      then, by the same argument (ii), which holds over any ring, im M lies
+      in K_i exactly when both tests hold at -i;
+    - (2) dim K_i is the number of words of degree i in `gens`,
+      `dim_symmetric_component(gens, i)`.  Every degree below -i being
+      equal, E over the field Q(x) is admissible below -i, and the
+      `build_splitting` argument, run over Q(x), gives a coalgebra
+      isomorphism below -i onto the split model S on `gens` that maps
+      K_i(E) onto K_i(S), spanned by the decomposable words of degree i;
+      every word of degree i in `gens` is decomposable, their degrees being
+      below i.  `compute_K`'s dimension is taken over the fraction field
+      too, so the two agree.
+
+    The image and point ranks are read as above.  From the first degree that
+    is not equal on, the degrees call `compute_K`.
     """
     points = [tuple(Fraction(x) for x in p) for p in sample_points]
     if not points:
@@ -578,9 +612,14 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
     constant = E.is_constant()
     sp = E.splitting() if constant and E.n >= 3 else None
     read, pivots = (sp.constraint, sp.pivots) if sp else ({}, {})
+    gens = None if constant else [1] * E.rank(1)
     for i in range(2, E.n + 1):
         if i in read:
             k_rank, contains = read[i]
+        elif gens is not None:
+            cols = E.mu_columns(i)
+            k_rank = dim_symmetric_component(gens, i)
+            contains = all(map(_swap_fixes, cols)) and all(_coassociative(E, c) for c in cols)
         else:
             ks = compute_K(E, -i)
             k_rank, contains = ks.dim, ks.contains_image
@@ -596,6 +635,8 @@ def check_admissible(E: CoalgebraBundle, sample_points: Sequence) -> Admissibili
         const = all(r == im_rank for r in point_ranks)
         per[-i] = AdmissibilityDegree(im_rank, k_rank, equal, const)
         ok = ok and equal and const
+        if gens is not None:
+            gens = gens + [i] * (E.rank(i) - k_rank) if equal else None
     return AdmissibilityReport(per, ok, points)
 
 
@@ -759,21 +800,6 @@ class CoalgebraMorphism:
 
     def __getitem__(self, i: int) -> list:
         return self.matrix(i).entries
-
-    def compose(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
-        """self o other (other applied first)."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("morphisms are not composable")
-        mats = {}
-        for i in range(1, self.target.n + 1):
-            mats[i] = self.matrix(i).mul(other.matrix(i))
-        return CoalgebraMorphism(other.source, self.target, mats)
-
-    def is_identity_shaped(self) -> bool:
-        return all(
-            self.matrix(i) == PolyMatrix.identity(self.source.rank(i), self.source.nvars)
-            for i in range(1, self.source.n + 1)
-        )
 
 
 def morphism_check(phi: CoalgebraMorphism, E: CoalgebraBundle,

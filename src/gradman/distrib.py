@@ -640,13 +640,25 @@ def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
     that 4 n_w + 8 untruncated Picard rounds can reach; past it the
     direction is refused with the cap.  Later directions are gauged by each
     frame found, and the product is verified against the original
-    connection matrices."""
+    connection matrices.
+
+    Each direction first tests the trace, with no Taylor step.  By
+    Liouville's formula d_a det F = -tr(A_a) det F, and det F is a
+    polynomial equal to 1 at x_a = 0, so tr(A_a) != 0 would give the right
+    side a higher x_a-degree than the left: no polynomial frame of any
+    degree exists, none up to the cap either, and the direction gets the
+    cap's refusal.  The gauge keeps the trace, each frame having det 1."""
     ident = PolyMatrix.identity(n_w, nv)
     f_total = ident
     current = list(a_mats)
     for a in range(d0):
         p = max((e[a] for row in current[a].entries for q in row for e in q.terms), default=0)
         cap = (4 * n_w + 8) * (p + 1)
+        refusal = NonPolynomialFlatFrame(
+            f"connection integration found no flat frame of degree at most {cap}"
+            f" in base direction {a}")
+        if not _trace_free(current[a]):
+            raise refusal
         f_a = ident
         for k in range(1, cap + 2):
             prod = current[a].mul(f_a)
@@ -655,10 +667,7 @@ def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
             f_a = ident.sub(prod.map_entries(lambda q: Poly(nv, {
                 e: c for e, c in q.antiderivative(a).terms.items() if e[a] <= k})))
         else:
-            raise NonPolynomialFlatFrame(
-                f"connection integration found no flat frame of degree at most {cap}"
-                f" in base direction {a}"
-            )
+            raise refusal
         f_a_inv = poly_inverse(f_a)
         if f_a_inv is None:
             raise NonPolynomialFlatFrame("gauge frame has no polynomial inverse")
@@ -672,6 +681,11 @@ def _flat_frame(a_mats: list, n_w: int, d0: int, nv: int) -> PolyMatrix:
         if not residual.is_zero():
             raise NonPolynomialFlatFrame("flat frame verification failed")
     return f_total
+
+
+def _trace_free(m: PolyMatrix) -> bool:
+    """Whether a square matrix has trace zero."""
+    return not sum((row[i] for i, row in enumerate(m.entries)), Poly.zero(m.nvars))
 
 
 def single_field_normal_form(x: VectorField, lam: GradedFunction,

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import pathlib
+import random
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -1056,6 +1057,23 @@ def bench_pool(name: str, seed: int) -> list:
     return [(spec, workload.build(spec, gm)) for spec in workload.make_pool(seed, gm)]
 
 
+def frontier_bundle(profile, nv: int) -> CoalgebraBundle:
+    """The split bundle of `profile` over nv base variables conjugated by the
+    linear det-1 frames `bench/oracles.py` draws from random.Random(5), built
+    with the `bench/workloads.py` helpers, as the frontier rows over x are;
+    nothing under `bench/` is written."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from oracles import conjugate_blocks
+    from workloads import _bundle, _frames, _split_blocks
+
+    gm = SimpleNamespace(coalgebra=importlib.import_module("gradman.coalgebra"),
+                         exactnum=importlib.import_module("gradman.exactnum"))
+    ranks, blocks = _split_blocks(gm, profile, nv)
+    blocks = conjugate_blocks(blocks, ranks, _frames(random.Random(5), ranks, nv, True), nv)
+    return _bundle(gm, profile, ranks, blocks, nv)
+
+
 def morphism_inverse(self: CoalgebraMorphism) -> CoalgebraMorphism:
     """The former `CoalgebraMorphism.inverse`: the inverse morphism, each
     matrix inverted over Q[x]; raises ValueError when some matrix is not
@@ -1073,6 +1091,26 @@ def morphism_inverse(self: CoalgebraMorphism) -> CoalgebraMorphism:
             raise ValueError("morphism has no polynomial inverse")
         mats[i] = inv
     return CoalgebraMorphism(self.target, self.source, mats)
+
+
+def compose_morphisms(self: CoalgebraMorphism, other: CoalgebraMorphism) -> CoalgebraMorphism:
+    """The former `CoalgebraMorphism.compose`: self o other (other applied
+    first)."""
+    if other.target is not self.source and other.target != self.source:
+        raise ValueError("morphisms are not composable")
+    mats = {}
+    for i in range(1, self.target.n + 1):
+        mats[i] = self.matrix(i).mul(other.matrix(i))
+    return CoalgebraMorphism(other.source, self.target, mats)
+
+
+def is_identity_shaped(self: CoalgebraMorphism) -> bool:
+    """The former `CoalgebraMorphism.is_identity_shaped`: every matrix is
+    the identity."""
+    return all(
+        self.matrix(i) == PolyMatrix.identity(self.source.rank(i), self.source.nvars)
+        for i in range(1, self.source.n + 1)
+    )
 
 
 def split_morphism_from_linear(linear: Dict[GenId, dict], S: CoalgebraBundle,

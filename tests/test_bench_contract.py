@@ -92,6 +92,15 @@ def test_split_tower_reads_constraint_spaces_off_the_splitting():
     assert traced_pass("split-tower")["coalgebra.compute_K"] == 6
 
 
+def test_xdep_admissible_builds_no_constraint_kernel():
+    # an x-dependent bundle counts dim K from the generators below each
+    # degree and tests containment on its columns while every lower degree
+    # is equal, which no pool case leaves: 51 compute_K and 6 kernel_basis
+    # calls per traced pass when every degree built its constraint space
+    calls = traced_pass("xdep-admissible")
+    assert (calls["coalgebra.compute_K"], calls["exactnum.kernel_basis"]) == (0, 0)
+
+
 def test_frobenius_flatten_counts():
     # normal forms, field transports and polynomial products per traced
     # pass at seed 13: chart maps built without the constructor's check,

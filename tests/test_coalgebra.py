@@ -44,10 +44,13 @@ from gradman.exactnum import (
 from randchart import (
     SPLIT_CORPUS,
     bench_pool,
+    compose_morphisms,
     conjugate_frames,
     dense_vectors,
     eager_split_blocks,
+    frontier_bundle,
     full_mu,
+    is_identity_shaped,
     morphism_inverse,
     partition_count,
     poly_check_coalgebra,
@@ -450,7 +453,7 @@ class TestSplittingIso:
     def test_split_input_gives_identity_shaped_morphism(self):
         e = split_coalgebra([2, 1])
         iso = splitting_iso(e)
-        assert iso.is_identity_shaped()
+        assert is_identity_shaped(iso)
         assert morphism_check(iso, e, iso.target)
 
     def test_wedge_two_two(self):
@@ -474,8 +477,8 @@ class TestSplittingIso:
         e = dvb_coalgebra(2, 2, 0, 4, PolyMatrix.identity(4, 0), 2)
         iso = splitting_iso(e)
         assert morphism_check(iso, e, iso.target)
-        comp = morphism_inverse(iso).compose(iso)
-        assert comp.is_identity_shaped()
+        comp = compose_morphisms(morphism_inverse(iso), iso)
+        assert is_identity_shaped(comp)
 
     def test_rejects_non_admissible(self):
         with pytest.raises(NotAdmissible):
@@ -1823,6 +1826,109 @@ class TestAdmissibilityOffTheSplitting:
                                                             split_coalgebra([2, 1]))):
             assert check_admissible(e, ORIGIN).admissible
         assert calls == {"build": 0, "compute_K": [-2, -2]}
+
+
+# --- x-dependent admissibility counted from the generators below ------------
+
+
+def compute_K_spy(monkeypatch):
+    """The degrees `check_admissible` calls `compute_K` at, in order."""
+    calls = []
+    compute = coalgebra.compute_K
+
+    def spy(E, degree):
+        calls.append(degree)
+        return compute(E, degree)
+
+    monkeypatch.setattr(coalgebra, "compute_K", spy)
+    return calls
+
+
+def x_moved_entries():
+    """(bundle, degree) for the n >= 3 `xdep-admissible` bundles at seed 12
+    that are admissible, with one entry of a block (j, k), j < k, at a degree
+    -i, i >= 3, moved by x1: the mirrored pairs follow the stored block, so
+    the swap still fixes every column, but in general coassociativity and
+    containment fail at -i."""
+    rng = random.Random(71)
+    for spec, e in bench_pool("xdep-admissible", 12):
+        if e.n < 3 or spec["kind"] == "vanish":
+            continue
+        i = rng.randint(3, e.n)
+        mu = {d: dict(blocks) for d, blocks in e.mu.items()}
+        jk = rng.choice([jk for jk in mu[i] if jk[0] < jk[1]])
+        m = mu[i][jk]
+        rows = [list(row) for row in m.entries]
+        r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+        rows[r][c] = rows[r][c].add(Poly.var(e.nvars, 0))
+        mu[i][jk] = PolyMatrix(m.rows, m.cols, rows, e.nvars)
+        yield CoalgebraBundle(e.n, e.base_names, dict(e.ranks), mu), i
+
+
+def x_symmetry_broken_bundles():
+    """The symmetry-broken bundles over x with at most 40 fiber slots, with
+    their broken degree."""
+    return [(e, broken) for e, broken in symmetry_broken_bundles()
+            if not e.is_constant() and sum(e.ranks.values()) <= 40]
+
+
+class TestXDependentAdmissibility:
+    def test_pools_match_the_reference_in_every_point_order(self):
+        kinds = Counter()
+        for seed in (12, 7012):
+            for spec, e in bench_pool("xdep-admissible", seed):
+                first, second = spec["points"]
+                for points in ([first, second], [second, first], [first], [second]):
+                    rep = check_admissible(e, points)
+                    assert rep == reference_check_admissible(e, points), (seed, spec, points)
+                    kinds[spec["kind"], rep.admissible] += 1
+        # a vanish case is admissible at its generic point alone, and only there
+        assert set(kinds) == {("pos", True), ("refuse", True), ("vanish", False),
+                              ("vanish", True)}, kinds
+        assert kinds["vanish", True] == kinds["vanish", False] // 3, kinds
+
+    def test_symmetry_broken_bundles_and_a_frontier_row_match_the_reference(self):
+        bundles = [e for e, _ in x_symmetry_broken_bundles()]
+        assert len(bundles) == 7
+        bundles.append(frontier_bundle((3, 2, 1), 1))
+        for e in bundles:
+            points = [(Fraction(1),), (Fraction(-2),)]
+            assert check_admissible(e, points) == reference_check_admissible(e, points), e
+
+    def test_moved_entries_match_the_reference(self, monkeypatch):
+        # the swap holds on every column, so the coassociativity test alone
+        # finds the moved degree, and the degrees past it call compute_K
+        calls = compute_K_spy(monkeypatch)
+        moved = 0
+        for e, i in x_moved_entries():
+            calls.clear()
+            points = [(Fraction(2),) * e.nvars]
+            rep = check_admissible(e, points)
+            assert rep == reference_check_admissible(e, points), (e, i)
+            assert check_coalgebra(e).cocommutative, (e, i)
+            if not rep.per_degree[-i].equal:
+                moved += 1
+                assert all(rep.per_degree[-d].equal for d in range(2, i)), (e, i)
+                assert calls == list(range(-i - 1, -e.n - 1, -1)), (e, i, calls)
+        assert moved >= 3, moved
+
+    def test_admissible_bundles_build_no_constraint_kernel(self, monkeypatch):
+        calls = compute_K_spy(monkeypatch)
+        for spec, e in bench_pool("xdep-admissible", 12):
+            check_admissible(e, spec["points"])
+        assert check_admissible(frontier_bundle((3, 2, 1), 1), [(Fraction(0),)]).admissible
+        assert calls == []
+
+    def test_symmetry_broken_bundles_fall_back_past_the_broken_degree(self, monkeypatch):
+        calls = compute_K_spy(monkeypatch)
+        fell_back = 0
+        for e, broken in x_symmetry_broken_bundles():
+            calls.clear()
+            rep = check_admissible(e, [(Fraction(1),)])
+            assert not rep.per_degree[-broken].equal, e
+            assert calls == list(range(-broken - 1, -e.n - 1, -1)), (e, broken, calls)
+            fell_back += bool(calls)
+        assert fell_back >= 3, fell_back
 
 
 # --- the coalgebra check read off the kept splitting ---------------------------

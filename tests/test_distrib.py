@@ -730,6 +730,49 @@ class TestFlatFrame:
                            " flat frame of degree at most 12 in base direction 0$"):
             _flat_frame([pmat([[Poly.one(1)]], 1)], 1, 1, 1)
 
+    @pytest.mark.parametrize("n_w, cap", [(4, 48), (6, 64)])
+    def test_a_connection_with_a_trace_is_refused_before_any_taylor_step(self, monkeypatch,
+                                                                         n_w, cap):
+        # A = x J + I, J all ones, has trace n_w (x + 1): the cap's refusal,
+        # with no matrix product
+        x, one = Poly.var(1, 0), Poly.one(1)
+        a = pmat([[x.add(one) if r == c else x for c in range(n_w)] for r in range(n_w)], 1)
+        products = []
+        mul = PolyMatrix.mul
+        monkeypatch.setattr(PolyMatrix, "mul", lambda m, o: products.append(1) or mul(m, o))
+        with pytest.raises(NonPolynomialFlatFrame, match="^connection integration found no"
+                           f" flat frame of degree at most {cap} in base direction 0$"):
+            _flat_frame([a], n_w, 1, 1)
+        assert products == []
+
+    def test_trace_rule_agrees_with_the_taylor_iteration(self, monkeypatch):
+        # every frame the normal forms of the stage C corpus ask for, found or
+        # refused with the trace test and by the Taylor iteration alone
+        calls = []
+        monkeypatch.setattr(distrib, "_flat_frame", lambda *args: calls.append(args)
+                            or _flat_frame(*args))
+        for dist in stage_c_corpus(random.Random(1616), 60):
+            normal_form_outcome(frobenius_normal_form, dist)
+        seen = collections.Counter()
+        for a_mats, n_w, d0, nv in calls:
+            got = frame_outcome(a_mats, n_w, d0, nv)
+            with monkeypatch.context() as m:
+                m.setattr(distrib, "_trace_free", lambda mat: True)
+                assert frame_outcome(a_mats, n_w, d0, nv) == got
+            traced = not all(distrib._trace_free(a) for a in a_mats[:d0])
+            seen[traced, isinstance(got, PolyMatrix)] += 1
+        # the trace refuses some, the Taylor iteration alone refuses others
+        assert seen[True, False] >= 3 and seen[False, False] and seen[False, True] >= 40, seen
+        assert not seen[True, True]
+
+
+def frame_outcome(a_mats, n_w, d0, nv):
+    """`_flat_frame`'s frame, or its refusal's type and message."""
+    try:
+        return _flat_frame(a_mats, n_w, d0, nv)
+    except NonPolynomialFlatFrame as exc:
+        return type(exc), str(exc)
+
 
 def normal_form_outcome(fn, dist):
     """The chart's tables, flat coordinates, transformed generators, points
