@@ -32,8 +32,8 @@ from .errors import DvbNotExact, NotAdmissible, UnsupportedXDependence
 from .exactnum import (
     Poly,
     PolyMatrix,
+    _Monomials,
     _canon,
-    _point,
     accumulate,
     kernel_basis,
     primitive_vector,
@@ -995,9 +995,9 @@ def splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) -> Co
                                          "supply a base point for a fiberwise splitting")
         if len(at_point) != E.nvars:
             raise ValueError("point has wrong length")
-        pt, fiber = _point(at_point), CoalgebraBundle(E.n, (), E.ranks, None)
+        values, fiber = _Monomials(at_point), CoalgebraBundle(E.n, (), E.ranks, None)
         fiber._keep_view(*_int_columns({
-            i: [[(p, v) for p, c in col.items() if (v := c._eval(pt))] for col in E.mu_columns(i)]
+            i: [[(p, v) for p, c in col.items() if (v := c._eval(values))] for col in E.mu_columns(i)]
             for i in range(2, E.n + 1)}))
         E = fiber
     sp = E.splitting()

@@ -52,9 +52,27 @@ def _coeff(c):
     return c if type(c) is int else _canon(Fraction(c))
 
 
-def _point(point: Sequence) -> list:
-    """Rational coordinates in canonical form, so integral data evaluates on ints."""
-    return [_canon(Fraction(p)) for p in point]
+class _Monomials(dict):
+    """Values of monomials at one point, keyed by exponent vector.
+
+    The coordinates are kept in canonical form, so integral data evaluates on
+    ints.  Each value is computed on its first read and kept, so a monomial
+    shared by many Polys is raised to its powers once per point.  A table
+    serves the one call that builds it.
+    """
+
+    __slots__ = ("pt",)
+
+    def __init__(self, point: Sequence):
+        self.pt = [_canon(Fraction(p)) for p in point]
+
+    def __missing__(self, exps: tuple):
+        v = 1
+        for x, e in zip(self.pt, exps):
+            if e:
+                v *= x**e
+        self[exps] = v
+        return v
 
 
 def _key(exps: tuple, degree: int):
@@ -209,17 +227,13 @@ class Poly:
     def eval(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        return Fraction(self._eval(_point(point)))
+        return Fraction(self._eval(_Monomials(point)))
 
-    def _eval(self, pt: list):
-        """Value at a point of canonical coordinates, as an int or Fraction."""
+    def _eval(self, values: _Monomials):
+        """Value at the point of a monomial table, as an int or Fraction."""
         total = 0
         for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exps):
-                if e:
-                    v *= x**e
-            total += v
+            total += c * values[exps]
         return total
 
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
@@ -405,9 +419,6 @@ class PolyMatrix:
 
     def to_rat(self) -> list:
         return [[e.constant_value() for e in row] for row in self.entries]
-
-    def eval_at(self, point: Sequence) -> list:
-        return [[e.eval(point) for e in row] for row in self.entries]
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -685,8 +696,8 @@ def rank_at(m: PolyMatrix, point: Sequence) -> int:
     """Rank of the numeric specialization at a rational point."""
     if len(point) != m.nvars:
         raise ValueError("point has wrong length")
-    pt = _point(point)
-    rows = _int_rows([[e._eval(pt) for e in row] for row in m.entries])
+    values = _Monomials(point)
+    rows = _int_rows([[e._eval(values) for e in row] for row in m.entries])
     return len(_eliminate(rows, _INT_OPS, reduce=False)[0])
 
 

@@ -54,6 +54,7 @@ from gradman.errors import (
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
+    _canon,
     accumulate,
     kernel_basis,
     poly_inverse,
@@ -145,6 +146,27 @@ def span_rank(columns, nvars: int) -> int:
     """Generic rank of the span of polynomial column vectors."""
     rows = list(columns)
     return rank_generic(PolyMatrix(len(rows), len(rows[0]) if rows else 0, rows, nvars))
+
+
+def reference_eval(p: Poly, point: Sequence):
+    """`Poly._eval` as it was before it read a table of monomial values:
+    the coordinates put in canonical form, then every power of every term
+    computed again; an int on integral data, else a Fraction."""
+    pt = [_canon(Fraction(x)) for x in point]
+    total = 0
+    for exps, c in p.terms.items():
+        v = c
+        for x, e in zip(pt, exps):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def eval_at(m: PolyMatrix, point: Sequence) -> list:
+    """The values of a PolyMatrix's entries at a point, as Fractions (the
+    former `PolyMatrix.eval_at`)."""
+    return [[e.eval(point) for e in row] for row in m.entries]
 
 
 def gen_map_with(sig: GradedSignature, overrides: Dict[GenId, GradedFunction]):
@@ -808,7 +830,7 @@ def reference_fiber(E: CoalgebraBundle, at_point: Sequence) -> CoalgebraBundle:
     built from int columns: every block evaluated through `eval_at` into a
     `PolyMatrix.from_rat` block of a fresh bundle."""
     const_mu = {
-        i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+        i: {bk: PolyMatrix.from_rat(m.rows, m.cols, eval_at(m, at_point), 0)
             for bk, m in blocks.items()}
         for i, blocks in E.mu.items()
     }
@@ -845,7 +867,7 @@ def reference_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = N
                 "supply a base point for a fiberwise splitting"
             )
         const_mu = {
-            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, eval_at(m, at_point), 0)
                 for bk, m in blocks.items()}
             for i, blocks in E.mu.items()
         }
@@ -964,7 +986,7 @@ def poly_splitting_iso(E: CoalgebraBundle, at_point: Optional[Sequence] = None) 
                 "supply a base point for a fiberwise splitting"
             )
         const_mu = {
-            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, eval_at(m, at_point), 0)
                 for bk, m in blocks.items()}
             for i, blocks in E.mu.items()
         }

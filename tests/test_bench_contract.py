@@ -101,6 +101,15 @@ def test_xdep_admissible_builds_no_constraint_kernel():
     assert (calls["coalgebra.compute_K"], calls["exactnum.kernel_basis"]) == (0, 0)
 
 
+def test_xdep_admissible_point_values_add_no_rank_call_or_product():
+    # the sample-point ranks and the fiber read one table of monomial values
+    # per point; evaluation multiplies numbers, never Polys, and each
+    # `rank_at` stays one elimination, so the counts are the ones taken
+    # before the table
+    calls = traced_pass("xdep-admissible")
+    assert (calls["exactnum.rat"], calls["exactnum.poly_mul"]) == (102, 216)
+
+
 def test_frobenius_flatten_counts():
     # normal forms, field transports and polynomial products per traced
     # pass at seed 13: chart maps built without the constructor's check,

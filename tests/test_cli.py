@@ -607,6 +607,7 @@ class TestExitCodes:
 # argv lists beyond the declared names, for options the enumeration never sets
 EXTRA_ARGVS = [
     ["admissible", "xdep.gm", "--sample-points", "(0);(-1)"],
+    ["admissible", "xdep.gm", "--sample-points", "(1/2);(-1)"],
     ["tangent", "vftang.gm", "--field", "Y", "--sample-points", "(0);(3)"],
     ["reduce", "wedge22.gm", "--expr", "E_2_1"],
     ["reduce", "wedge22.gm", "--expr", "1/2 * E_1_2 * E_1_1"],

@@ -48,6 +48,7 @@ from randchart import (
     conjugate_frames,
     dense_vectors,
     eager_split_blocks,
+    eval_at,
     frontier_bundle,
     full_mu,
     is_identity_shaped,
@@ -1020,7 +1021,7 @@ def per_column_splitting_iso(E, at_point=None):
     per degree."""
     if not E.is_constant():
         E = CoalgebraBundle(E.n, (), E.ranks, {
-            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, m.eval_at(at_point), 0)
+            i: {bk: PolyMatrix.from_rat(m.rows, m.cols, eval_at(m, at_point), 0)
                 for bk, m in blocks.items()}
             for i, blocks in E.mu.items()})
     mu_rat = {i: full_mu(E, i).to_rat() for i in range(1, E.n + 1)}
@@ -1220,7 +1221,7 @@ class TestSparseSplittingRead:
                 assert rank_generic(m) == rank_generic(dense), (e, i)
                 for point in points:
                     assert rank_at(m, point) == rank_at(dense, point), (e, i, point)
-                    assert rat_pivots(m.eval_at(point)) == rat_pivots(dense.eval_at(point))
+                    assert rat_pivots(eval_at(m, point)) == rat_pivots(eval_at(dense, point))
 
     def test_no_declared_mu_gives_no_rows(self):
         e = CoalgebraBundle(2, (), {1: 40, 2: 1}, {})

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from gradman import exactnum
-from gradman.errors import NumberTooLong
+from gradman.coalgebra import splitting_iso
+from gradman.errors import NotAdmissible, NumberTooLong
 from gradman.exactnum import (
     Poly,
     PolyMatrix,
@@ -20,6 +21,7 @@ from gradman.exactnum import (
     rat_rank,
     rat_solve,
 )
+from randchart import bench_pool, reference_eval
 
 eliminate = exactnum._eliminate
 
@@ -403,6 +405,105 @@ class TestRank:
             for _ in range(4):
                 pt = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
                 assert g >= rank_at(m, pt)
+
+
+class TestMonomialTable:
+    """Evaluation through one table of monomial values per point against the
+    per-term reference (`randchart.reference_eval`) and sympy substitution."""
+
+    @staticmethod
+    def cases(seed):
+        """(Poly, point) pairs over 0 to 3 variables: zero and constant Polys,
+        exponents up to 12, int and Fraction coefficients, and coordinates
+        that are ints, negative, zero, integral Fractions or Fractions."""
+        rng = random.Random(seed)
+        coords = (lambda: 0, lambda: 1, lambda: -1, lambda: rng.randint(-4, 4),
+                  lambda: Fraction(rng.randint(-3, 3)),
+                  lambda: Fraction(rng.randint(-5, 5), rng.randint(2, 4)))
+        for t in range(400):
+            nvars = t % 4
+            integral = t % 3 == 0
+            terms = {}
+            for _ in range(rng.choice((0, 1, rng.randint(2, 6)))):
+                exps = tuple(rng.randint(0, 12) if rng.random() < 0.7 else 0 for _ in range(nvars))
+                terms[exps] = Fraction(rng.randint(-9, 9), 1 if integral else rng.randint(1, 5))
+            if t % 7 == 0:
+                terms = {(0,) * nvars: Fraction(rng.randint(-9, 9), rng.randint(1, 2))}
+            point = [rng.choice(coords)() for _ in range(nvars)]
+            yield Poly(nvars, terms), point
+
+    def test_eval_matches_the_reference_and_keeps_ints(self):
+        kinds = set()
+        for p, point in self.cases(31):
+            want = reference_eval(p, point)
+            got = p._eval(exactnum._Monomials(point))
+            assert got == want and type(got) is type(want), (p, point)
+            value = p.eval(point)
+            assert type(value) is Fraction and value == want, (p, point)
+            # integral data stays int, as `_int_rows` relies on
+            if all(type(c) is int for c in p.terms.values()) and all(
+                    Fraction(x).denominator == 1 for x in point):
+                assert type(got) is int, (p, point)
+            kinds.add((p.nvars, p.is_zero(), p.is_constant(), type(got)))
+        assert {(n, True, True, int) for n in range(4)} <= kinds
+        assert {(n, False, False, t) for n in range(1, 4) for t in (int, Fraction)} <= kinds
+
+    def test_eval_matches_sympy_substitution(self):
+        sympy = pytest.importorskip("sympy")
+        for p, point in self.cases(32):
+            xs = sympy.symbols(f"x0:{p.nvars}")
+            expr = sum((sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*[x**e for x, e in zip(xs, exps)])
+                        for exps, c in p.terms.items()), sympy.Integer(0))
+            at = {x: sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
+                  for x, v in zip(xs, point)}
+            want = sympy.Rational(expr.subs(at))
+            assert p.eval(point) == Fraction(int(want.p), int(want.q)), (p, point)
+
+    def test_one_table_serves_many_polys(self):
+        rng = random.Random(33)
+        polys = [p for p, _ in self.cases(34) if p.nvars == 2]
+        for _ in range(20):
+            point = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)]
+            values = exactnum._Monomials(point)
+            for p in polys:
+                got = p._eval(values)
+                want = reference_eval(p, point)
+                assert got == want and type(got) is type(want), (p, point)
+            assert set(values) == {e for p in polys for e in p.terms}
+
+    def test_rank_at_matches_the_reference_on_the_xdep_pools(self):
+        checked = 0
+        for seed in (12, 7012):
+            for spec, e in bench_pool("xdep-admissible", seed):
+                for i in range(2, e.n + 1):
+                    m = e.mu_matrix(i)
+                    for point in spec["points"]:
+                        values = [[reference_eval(p, point) for p in row] for row in m.entries]
+                        assert rank_at(m, point) == rat_rank(values), (seed, spec, i, point)
+                        checked += 1
+        assert checked == 2 * 2 * sum(len(spec["profile"]) - 1
+                                      for spec, _ in bench_pool("xdep-admissible", 12))
+
+    def test_fiber_columns_match_the_reference(self):
+        split = 0
+        for seed in (12, 7012):
+            for spec, e in bench_pool("xdep-admissible", seed):
+                fiber = spec["fiber"]
+                try:
+                    view = splitting_iso(e, at_point=fiber).source.integer_view()
+                except NotAdmissible:
+                    assert spec["kind"] == "vanish", spec
+                    continue
+                split += 1
+                for i in range(2, e.n + 1):
+                    got = view.mu_columns(i)
+                    assert len(got) == len(e.mu_columns(i)), (seed, spec, i)
+                    for col, ref_col in zip(got, e.mu_columns(i)):
+                        want = {pair: Fraction(v) for pair, q in ref_col.items()
+                                if (v := reference_eval(q, fiber))}
+                        assert {pair: Fraction(v, view.lam) for pair, v in col.items()} == want
+        assert split >= 2 * 48, split
 
 
 class TestFractionField:
